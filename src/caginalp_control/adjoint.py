@@ -7,7 +7,7 @@ the mirror-closed Laplacian satisfy W L = L^T W exactly, the transposed
 equations read again as nodal equations in L itself, and every adjoint solve
 reuses a forward factorization: the backward heat solve uses I - dt*L, the
 backward phase solve uses the same fourth-order Schur complement, and the
-backward nutrient solve uses the forward nutrient matrix built from the
+backward nutrient solve uses the forward nutrient operator shifted by the
 decay coefficient one level below the step.
 
 Indexing convention: the multiplier attached to the step that produces
@@ -217,7 +217,7 @@ class AdjointSources:
                    else None)
 
 
-def _terminal_from_vectors(g_z, g_w, g_r, grid, params, cfg):
+def _terminal_from_vectors(g_z, g_w, g_r, grid, params, cfg, counter=None):
     """Split terminal cost gradients into the four adjoint variables."""
     z_t = np.asarray(g_z, dtype=float)
     v_t = np.asarray(g_w, dtype=float) - params.ell * z_t
@@ -227,7 +227,8 @@ def _terminal_from_vectors(g_z, g_w, g_r, grid, params, cfg):
         lap = laplacian_matrix(grid)
         eye = sp.identity(grid.num_nodes, format="csr")
         op = FactorizedOperator(eye - params.tau * lap, cfg.linear_tol,
-                                cfg.max_linear_iters)
+                                cfg.max_linear_iters, counter,
+                                label="terminal")
         p_t = op.solve(v_t)
     q_t = -(laplacian_matrix(grid) @ p_t)
     return z_t, p_t, q_t, np.asarray(g_r, dtype=float)
@@ -291,8 +292,8 @@ def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
     if k == nt:
         z_new = ops.heat.solve((z_next + dt * sources.s_theta[k]) / dt,
                                step=level)
-        r_new = ops.nutrient_operator(decay).solve(
-            (r_next + dt * sources.s_sigma[k]) / dt, step=level)
+        r_new = ops.solve_nutrient(
+            (r_next + dt * sources.s_sigma[k]) / dt, decay, step=level)
         w_t = p_next + params.tau * q_next + params.ell * z_next
         rhs_p = (w_t + dt * sources.s_phi[k] - params.ell * z_new
                  - dt * params.chi * (ops.lap @ r_new)
@@ -318,7 +319,7 @@ def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
         rhs_r = r_next + dt * (
             sources.s_sigma[k] + params.lambda_p * gate * p_next
             + params.chi * q_next)
-        r_new = ops.nutrient_operator(decay).solve(rhs_r / dt, step=level)
+        r_new = ops.solve_nutrient(rhs_r / dt, decay, step=level)
 
         rhs_p = (p_next
                  + dt * (source_prime * p_next + ops.a * q_next
@@ -365,7 +366,7 @@ def step_adjoint_backward(adj_next, base, level, cost, cfg, params, nl, pot,
     if sources is None:
         sources = AdjointSources.from_cost(base, cost)
     if ops is None:
-        ops = StepOperators(grid, base.time_grid.dt, cfg, params)
+        ops = StepOperators(grid, base.time_grid.dt, cfg, params, nl)
     z, p, q, r = _adjoint_step_arrays(
         ops, base, sources, level, adj_next.z.flat, adj_next.p.flat,
         adj_next.q.flat, adj_next.r.flat, params, nl, pot,
@@ -402,14 +403,14 @@ def solve_adjoint_with_sources(base, sources, cfg, params, nl, pot,
 
     counter = counter if counter is not None else SolveCounter()
     start_count = counter.count
-    ops = StepOperators(grid, time_grid.dt, cfg, params, counter=counter)
+    ops = StepOperators(grid, time_grid.dt, cfg, params, nl, counter=counter)
 
     z = np.zeros((nt + 1, total))
     p = np.zeros((nt + 1, total))
     q = np.zeros((nt + 1, total))
     r = np.zeros((nt + 1, total))
     z[nt], p[nt], q[nt], r[nt] = _terminal_from_vectors(
-        sources.g_z, sources.g_w, sources.g_r, grid, params, cfg)
+        sources.g_z, sources.g_w, sources.g_r, grid, params, cfg, counter)
 
     for level in range(nt - 1, -1, -1):
         out = _adjoint_step_arrays(

@@ -213,7 +213,9 @@ class OptimizationReport:
     """Outcome of one projected gradient descent run.
 
     stop_reason is one of "stationarity", "max_iters" or "min_step"; hitting
-    the iteration cap or the step floor is reported, not raised.
+    the iteration cap or the step floor is reported, not raised. "min_step"
+    also covers a line search whose steps became too short to move the
+    control before reaching min_step.
     """
 
     iterates: tuple
@@ -304,8 +306,14 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
         while True:
             trial = project_admissible(u - alpha * grad, adm)
             movement = l2q_norm(trial - u)
+            if movement == 0.0:
+                # Steps this short no longer move the control.
+                break
             trial_cost = cost_at(trial)
-            if (trial_cost <= current_cost
+            # The strict test keeps a trial whose Armijo margin is below
+            # the rounding of the cost from passing without any decrease.
+            if (trial_cost < current_cost
+                    and trial_cost <= current_cost
                     - (opt_cfg.armijo_c / alpha) * movement * movement):
                 accepted = trial
                 break

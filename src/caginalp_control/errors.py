@@ -16,12 +16,15 @@ class SolverError(RuntimeError):
             failure is not tied to a particular step.
         residual: Relative residual achieved before giving up, or NaN when a
             non-finite value was detected.
+        block: Label of the failing operator (phase, heat, nutrient or
+            terminal), or None when no operator was involved.
     """
 
-    def __init__(self, message, step=None, residual=None):
+    def __init__(self, message, step=None, residual=None, block=None):
         super().__init__(message)
         self.step = step
         self.residual = residual
+        self.block = block
 
 
 class OptimizerError(RuntimeError):

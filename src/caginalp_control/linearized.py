@@ -141,7 +141,7 @@ def _lin_step_arrays(ops, base_theta_n, base_phi_n, base_sigma_n,
     rhs_nutrient = (rho_n / dt - params.chi * (ops.lap @ xi_next)
                     - base_sigma_next * (gate_prime_phi * xi_n
                                          + k_prime * zeta_n))
-    rho_next = ops.nutrient_operator(decay).solve(rhs_nutrient, step=step)
+    rho_next = ops.solve_nutrient(rhs_nutrient, decay, step=step)
     return zeta_next, xi_next, eta_next, rho_next
 
 
@@ -171,7 +171,7 @@ def step_linearized(base_prev, base_next, lin_prev, h_slice, dt, cfg, params,
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if ops is None:
-        ops = StepOperators(grid, dt, cfg, params)
+        ops = StepOperators(grid, dt, cfg, params, nl)
     zeta, xi, eta, rho = _lin_step_arrays(
         ops, base_prev.theta.flat, base_prev.phi.flat, base_prev.sigma.flat,
         base_next.sigma.flat, lin_prev.zeta.flat, lin_prev.xi.flat,
@@ -210,7 +210,7 @@ def solve_linearized(base, h, cfg, params, nl, pot, counter=None):
 
     counter = counter if counter is not None else SolveCounter()
     start_count = counter.count
-    ops = StepOperators(grid, time_grid.dt, cfg, params, counter=counter)
+    ops = StepOperators(grid, time_grid.dt, cfg, params, nl, counter=counter)
 
     zeta = np.zeros((nt + 1, total))
     xi = np.zeros((nt + 1, total))

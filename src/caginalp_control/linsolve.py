@@ -1,10 +1,14 @@
-"""Sparse direct solves with residual-checked iterative refinement.
+"""LU-factorized sparse solves with residual-checked iteration.
 
 Every inner linear system in the package goes through this wrapper: one LU
-factorization per matrix, reused across right-hand sides, with each solve
-refined until the relative residual meets the requested tolerance. A solve
-that cannot reach the tolerance, or that produces non-finite values, raises
-``SolverError`` carrying the step index and the achieved residual.
+factorization per matrix, made once per sweep and reused across right-hand
+sides, with each solve iterated until the relative residual meets the
+requested tolerance. A plain solve refines the LU solution. A shifted solve
+of (A + diag(shift)) x = b, whose diagonal changes from step to step, runs
+conjugate gradients preconditioned by the LU of A instead, so no matrix is
+assembled or factorized per step. A solve that cannot reach the tolerance,
+or that produces non-finite values, raises ``SolverError`` carrying the
+block label, the step index and the achieved residual.
 """
 
 from __future__ import annotations
@@ -15,6 +19,10 @@ from scipy.sparse.linalg import splu
 from .errors import SolverError
 
 __all__ = ["SolveCounter", "FactorizedOperator"]
+
+# Backward error at which a shifted solve counts as converged to rounding
+# level, a few units of roundoff.
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 class SolveCounter:
@@ -27,17 +35,34 @@ class SolveCounter:
 
 
 class FactorizedOperator:
-    """LU-factorized sparse operator with refinement on every solve."""
+    """LU-factorized sparse operator with an iterated solve.
 
-    def __init__(self, matrix, linear_tol, max_linear_iters, counter=None):
+    Args:
+        matrix: Sparse square matrix A to factorize.
+        linear_tol: Relative residual target of every solve.
+        max_linear_iters: Cap on the corrections of one solve, each costing
+            one back-substitution.
+        counter: Optional SolveCounter ticked once per solve.
+        weights: Positive diagonal of the inner product in which A and the
+            shifted matrices are self-adjoint; needed only by shifted solves.
+            Defaults to the Euclidean inner product.
+        label: Block name put into failures (phase, heat, nutrient, ...).
+    """
+
+    def __init__(self, matrix, linear_tol, max_linear_iters, counter=None,
+                 weights=None, label="linear"):
         self._matrix = matrix.tocsc()
         self._lu = splu(self._matrix)
+        self._norm_inf = float(abs(self._matrix).sum(axis=1).max())
         self._tol = float(linear_tol)
         self._max_iters = int(max_linear_iters)
         self._counter = counter
+        self._weights = (np.ones(self._matrix.shape[0]) if weights is None
+                         else np.asarray(weights, dtype=float))
+        self.label = label
 
-    def solve(self, rhs, step=None, guess=None):
-        """Solve A x = rhs to the configured relative residual.
+    def solve(self, rhs, step=None, guess=None, shift=None):
+        """Solve (A + diag(shift)) x = rhs to the configured relative residual.
 
         Args:
             rhs: Right-hand side (flat array).
@@ -46,6 +71,10 @@ class FactorizedOperator:
                 through the residual equation, which keeps slowly varying
                 solutions (fixed points in particular) from accumulating
                 factorization rounding noise step after step.
+            shift: Optional diagonal added to A. Without it the LU solution
+                is refined; with it the system is solved by conjugate
+                gradients in the weighted inner product, preconditioned by
+                the LU of A.
 
         Returns:
             Solution array.
@@ -57,31 +86,100 @@ class FactorizedOperator:
             self._counter.count += 1
         rhs = np.asarray(rhs, dtype=float)
         if not np.all(np.isfinite(rhs)):
-            raise SolverError(
-                "linear solve received non-finite right-hand side",
-                step=step, residual=float("nan"),
-            )
+            raise self._failure("received non-finite right-hand side", step,
+                                float("nan"))
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:
             return np.zeros_like(rhs)
+        if shift is None:
+            return self._refine(rhs, rhs_norm, step, guess)
+        return self._conjugate_gradients(rhs, rhs_norm, step, guess,
+                                         np.asarray(shift, dtype=float))
+
+    def _refine(self, rhs, rhs_norm, step, guess):
         if guess is None:
             x = self._lu.solve(rhs)
         else:
             x = np.asarray(guess, dtype=float)
         relative = np.inf
         for _ in range(self._max_iters + 1):
-            if not np.all(np.isfinite(x)):
-                raise SolverError(
-                    "linear solve produced non-finite values",
-                    step=step, residual=float("nan"),
-                )
+            self._require_finite(x, step)
             residual = rhs - self._matrix @ x
             relative = float(np.linalg.norm(residual)) / rhs_norm
             if relative <= self._tol:
                 return x
             x = x + self._lu.solve(residual)
-        raise SolverError(
-            f"linear solve stalled at relative residual {relative:.3e}"
-            f" (tolerance {self._tol:.3e})",
-            step=step, residual=relative,
-        )
+        raise self._stall(relative, step)
+
+    def _conjugate_gradients(self, rhs, rhs_norm, step, guess, shift):
+        """Preconditioned CG, driven by the recursive residual.
+
+        Meeting the tolerance does not end the iteration before the normwise
+        backward error ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf) is at
+        rounding level too, so the solution is as accurate as a
+        backward-stable LU solve of the same system; callers that difference
+        nearby solutions (line searches in particular) rely on that. The
+        true residual confirms every acceptance, and CG restarts from it if
+        the two residuals disagree.
+        """
+
+        def apply(v):
+            return self._matrix @ v + shift * v
+
+        matrix_norm = self._norm_inf + float(np.max(np.abs(shift)))
+        rhs_inf = float(np.max(np.abs(rhs)))
+        if guess is None:
+            x = np.zeros_like(rhs)
+            residual = rhs
+        else:
+            x = np.asarray(guess, dtype=float)
+            residual = rhs - apply(x)
+        # Same back-substitution budget as refinement: a cold start spends
+        # one on its initial solution.
+        budget = self._max_iters + (guess is None)
+        direction = None
+        while True:
+            relative = float(np.linalg.norm(residual)) / rhs_norm
+            if not np.isfinite(relative):
+                raise self._failure("produced non-finite values", step,
+                                    float("nan"))
+            if relative <= self._tol and (
+                    budget == 0 or np.max(np.abs(residual)) <= _ROUNDING * (
+                        matrix_norm * np.max(np.abs(x)) + rhs_inf)):
+                residual = rhs - apply(x)
+                relative = float(np.linalg.norm(residual)) / rhs_norm
+                if relative <= self._tol:
+                    return x
+                direction = None
+            if budget == 0:
+                raise self._stall(relative, step)
+            budget -= 1
+            preconditioned = self._lu.solve(residual)
+            rho_new = float(np.dot(self._weights * residual, preconditioned))
+            if direction is None:
+                direction = preconditioned
+            else:
+                direction = preconditioned + (rho_new / rho) * direction
+            rho = rho_new
+            applied = apply(direction)
+            curvature = float(np.dot(self._weights * direction, applied))
+            if not curvature > 0.0:
+                raise self._stall(relative, step)
+            alpha = rho / curvature
+            x = x + alpha * direction
+            residual = residual - alpha * applied
+
+    def _require_finite(self, x, step):
+        if not np.all(np.isfinite(x)):
+            raise self._failure("produced non-finite values", step,
+                                float("nan"))
+
+    def _stall(self, relative, step):
+        return self._failure(
+            f"stalled at relative residual {relative:.3e}"
+            f" (tolerance {self._tol:.3e})", step, relative)
+
+    def _failure(self, what, step, residual):
+        where = "" if step is None else f" at step {step}"
+        return SolverError(f"{self.label} solve{where} {what}", step=step,
+                           residual=residual, block=self.label)

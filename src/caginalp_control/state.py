@@ -18,6 +18,11 @@ Freezing the nonlinearities at the old level makes the whole step an
 explicitly differentiable affine map of (old state, control slice); the
 linearized and adjoint modules differentiate and transpose exactly this map.
 
+The phase, heat and nutrient operators are each factorized once per sweep
+(see :class:`StepOperators`); the nutrient decay changes every step and
+enters each nutrient solve as a diagonal shift of a factorization made at a
+reference decay.
+
 The Cahn-Hilliard pair is solved through its Schur complement in phi
 (eliminating mu by the potential equation), so the potential relation
 mu = (a I - Lap) phi_new - rhs holds to machine precision by construction,
@@ -200,14 +205,18 @@ class StateTrajectory:
 class StepOperators:
     """Shared factorizations and coefficient plumbing for one solve.
 
-    Holds the sparse Laplacian, the heat operator (I/dt - Lap), the
-    Cahn-Hilliard Schur complement (I/dt - a*Lap + Lap^2), and the potential
-    recovery operator (a*I - Lap), all factorized once per sweep. The
-    nutrient operator depends on the level-n decay coefficient and is
-    factorized per step through :meth:`nutrient_operator`.
+    Holds the sparse Laplacian, the potential recovery operator
+    (a*I - Lap), and three operators factorized once per sweep: the heat
+    operator (I/dt - Lap), the Cahn-Hilliard Schur complement
+    (I/dt - a*Lap + Lap^2) and the nutrient operator at a reference decay
+    (I/dt - Lap + decay_ref*I). The nutrient decay changes every step; each
+    step solves with its own decay through :meth:`solve_nutrient`. The
+    reference decay is the midpoint of the declared range [lambda_B,
+    lambda_B + lambda_C*h_star + lambda_D*k_star], taken from the model
+    alone, so that every sweep of a problem factorizes the same matrix.
     """
 
-    def __init__(self, grid, dt, cfg, params, counter=None):
+    def __init__(self, grid, dt, cfg, params, nl, counter=None):
         self.grid = grid
         self.dt = float(dt)
         self.cfg = cfg
@@ -217,22 +226,26 @@ class StepOperators:
         self.weights = quadrature_weights(grid)
         self.a = params.tau / self.dt + cfg.stabilization_s
         eye = sp.identity(grid.num_nodes, format="csr")
-        self._eye = eye
         self.a_minus_lap = (self.a * eye - self.lap).tocsr()
-        self.heat = FactorizedOperator(
-            eye / self.dt - self.lap, cfg.linear_tol, cfg.max_linear_iters,
-            self.counter,
-        )
+        self.decay_ref = params.lambda_b + 0.5 * (
+            params.lambda_c * nl.h_star + params.lambda_d * nl.k_star)
+        heat = eye / self.dt - self.lap
         schur = eye / self.dt - self.a * self.lap + self.lap @ self.lap
-        self.ch_schur = FactorizedOperator(
-            schur, cfg.linear_tol, cfg.max_linear_iters, self.counter,
-        )
+        self.heat = self._factorize(heat, "heat")
+        self.ch_schur = self._factorize(schur, "phase")
+        self.nutrient = self._factorize(heat + self.decay_ref * eye,
+                                        "nutrient")
 
-    def nutrient_operator(self, decay):
-        matrix = (self._eye / self.dt - self.lap
-                  + sp.diags_array(decay, format="csr"))
+    def solve_nutrient(self, rhs, decay, step=None, guess=None):
+        """Solve (I/dt - Lap + diag(decay)) x = rhs against the reference
+        factorization."""
+        return self.nutrient.solve(rhs, step=step, guess=guess,
+                                   shift=decay - self.decay_ref)
+
+    def _factorize(self, matrix, label):
         return FactorizedOperator(matrix, self.cfg.linear_tol,
-                                  self.cfg.max_linear_iters, self.counter)
+                                  self.cfg.max_linear_iters, self.counter,
+                                  weights=self.weights, label=label)
 
 
 def _decay_coefficient(theta_flat, phi_flat, params, nl):
@@ -272,8 +285,8 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, params, nl,
 
     rhs_nutrient = (sigma_n / dt - params.chi * (ops.lap @ phi_next)
                     + params.lambda_b * sigma_b_n)
-    sigma_next = ops.nutrient_operator(decay).solve(rhs_nutrient, step=step,
-                                                    guess=sigma_n)
+    sigma_next = ops.solve_nutrient(rhs_nutrient, decay, step=step,
+                                    guess=sigma_n)
     return theta_next, phi_next, mu_next, sigma_next
 
 
@@ -328,7 +341,7 @@ def step_state(prev, u_slice, t, dt, cfg, params, nl, pot, ops=None):
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     if ops is None:
-        ops = StepOperators(grid, dt, cfg, params)
+        ops = StepOperators(grid, dt, cfg, params, nl)
     sb = _sigma_b_level(params, t, dt, grid)
     theta, phi, mu, sigma = _step_arrays(
         ops, prev.theta.flat, prev.phi.flat, prev.sigma.flat, u_slice.flat,
@@ -380,7 +393,7 @@ def solve_state(init, u, cfg, params, nl, pot, counter=None):
 
     counter = counter if counter is not None else SolveCounter()
     start_count = counter.count
-    ops = StepOperators(grid, dt, cfg, params, counter=counter)
+    ops = StepOperators(grid, dt, cfg, params, nl, counter=counter)
 
     theta = np.zeros((nt + 1, total))
     phi = np.zeros((nt + 1, total))
@@ -395,11 +408,8 @@ def solve_state(init, u, cfg, params, nl, pot, counter=None):
     times = time_grid.times
     for step in range(nt):
         sb = _sigma_b_level(params, times[step], dt, grid)
-        try:
-            out = _step_arrays(ops, theta[step], phi[step], sigma[step],
-                               controls[step], sb, params, nl, pot, step=step)
-        except SolverError:
-            raise
+        out = _step_arrays(ops, theta[step], phi[step], sigma[step],
+                           controls[step], sb, params, nl, pot, step=step)
         theta[step + 1], phi[step + 1], mu[step + 1], sigma[step + 1] = out
 
     weights = ops.weights

@@ -384,3 +384,23 @@ def test_step_adjoint_level_bounds():
     with pytest.raises(ConfigurationError, match="level"):
         step_adjoint_backward(terminal, base, -1, cost, cfg, params, nl,
                               pot)
+
+
+@pytest.mark.parametrize("tau, extra", [(0.5, 1), (0.0, 0)])
+def test_adjoint_sweep_counts_terminal_solve(tau, extra):
+    # With tau > 0 the terminal data needs one (I - tau*Lap) solve on top of
+    # the three block solves of every step, and it goes into the tally.
+    from dataclasses import replace
+
+    from caginalp_control.linsolve import SolveCounter
+
+    rng = np.random.default_rng(53)
+    (grid, time_grid, _, _, params, nl, pot, cfg,
+     base) = _base_setup(9, 5, rng)
+    params = replace(params, tau=tau)
+    cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
+    counter = SolveCounter()
+    adj = solve_adjoint(base, cost, cfg, params, nl, pot, counter=counter)
+    expected = 3 * time_grid.nt + extra
+    assert counter.count == expected
+    assert adj.linear_solve_count == expected

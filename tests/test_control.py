@@ -298,3 +298,26 @@ def test_descent_wraps_solver_failures():
         projected_gradient_descent(
             u0, init, adm, cost, OptimizerConfig(), SolverConfig(),
             ModelParams(lambda_p=1.0), broken, default_potential())
+
+
+def test_descent_stops_when_the_step_no_longer_moves_the_control(
+        monkeypatch):
+    # A flat cost fails every Armijo test. With a step floor far below
+    # rounding, backtracking reaches steps that leave the control unchanged;
+    # such a null trial must end the search, not be accepted as a move.
+    import caginalp_control.control as control
+
+    monkeypatch.setattr(control, "evaluate_cost", lambda *args: 1.0)
+    grid = Grid(9, 1.0)
+    time_grid = TimeGrid(0.2, 4)
+    init = _constant_init(grid, 0.0, 1.0, 0.5)
+    u0 = SpaceTimeField.constant(time_grid, grid, 0.5)
+    cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
+    adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
+    report = projected_gradient_descent(
+        u0, init, adm, cost, OptimizerConfig(max_iters=5, min_step=1e-300),
+        SolverConfig(), ModelParams(), default_nonlinearities(),
+        default_potential())
+    assert report.stop_reason == "min_step"
+    assert len(report.iterates) == 1
+    assert np.array_equal(report.final_control.values, u0.values)
