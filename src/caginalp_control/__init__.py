@@ -25,6 +25,7 @@ _EXPORTS = {
     "TimeGrid": "grid",
     "Field": "grid",
     "SpaceTimeField": "grid",
+    "Trajectory": "grid",
     "laplacian_apply": "grid",
     "laplacian_matrix": "grid",
     "quadrature_weights": "grid",
@@ -66,12 +67,9 @@ _EXPORTS = {
     # state
     "SolverConfig": "state",
     "InitialData": "state",
-    "StateSnapshot": "state",
-    "StateTrajectory": "state",
     "DiagnosticsRecord": "state",
     "StepOperators": "state",
     "initial_mu": "state",
-    "step_state": "state",
     "solve_state": "state",
     "ch_energy": "state",
     "y_norm": "state",
@@ -79,19 +77,12 @@ _EXPORTS = {
     "LipschitzReport": "state",
     "lipschitz_probe": "state",
     # linearized
-    "LinearizedSnapshot": "linearized",
-    "LinearizedTrajectory": "linearized",
-    "step_linearized": "linearized",
     "solve_linearized": "linearized",
     "TaylorRow": "linearized",
     "TaylorReport": "linearized",
     "taylor_test": "linearized",
     # adjoint
-    "AdjointSnapshot": "adjoint",
-    "AdjointTrajectory": "adjoint",
     "AdjointSources": "adjoint",
-    "final_conditions": "adjoint",
-    "step_adjoint_backward": "adjoint",
     "solve_adjoint": "adjoint",
     "solve_adjoint_with_sources": "adjoint",
     "GradientResult": "adjoint",
@@ -113,7 +104,6 @@ _EXPORTS = {
     "VerifyProblem": "verification",
     "TestResult": "verification",
     "VerifyReport": "verification",
-    "default_desk_problem": "verification",
     "run_suite": "verification",
     # config
     "RunConfig": "config",

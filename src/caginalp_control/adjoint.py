@@ -11,9 +11,10 @@ backward nutrient solve uses the forward nutrient operator shifted by the
 decay coefficient one level below the step.
 
 Indexing convention: the multiplier attached to the step that produces
-level k is stored at trajectory index k - 1, so index m of an
-AdjointTrajectory holds the multipliers of the step m -> m + 1, and index nt
-holds the terminal data (z_T, p_T, q_T, r_T) derived from the terminal cost.
+level k is stored at trajectory index k - 1, so index m of the adjoint
+trajectory (a :class:`~caginalp_control.grid.Trajectory` with fields z, p, q
+and r) holds the multipliers of the step m -> m + 1, and index nt holds the
+terminal data (z_T, p_T, q_T, r_T) derived from the terminal cost.
 With this layout the reduced gradient is simply g_n = z_n + b5 * u_n, slice
 by slice, where z_n is the z-component of trajectory index n.
 
@@ -30,88 +31,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError
-from .grid import Field, SpaceTimeField, laplacian_matrix
+from .grid import Field, SpaceTimeField, Trajectory, laplacian_matrix
 from .linsolve import FactorizedOperator, SolveCounter
-from .state import SolverConfig, StepOperators, _decay_coefficient
+from .state import StepOperators, _decay_coefficient, solve_state
 
 __all__ = [
-    "AdjointSnapshot",
-    "AdjointTrajectory",
     "AdjointSources",
-    "final_conditions",
-    "step_adjoint_backward",
     "solve_adjoint",
     "solve_adjoint_with_sources",
     "GradientResult",
     "reduced_gradient",
 ]
-
-
-@dataclass(frozen=True)
-class AdjointSnapshot:
-    """Adjoint variables at one trajectory index."""
-
-    z: Field
-    p: Field
-    q: Field
-    r: Field
-
-    def __post_init__(self):
-        grids = {self.z.grid, self.p.grid, self.q.grid, self.r.grid}
-        if len(grids) != 1:
-            raise ConfigurationError("snapshot fields live on different grids")
-
-    @property
-    def grid(self):
-        return self.z.grid
-
-
-_ADJ_NAMES = ("z", "p", "q", "r")
-
-
-class AdjointTrajectory:
-    """Backward sweep output as (nt + 1, N) arrays.
-
-    Index m < nt holds the multipliers of the step m -> m + 1; index nt
-    holds the terminal data.
-    """
-
-    __slots__ = ("time_grid", "grid", "_arrays", "linear_solve_count")
-
-    def __init__(self, time_grid, grid, z, p, q, r, linear_solve_count=0):
-        arrays = {}
-        expected = (time_grid.nt + 1, grid.num_nodes)
-        for name, arr in zip(_ADJ_NAMES, (z, p, q, r)):
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != expected:
-                raise ConfigurationError(
-                    f"trajectory array {name} has shape {arr.shape},"
-                    f" expected {expected}"
-                )
-            arr = arr.copy()
-            arr.setflags(write=False)
-            arrays[name] = arr
-        self.time_grid = time_grid
-        self.grid = grid
-        self._arrays = arrays
-        self.linear_solve_count = int(linear_solve_count)
-
-    def field_array(self, name):
-        """Read-only (nt + 1, N) array of one adjoint field."""
-        return self._arrays[name]
-
-    def snapshot(self, level):
-        shape = self.grid.shape
-        return AdjointSnapshot(
-            z=Field(self.grid, self._arrays["z"][level].reshape(shape)),
-            p=Field(self.grid, self._arrays["p"][level].reshape(shape)),
-            q=Field(self.grid, self._arrays["q"][level].reshape(shape)),
-            r=Field(self.grid, self._arrays["r"][level].reshape(shape)),
-        )
-
-    @property
-    def snapshots(self):
-        return tuple(self.snapshot(k) for k in range(self.time_grid.nt + 1))
 
 
 def _target_slice(target, level, grid, nt):
@@ -218,7 +148,12 @@ class AdjointSources:
 
 
 def _terminal_from_vectors(g_z, g_w, g_r, grid, params, cfg, counter=None):
-    """Split terminal cost gradients into the four adjoint variables."""
+    """Split terminal cost gradients into the four adjoint variables.
+
+    z_T = g_z, (I - tau * Lap) p_T = g_w - ell * g_z, q_T = -Lap p_T and
+    r_T = g_r; for a cost, g_z = b2 * (theta_T - theta_omega),
+    g_w = b4 * (phi_T - phi_omega) and g_r = 0.
+    """
     z_t = np.asarray(g_z, dtype=float)
     v_t = np.asarray(g_w, dtype=float) - params.ell * z_t
     if params.tau == 0.0:
@@ -232,42 +167,6 @@ def _terminal_from_vectors(g_z, g_w, g_r, grid, params, cfg, counter=None):
         p_t = op.solve(v_t)
     q_t = -(laplacian_matrix(grid) @ p_t)
     return z_t, p_t, q_t, np.asarray(g_r, dtype=float)
-
-
-def final_conditions(state_t, cost, params, cfg=None):
-    """Terminal adjoint data from the terminal state and the cost.
-
-    The terminal cost gradients g_z = b2 * (theta_T - theta_omega) and
-    g_w = b4 * (phi_T - phi_omega) are split into the four adjoint variables
-    by z_T = g_z, (I - tau * Lap) p_T = g_w - ell * g_z, q_T = -Lap p_T and
-    r_T = 0.
-
-    Args:
-        state_t: StateSnapshot at the final time.
-        cost: Cost weights and targets.
-        params: Model parameters.
-        cfg: Optional SolverConfig for the tau-viscous terminal solve.
-
-    Returns:
-        AdjointSnapshot holding the terminal data.
-    """
-    cfg = cfg if cfg is not None else SolverConfig()
-    grid = state_t.grid
-    g_z = cost.b2 * (state_t.theta.flat - _terminal_target(cost.theta_omega,
-                                                           grid))
-    g_w = cost.b4 * (state_t.phi.flat - _terminal_target(cost.phi_omega,
-                                                         grid))
-    g_z = np.asarray(g_z, dtype=float) + np.zeros(grid.num_nodes)
-    g_w = np.asarray(g_w, dtype=float) + np.zeros(grid.num_nodes)
-    z_t, p_t, q_t, r_t = _terminal_from_vectors(
-        g_z, g_w, np.zeros(grid.num_nodes), grid, params, cfg)
-    shape = grid.shape
-    return AdjointSnapshot(
-        z=Field(grid, z_t.reshape(shape)),
-        p=Field(grid, p_t.reshape(shape)),
-        q=Field(grid, q_t.reshape(shape)),
-        r=Field(grid, r_t.reshape(shape)),
-    )
 
 
 def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
@@ -336,63 +235,19 @@ def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
     return z_new, p_new, q_new, r_new
 
 
-def step_adjoint_backward(adj_next, base, level, cost, cfg, params, nl, pot,
-                          sources=None, ops=None):
-    """One backward step, producing the multipliers of step level -> level+1.
-
-    Args:
-        adj_next: Adjoint snapshot at trajectory index level + 1 (for
-            level = nt - 1 this is the terminal data).
-        base: Full forward StateTrajectory; the step reads base levels
-            level, level + 1 and, away from the terminal step, level + 2.
-        level: Index in 0..nt-1 of the snapshot to produce.
-        cost: Cost functional; ignored when sources is given.
-        cfg: SolverConfig.
-        params, nl, pot: Model data.
-        sources: Optional AdjointSources overriding the cost-derived ones.
-        ops: Optional prebuilt StepOperators for reuse.
-
-    Returns:
-        AdjointSnapshot at trajectory index level.
-    """
-    nt = base.time_grid.nt
-    if not 0 <= level <= nt - 1:
-        raise ConfigurationError(
-            f"level must lie in 0..{nt - 1}, got {level}"
-        )
-    grid = base.grid
-    if adj_next.grid != grid:
-        raise ConfigurationError("adjoint grid does not match base")
-    if sources is None:
-        sources = AdjointSources.from_cost(base, cost)
-    if ops is None:
-        ops = StepOperators(grid, base.time_grid.dt, cfg, params, nl)
-    z, p, q, r = _adjoint_step_arrays(
-        ops, base, sources, level, adj_next.z.flat, adj_next.p.flat,
-        adj_next.q.flat, adj_next.r.flat, params, nl, pot,
-    )
-    shape = grid.shape
-    return AdjointSnapshot(
-        z=Field(grid, z.reshape(shape)),
-        p=Field(grid, p.reshape(shape)),
-        q=Field(grid, q.reshape(shape)),
-        r=Field(grid, r.reshape(shape)),
-    )
-
-
 def solve_adjoint_with_sources(base, sources, cfg, params, nl, pot,
                                counter=None):
     """Backward sweep driven by explicit sources and terminal vectors.
 
     Args:
-        base: Forward StateTrajectory.
+        base: Forward state trajectory.
         sources: AdjointSources on matching grids.
         cfg: SolverConfig.
         params, nl, pot: Model data.
         counter: Optional SolveCounter.
 
     Returns:
-        AdjointTrajectory; index nt holds the terminal data.
+        Trajectory of (z, p, q, r); index nt holds the terminal data.
     """
     grid = base.grid
     time_grid = base.time_grid
@@ -419,8 +274,8 @@ def solve_adjoint_with_sources(base, sources, cfg, params, nl, pot,
         )
         z[level], p[level], q[level], r[level] = out
 
-    return AdjointTrajectory(
-        time_grid, grid, z, p, q, r,
+    return Trajectory(
+        time_grid, grid, {"z": z, "p": p, "q": q, "r": r},
         linear_solve_count=counter.count - start_count,
     )
 
@@ -442,8 +297,8 @@ class GradientResult:
 
     gradient: SpaceTimeField
     cost_value: float
-    state: object
-    adjoint: AdjointTrajectory
+    state: Trajectory
+    adjoint: Trajectory
 
 
 def reduced_gradient(u, init, cost, cfg, params, nl, pot, counter=None):
@@ -457,17 +312,20 @@ def reduced_gradient(u, init, cost, cfg, params, nl, pot, counter=None):
     Returns:
         GradientResult with the gradient, the cost value and both sweeps.
     """
-    from .control import evaluate_cost
-    from .state import solve_state
-
     state = solve_state(init, u, cfg, params, nl, pot, counter=counter)
+    return _gradient_from_state(state, u, cost, cfg, params, nl, pot,
+                                counter=counter)
+
+
+def _gradient_from_state(state, u, cost, cfg, params, nl, pot, counter=None):
+    """Reduced gradient at u from the state trajectory u produced.
+
+    Runs only the backward sweep; see :func:`reduced_gradient`.
+    """
+    from .control import evaluate_cost
+
     adjoint = solve_adjoint(state, cost, cfg, params, nl, pot,
                             counter=counter)
-    grad_values = adjoint.field_array("z") + cost.b5 * np.asarray(
-        [u.flat_slices[k] for k in range(u.time_grid.nt + 1)])
-    shape = (u.time_grid.nt + 1,) + u.grid.shape
-    gradient = SpaceTimeField(u.time_grid, u.grid,
-                              grad_values.reshape(shape))
-    cost_value = evaluate_cost(state, u, cost)
-    return GradientResult(gradient=gradient, cost_value=cost_value,
+    return GradientResult(gradient=adjoint.space_time("z") + cost.b5 * u,
+                          cost_value=evaluate_cost(state, u, cost),
                           state=state, adjoint=adjoint)

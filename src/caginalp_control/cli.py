@@ -140,11 +140,10 @@ def _write_effective_config(cfg):
         handle.write(cfg.effective_config())
 
 
-def _state_slice_rows(snapshot, grid):
-    theta = snapshot.theta.flat
-    phi = snapshot.phi.flat
-    mu = snapshot.mu.flat
-    sigma = snapshot.sigma.flat
+def _state_slice_rows(trajectory, level):
+    theta, phi, mu, sigma = (trajectory.field_array(name)[level]
+                             for name in ("theta", "phi", "mu", "sigma"))
+    grid = trajectory.grid
     if grid.dim == 1:
         x = grid.coords(0)
         for i in range(grid.n[0]):
@@ -186,9 +185,8 @@ def _cmd_simulate(config_path):
         slice_header = ("index_x", "index_y", "x", "y", "theta", "phi",
                         "mu", "sigma")
     for level in cfg.output_slices:
-        snapshot = trajectory.snapshot(level)
         path = os.path.join(out_dir, f"state_{level:06d}.csv")
-        _write_csv(path, slice_header, _state_slice_rows(snapshot, cfg.grid))
+        _write_csv(path, slice_header, _state_slice_rows(trajectory, level))
 
     _write_effective_config(cfg)
     print(f"simulate: {cfg.time_grid.nt} steps,"

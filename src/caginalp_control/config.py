@@ -503,8 +503,7 @@ class RunConfig:
                 section, key, raw[len("from_reference_run:"):])
             self._raw[section][key] = f"from_reference_run:{resolved}"
             name = "theta" if key.startswith("theta") else "phi"
-            final = trajectory.snapshot(trajectory.time_grid.nt)
-            return getattr(final, name)
+            return trajectory.field(name, trajectory.time_grid.nt)
         _fail(section, key, f"unrecognized field source {raw!r}")
 
     def _space_time_source(self, section, key, raw, allow_reference=False):

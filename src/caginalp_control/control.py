@@ -24,7 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _target_slice, _terminal_target, reduced_gradient
+from .adjoint import (
+    _gradient_from_state,
+    _target_slice,
+    _terminal_target,
+    reduced_gradient,
+)
 from .errors import ConfigurationError, OptimizerError, SolverError
 from .grid import SpaceTimeField, l2q_norm, quadrature_weights
 from .linsolve import SolveCounter
@@ -228,10 +233,7 @@ class OptimizationReport:
     @property
     def final_z(self):
         """Adjoint z of the final iterate, as a SpaceTimeField."""
-        adj = self.final_adjoint
-        shape = (adj.time_grid.nt + 1,) + adj.grid.shape
-        return SpaceTimeField(adj.time_grid, adj.grid,
-                              adj.field_array("z").reshape(shape))
+        return self.final_adjoint.space_time("z")
 
 
 def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
@@ -259,28 +261,25 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
     iterates = []
     stop_reason = None
 
-    def gradient_at(control):
+    def state_at(control):
         try:
-            return reduced_gradient(control, init, cost, solver_cfg, params,
-                                    nl, pot, counter=counter)
-        except SolverError as exc:
-            raise OptimizerError(
-                f"state or adjoint sweep failed at iterate"
-                f" {len(iterates)}: {exc}"
-            ) from exc
-
-    def cost_at(control):
-        try:
-            traj = solve_state(init, control, solver_cfg, params, nl, pot,
+            return solve_state(init, control, solver_cfg, params, nl, pot,
                                counter=counter)
         except SolverError as exc:
             raise OptimizerError(
-                f"trial state sweep failed at iterate"
-                f" {len(iterates)}: {exc}"
+                f"state sweep failed at iterate {len(iterates)}: {exc}"
             ) from exc
-        return evaluate_cost(traj, control, cost)
 
-    result = gradient_at(u)
+    def gradient_at(control, traj):
+        try:
+            return _gradient_from_state(traj, control, cost, solver_cfg,
+                                        params, nl, pot, counter=counter)
+        except SolverError as exc:
+            raise OptimizerError(
+                f"adjoint sweep failed at iterate {len(iterates)}: {exc}"
+            ) from exc
+
+    result = gradient_at(u, state_at(u))
     iteration = 0
     while True:
         grad = result.gradient
@@ -309,7 +308,8 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
             if movement == 0.0:
                 # Steps this short no longer move the control.
                 break
-            trial_cost = cost_at(trial)
+            trial_state = state_at(trial)
+            trial_cost = evaluate_cost(trial_state, trial, cost)
             # The strict test keeps a trial whose Armijo margin is below
             # the rounding of the cost from passing without any decrease.
             if (trial_cost < current_cost
@@ -332,7 +332,8 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
         iterates.append(IterateRecord(iteration, current_cost, stationarity,
                                       alpha, backtracks, counter.count))
         u = accepted
-        result = gradient_at(u)
+        # The accepted trial's state is the state at the new iterate.
+        result = gradient_at(u, trial_state)
         iteration += 1
 
     return OptimizationReport(

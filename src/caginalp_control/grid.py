@@ -37,6 +37,7 @@ __all__ = [
     "TimeGrid",
     "Field",
     "SpaceTimeField",
+    "Trajectory",
     "laplacian_apply",
     "laplacian_matrix",
     "quadrature_weights",
@@ -358,6 +359,51 @@ class SpaceTimeField:
 
     def __neg__(self):
         return SpaceTimeField(self.time_grid, self.grid, -self._values)
+
+
+class Trajectory:
+    """Output of one sweep: a read-only (nt + 1, N) array per named field.
+
+    The forward sweep fills (theta, phi, mu, sigma), the linearized sweep
+    (zeta, xi, eta, rho) and the adjoint sweep (z, p, q, r). The arrays are
+    taken over, not copied, and made read-only, so a producer hands over
+    arrays it no longer writes to. ``diagnostics`` holds the per-level rows
+    of a forward sweep and is empty otherwise.
+    """
+
+    __slots__ = ("time_grid", "grid", "_arrays", "diagnostics",
+                 "linear_solve_count")
+
+    def __init__(self, time_grid, grid, arrays, diagnostics=(),
+                 linear_solve_count=0):
+        expected = (time_grid.nt + 1, grid.num_nodes)
+        for name, arr in arrays.items():
+            if arr.shape != expected:
+                raise ConfigurationError(
+                    f"trajectory array {name} has shape {arr.shape},"
+                    f" expected {expected}"
+                )
+            arr.setflags(write=False)
+        self.time_grid = time_grid
+        self.grid = grid
+        self._arrays = dict(arrays)
+        self.diagnostics = tuple(diagnostics)
+        self.linear_solve_count = int(linear_solve_count)
+
+    def field_array(self, name):
+        """Read-only (nt + 1, N) array of one field's nodal values."""
+        return self._arrays[name]
+
+    def field(self, name, level):
+        """One field at one time level."""
+        return Field(self.grid, self._arrays[name][level].reshape(
+            self.grid.shape))
+
+    def space_time(self, name):
+        """One field of the trajectory as a SpaceTimeField."""
+        shape = (self.time_grid.nt + 1,) + self.grid.shape
+        return SpaceTimeField(self.time_grid, self.grid,
+                              self._arrays[name].reshape(shape))
 
 
 def _lap_1d_axis(values, h, axis):

@@ -12,6 +12,9 @@ The linearized variables are (zeta, xi, eta, rho) for the perturbations of
 (theta, phi, mu, sigma). Initial data is unperturbed, so all four start at
 zero; eta carries no initial condition of its own because the chemical
 potential at t=0 is an algebraic function of the unperturbed initial fields.
+The sweep returns them as a :class:`~caginalp_control.grid.Trajectory`
+indexed like the state: index k of the linearized trajectory holds the
+perturbation at time level t_k, and index 0 is zero.
 """
 
 from __future__ import annotations
@@ -22,86 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, SpaceTimeField, l2q_norm
+from .grid import Trajectory, l2q_norm
+from .linsolve import SolveCounter
 from .state import StepOperators, _require_finite, solve_state, y_norm
 
 __all__ = [
-    "LinearizedSnapshot",
-    "LinearizedTrajectory",
-    "step_linearized",
     "solve_linearized",
     "TaylorRow",
     "TaylorReport",
     "taylor_test",
 ]
-
-
-@dataclass(frozen=True)
-class LinearizedSnapshot:
-    """Perturbation fields at one time level."""
-
-    zeta: Field
-    xi: Field
-    eta: Field
-    rho: Field
-
-    def __post_init__(self):
-        grids = {self.zeta.grid, self.xi.grid, self.eta.grid, self.rho.grid}
-        if len(grids) != 1:
-            raise ConfigurationError("snapshot fields live on different grids")
-
-    @property
-    def grid(self):
-        return self.zeta.grid
-
-
-_LIN_NAMES = ("zeta", "xi", "eta", "rho")
-
-
-class LinearizedTrajectory:
-    """Linearized trajectory as (nt + 1, N) arrays; level 0 is zero."""
-
-    __slots__ = ("time_grid", "grid", "_arrays", "linear_solve_count")
-
-    def __init__(self, time_grid, grid, zeta, xi, eta, rho,
-                 linear_solve_count=0):
-        arrays = {}
-        expected = (time_grid.nt + 1, grid.num_nodes)
-        for name, arr in zip(_LIN_NAMES, (zeta, xi, eta, rho)):
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != expected:
-                raise ConfigurationError(
-                    f"trajectory array {name} has shape {arr.shape},"
-                    f" expected {expected}"
-                )
-            arr = arr.copy()
-            arr.setflags(write=False)
-            arrays[name] = arr
-        if any(arrays[name][0].any() for name in _LIN_NAMES):
-            raise ConfigurationError(
-                "linearized trajectory must start from zero perturbation"
-            )
-        self.time_grid = time_grid
-        self.grid = grid
-        self._arrays = arrays
-        self.linear_solve_count = int(linear_solve_count)
-
-    def field_array(self, name):
-        """Read-only (nt + 1, N) array of one perturbation field."""
-        return self._arrays[name]
-
-    def snapshot(self, level):
-        shape = self.grid.shape
-        return LinearizedSnapshot(
-            zeta=Field(self.grid, self._arrays["zeta"][level].reshape(shape)),
-            xi=Field(self.grid, self._arrays["xi"][level].reshape(shape)),
-            eta=Field(self.grid, self._arrays["eta"][level].reshape(shape)),
-            rho=Field(self.grid, self._arrays["rho"][level].reshape(shape)),
-        )
-
-    @property
-    def snapshots(self):
-        return tuple(self.snapshot(k) for k in range(self.time_grid.nt + 1))
 
 
 def _lin_step_arrays(ops, base_theta_n, base_phi_n, base_sigma_n,
@@ -145,59 +78,18 @@ def _lin_step_arrays(ops, base_theta_n, base_phi_n, base_sigma_n,
     return zeta_next, xi_next, eta_next, rho_next
 
 
-def step_linearized(base_prev, base_next, lin_prev, h_slice, dt, cfg, params,
-                    nl, pot, ops=None):
-    """Advance the linearized state by one step.
-
-    Args:
-        base_prev: Base state at the old level (coefficients frozen here).
-        base_next: Base state at the new level (its sigma enters the
-            linearized nutrient decay term).
-        lin_prev: Linearized state at the old level.
-        h_slice: Control perturbation on this step.
-        dt: Step length.
-        cfg: SolverConfig.
-        params, nl, pot: Model data.
-        ops: Optional prebuilt StepOperators for reuse.
-
-    Returns:
-        LinearizedSnapshot at the new level.
-    """
-    grid = base_prev.grid
-    if base_next.grid != grid or lin_prev.grid != grid:
-        raise ConfigurationError("base and linearized grids do not match")
-    if h_slice.grid != grid:
-        raise ConfigurationError("direction slice grid does not match state")
-    if dt <= 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    if ops is None:
-        ops = StepOperators(grid, dt, cfg, params, nl)
-    zeta, xi, eta, rho = _lin_step_arrays(
-        ops, base_prev.theta.flat, base_prev.phi.flat, base_prev.sigma.flat,
-        base_next.sigma.flat, lin_prev.zeta.flat, lin_prev.xi.flat,
-        lin_prev.rho.flat, h_slice.flat, params, nl, pot, step=None,
-    )
-    shape = grid.shape
-    return LinearizedSnapshot(
-        zeta=Field(grid, zeta.reshape(shape)),
-        xi=Field(grid, xi.reshape(shape)),
-        eta=Field(grid, eta.reshape(shape)),
-        rho=Field(grid, rho.reshape(shape)),
-    )
-
-
 def solve_linearized(base, h, cfg, params, nl, pot, counter=None):
     """Sweep the linearized system along a base trajectory.
 
     Args:
-        base: StateTrajectory the linearization is taken around.
+        base: State trajectory the linearization is taken around.
         h: Control direction as a SpaceTimeField on the same grids.
         cfg: SolverConfig.
         params, nl, pot: Model data.
         counter: Optional SolveCounter.
 
     Returns:
-        LinearizedTrajectory with zero level-0 data.
+        Trajectory of (zeta, xi, eta, rho), zero at level 0.
     """
     grid = base.grid
     time_grid = base.time_grid
@@ -205,8 +97,6 @@ def solve_linearized(base, h, cfg, params, nl, pot, counter=None):
         raise ConfigurationError("direction grids do not match base")
     nt = time_grid.nt
     total = grid.num_nodes
-
-    from .linsolve import SolveCounter
 
     counter = counter if counter is not None else SolveCounter()
     start_count = counter.count
@@ -229,8 +119,8 @@ def solve_linearized(base, h, cfg, params, nl, pot, counter=None):
         )
         zeta[step + 1], xi[step + 1], eta[step + 1], rho[step + 1] = out
 
-    return LinearizedTrajectory(
-        time_grid, grid, zeta, xi, eta, rho,
+    return Trajectory(
+        time_grid, grid, {"zeta": zeta, "xi": xi, "eta": eta, "rho": rho},
         linear_solve_count=counter.count - start_count,
     )
 

@@ -87,11 +87,29 @@ class ModelParams:
                     f"{name} must be a nonnegative real, got {value}"
                 )
 
-    def sigma_b_at(self, level, grid):
-        """Far-field supply at one time level, as a flat array."""
+    def sigma_b_at(self, t, dt, grid):
+        """Far-field supply for the step of length dt starting at time t.
+
+        A space-time supply is sampled at its own level whose time is t, so
+        it may live on a finer time grid than the run.
+
+        Raises:
+            ConfigurationError: If the supply lives on another grid, has no
+                level at t, or does not reach t.
+        """
         if isinstance(self.sigma_b, SpaceTimeField):
             if self.sigma_b.grid != grid:
                 raise ConfigurationError("sigma_b grid does not match the run")
+            own_dt = self.sigma_b.time_grid.dt
+            level = int(round(t / own_dt))
+            if abs(t - level * own_dt) > 1e-9 * max(own_dt, dt):
+                raise ConfigurationError(
+                    f"sigma_b time grid has no level at t={t}"
+                )
+            if not 0 <= level <= self.sigma_b.time_grid.nt:
+                raise ConfigurationError(
+                    f"sigma_b time grid does not cover t={t}"
+                )
             return self.sigma_b.flat_slices[level]
         return np.full(grid.num_nodes, float(self.sigma_b))
 

@@ -195,9 +195,10 @@ def dense_oracle_solve(theta0, phi0, sigma0, u, params, nl, pot,
              - params.chi * sigma[0] - params.lambda_big * theta[0])
 
     controls = u.flat_slices
+    times = time_grid.times
     for step in range(nt):
         prev = (theta[step], phi[step], sigma[step])
-        sb = params.sigma_b_at(step, grid)
+        sb = params.sigma_b_at(times[step], dt, grid)
         matrix, rhs, th = _step_blocks(lap, prev, sb, dt, params, nl, pot,
                                        stabilization_s)
         rhs[th] += controls[step]

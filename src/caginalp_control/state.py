@@ -31,6 +31,10 @@ with a = tau/dt + S.
 The chemical potential at t=0 is defined algebraically from the potential
 equation with a zero phase rate, mu0 = -Lap(phi0) + f(phi0) - chi*sigma0
 - Lambda*theta0, since the continuous problem prescribes no initial mu.
+
+A sweep returns a :class:`~caginalp_control.grid.Trajectory` with fields
+theta, phi, mu and sigma: index k of the state trajectory holds time level
+t_k, from the initial data at index 0 to the final state at index nt.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import scipy.sparse as sp
 from .errors import ConfigurationError, SolverError
 from .grid import (
     Field,
-    SpaceTimeField,
+    Trajectory,
     inner_product,
     integrate,
     l2q_norm,
@@ -55,12 +59,9 @@ from .linsolve import FactorizedOperator, SolveCounter
 __all__ = [
     "SolverConfig",
     "InitialData",
-    "StateSnapshot",
-    "StateTrajectory",
     "DiagnosticsRecord",
     "StepOperators",
     "initial_mu",
-    "step_state",
     "solve_state",
     "ch_energy",
     "y_norm",
@@ -118,25 +119,6 @@ class InitialData:
 
 
 @dataclass(frozen=True)
-class StateSnapshot:
-    """State at one time level."""
-
-    theta: Field
-    phi: Field
-    mu: Field
-    sigma: Field
-
-    def __post_init__(self):
-        grids = {self.theta.grid, self.phi.grid, self.mu.grid, self.sigma.grid}
-        if len(grids) != 1:
-            raise ConfigurationError("snapshot fields live on different grids")
-
-    @property
-    def grid(self):
-        return self.theta.grid
-
-
-@dataclass(frozen=True)
 class DiagnosticsRecord:
     """Per-level balance and norm diagnostics."""
 
@@ -147,59 +129,6 @@ class DiagnosticsRecord:
     energy: float
     linf_theta: float
     linf_phi: float
-
-
-_FIELD_NAMES = ("theta", "phi", "mu", "sigma")
-
-
-class StateTrajectory:
-    """Complete forward trajectory, stored as (nt + 1, N) arrays per field."""
-
-    __slots__ = ("time_grid", "grid", "_arrays", "diagnostics",
-                 "linear_solve_count")
-
-    def __init__(self, time_grid, grid, theta, phi, mu, sigma,
-                 diagnostics=(), linear_solve_count=0):
-        arrays = {}
-        expected = (time_grid.nt + 1, grid.num_nodes)
-        for name, arr in zip(_FIELD_NAMES, (theta, phi, mu, sigma)):
-            arr = np.asarray(arr, dtype=float)
-            if arr.shape != expected:
-                raise ConfigurationError(
-                    f"trajectory array {name} has shape {arr.shape},"
-                    f" expected {expected}"
-                )
-            arr = arr.copy()
-            arr.setflags(write=False)
-            arrays[name] = arr
-        self.time_grid = time_grid
-        self.grid = grid
-        self._arrays = arrays
-        self.diagnostics = tuple(diagnostics)
-        self.linear_solve_count = int(linear_solve_count)
-
-    def field_array(self, name):
-        """Read-only (nt + 1, N) array of one field's nodal values."""
-        return self._arrays[name]
-
-    def snapshot(self, level):
-        shape = self.grid.shape
-        return StateSnapshot(
-            theta=Field(self.grid, self._arrays["theta"][level].reshape(shape)),
-            phi=Field(self.grid, self._arrays["phi"][level].reshape(shape)),
-            mu=Field(self.grid, self._arrays["mu"][level].reshape(shape)),
-            sigma=Field(self.grid, self._arrays["sigma"][level].reshape(shape)),
-        )
-
-    @property
-    def snapshots(self):
-        return tuple(self.snapshot(k) for k in range(self.time_grid.nt + 1))
-
-    def space_time(self, name):
-        """One field of the trajectory as a SpaceTimeField."""
-        shape = (self.time_grid.nt + 1,) + self.grid.shape
-        return SpaceTimeField(self.time_grid, self.grid,
-                              self._arrays[name].reshape(shape))
 
 
 class StepOperators:
@@ -290,23 +219,6 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, params, nl,
     return theta_next, phi_next, mu_next, sigma_next
 
 
-def _sigma_b_level(params, t, dt, grid):
-    """Locate the far-field supply slice for the step starting at time t."""
-    if isinstance(params.sigma_b, SpaceTimeField):
-        own_dt = params.sigma_b.time_grid.dt
-        level = int(round(t / own_dt))
-        if abs(t - level * own_dt) > 1e-9 * max(own_dt, dt):
-            raise ConfigurationError(
-                f"sigma_b time grid has no level at t={t}"
-            )
-        if not 0 <= level <= params.sigma_b.time_grid.nt:
-            raise ConfigurationError(
-                f"sigma_b time grid does not cover t={t}"
-            )
-        return params.sigma_b.flat_slices[level]
-    return np.full(grid.num_nodes, float(params.sigma_b))
-
-
 def initial_mu(init, params, pot):
     """Consistent chemical potential at t=0 (zero phase rate)."""
     lap = laplacian_matrix(init.grid)
@@ -315,45 +227,6 @@ def initial_mu(init, params, pot):
            - params.chi * init.sigma0.flat
            - params.lambda_big * init.theta0.flat)
     return Field(init.grid, mu0.reshape(init.grid.shape))
-
-
-def step_state(prev, u_slice, t, dt, cfg, params, nl, pot, ops=None):
-    """Advance one state snapshot by one step of length dt.
-
-    Args:
-        prev: State at the old level.
-        u_slice: Control on [t, t + dt), sampled at the left endpoint.
-        t: Time at the old level (used to locate a time-dependent sigma_b).
-        dt: Step length.
-        cfg: SolverConfig.
-        params, nl, pot: Model data.
-        ops: Optional prebuilt StepOperators for reuse across steps.
-
-    Returns:
-        StateSnapshot at the new level.
-
-    Raises:
-        SolverError: On inner-solve nonconvergence or non-finite values.
-    """
-    grid = prev.grid
-    if u_slice.grid != grid:
-        raise ConfigurationError("control slice grid does not match state")
-    if dt <= 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    if ops is None:
-        ops = StepOperators(grid, dt, cfg, params, nl)
-    sb = _sigma_b_level(params, t, dt, grid)
-    theta, phi, mu, sigma = _step_arrays(
-        ops, prev.theta.flat, prev.phi.flat, prev.sigma.flat, u_slice.flat,
-        sb, params, nl, pot, step=None,
-    )
-    shape = grid.shape
-    return StateSnapshot(
-        theta=Field(grid, theta.reshape(shape)),
-        phi=Field(grid, phi.reshape(shape)),
-        mu=Field(grid, mu.reshape(shape)),
-        sigma=Field(grid, sigma.reshape(shape)),
-    )
 
 
 def ch_energy(phi, pot):
@@ -378,7 +251,8 @@ def solve_state(init, u, cfg, params, nl, pot, counter=None):
         counter: Optional SolveCounter to accumulate inner-solve tallies.
 
     Returns:
-        StateTrajectory with nt + 1 snapshots and diagnostics rows.
+        Trajectory of (theta, phi, mu, sigma) at levels 0..nt, with one
+        diagnostics row per level.
 
     Raises:
         SolverError: Propagated from the failing step, with its index.
@@ -407,7 +281,7 @@ def solve_state(init, u, cfg, params, nl, pot, counter=None):
     controls = u.flat_slices
     times = time_grid.times
     for step in range(nt):
-        sb = _sigma_b_level(params, times[step], dt, grid)
+        sb = params.sigma_b_at(times[step], dt, grid)
         out = _step_arrays(ops, theta[step], phi[step], sigma[step],
                            controls[step], sb, params, nl, pot, step=step)
         theta[step + 1], phi[step + 1], mu[step + 1], sigma[step + 1] = out
@@ -428,8 +302,9 @@ def solve_state(init, u, cfg, params, nl, pot, counter=None):
             linf_phi=float(np.max(np.abs(phi[level]))),
         ))
 
-    return StateTrajectory(
-        time_grid, grid, theta, phi, mu, sigma,
+    return Trajectory(
+        time_grid, grid,
+        {"theta": theta, "phi": phi, "mu": mu, "sigma": sigma},
         diagnostics=diagnostics,
         linear_solve_count=counter.count - start_count,
     )

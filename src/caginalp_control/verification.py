@@ -1,6 +1,7 @@
 """Property-test battery for the solver, linearization, adjoint and optimizer.
 
-The suite runs named groups of checks on a pinned desk-scale problem:
+The suite runs named groups of checks on a desk-scale problem, such as the
+one ``configs/desk.cfg`` defines:
 
 - ``conservation``: per-step discrete balance identities for the combined
   temperature mass and the phase mass.
@@ -39,6 +40,7 @@ import numpy as np
 
 from .adjoint import (
     AdjointSources,
+    reduced_gradient,
     solve_adjoint,
     solve_adjoint_with_sources,
 )
@@ -61,12 +63,7 @@ from .grid import (
     quadrature_weights,
 )
 from .linearized import solve_linearized, taylor_test
-from .model import (
-    ModelParams,
-    default_nonlinearities,
-    default_potential,
-    zero_potential,
-)
+from .model import ModelParams, zero_potential
 from .oracle import dense_oracle_solve, oracle_adjoint, oracle_linearized
 from .state import InitialData, SolverConfig, lipschitz_probe, solve_state
 
@@ -76,7 +73,6 @@ __all__ = [
     "VerifyProblem",
     "TestResult",
     "VerifyReport",
-    "default_desk_problem",
     "run_suite",
 ]
 
@@ -178,7 +174,6 @@ class VerifyProblem:
     cost: CostSpec
     admissible: AdmissibleSet
     optimizer: OptimizerConfig
-    reference_control: SpaceTimeField = None
 
     @property
     def grid(self):
@@ -235,52 +230,6 @@ def _constant_in_time(profile, time_grid):
     reps = (time_grid.nt + 1,) + (1,) * profile.values.ndim
     return SpaceTimeField(time_grid, profile.grid,
                           np.tile(profile.values, reps))
-
-
-def default_desk_problem():
-    """The pinned desk-scale problem every suite defaults to.
-
-    1D grid with 33 nodes on a length-2 interval, 50 steps to T = 0.5, all
-    couplings active, smooth cosine initial data, and a self-consistent
-    tracking cost whose targets come from a forward run with a reference
-    control interior to the admissible box.
-    """
-    grid = Grid(33, 2.0)
-    time_grid = TimeGrid(0.5, 50)
-    params = ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
-                         lambda_p=0.6, lambda_a=0.2, lambda_e=0.3,
-                         lambda_c=0.4, lambda_b=0.3, lambda_d=0.2,
-                         sigma_b=1.0)
-    nl = default_nonlinearities()
-    pot = default_potential()
-    solver = SolverConfig()
-
-    x = grid.coords(0)
-    cosx = np.cos(np.pi * x / grid.length[0])
-    init = InitialData(
-        theta0=Field(grid, 0.05 * cosx),
-        phi0=Field(grid, 0.2 + 0.5 * cosx),
-        sigma0=Field(grid, 0.8 + 0.1 * cosx),
-    )
-    base_control = _constant_in_time(Field(grid, 0.3 + 0.4 * cosx), time_grid)
-    reference_control = _constant_in_time(Field(grid, 0.4 * cosx), time_grid)
-
-    reference = solve_state(init, reference_control, solver, params, nl, pot)
-    cost = CostSpec(
-        b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5,
-        theta_q=reference.space_time("theta"),
-        phi_q=reference.space_time("phi"),
-        theta_omega=reference.snapshot(time_grid.nt).theta,
-        phi_omega=reference.snapshot(time_grid.nt).phi,
-    )
-    admissible = AdmissibleSet(u_min=-1.0, u_max=1.0, m_bound=2.0)
-    optimizer = OptimizerConfig(max_iters=200, stationarity_tol=1e-8)
-    return VerifyProblem(
-        params=params, nonlinearities=nl, potential=pot, solver=solver,
-        init=init, base_control=base_control, cost=cost,
-        admissible=admissible, optimizer=optimizer,
-        reference_control=reference_control,
-    )
 
 
 def _child_rng(seed, *path):
@@ -615,17 +564,14 @@ def _suite_adjoint(problem, cfg):
 def _suite_gradient(problem, cfg):
     from .control import evaluate_cost
 
-    sign = -1.0 if cfg.debug_flip_adjoint_sign else 1.0
     args = (problem.solver, problem.params, problem.nonlinearities,
             problem.potential)
     u = problem.base_control
-    base = solve_state(problem.init, u, *args)
-    adj = solve_adjoint(base, problem.cost, *args)
-    grad_levels = (sign * adj.field_array("z")
-                   + problem.cost.b5 * u.flat_slices)
-    shape = u.values.shape
-    grad = SpaceTimeField(problem.time_grid, problem.grid,
-                          grad_levels.reshape(shape))
+    result = reduced_gradient(u, problem.init, problem.cost, *args)
+    grad = result.gradient
+    if cfg.debug_flip_adjoint_sign:
+        # Negate the adjoint density: z + b5*u becomes -z + b5*u.
+        grad = grad - 2.0 * result.adjoint.space_time("z")
 
     eps = 1e-5
     worst = 0.0
@@ -778,7 +724,7 @@ _SUITE_RUNNERS = {
 }
 
 
-def run_suite(cfg, problem=None):
+def run_suite(cfg, problem):
     """Run the selected verification suites and aggregate the results.
 
     A suite that raises contributes a single failed result carrying the
@@ -786,13 +732,12 @@ def run_suite(cfg, problem=None):
 
     Args:
         cfg: VerifySuiteConfig.
-        problem: VerifyProblem; defaults to the pinned desk problem.
+        problem: VerifyProblem, for example the one of ``configs/desk.cfg``
+            (``load_config(path).verify_problem()``).
 
     Returns:
         VerifyReport with per-check results and per-suite report tables.
     """
-    if problem is None:
-        problem = default_desk_problem()
     results = []
     tables = {}
     for name in cfg.selected():

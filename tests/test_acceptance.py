@@ -12,8 +12,8 @@ from caginalp_control import VerifySuiteConfig, run_suite
 
 
 @pytest.fixture(scope="module")
-def battery():
-    report = run_suite(VerifySuiteConfig())
+def battery(desk_problem):
+    report = run_suite(VerifySuiteConfig(), desk_problem)
     return {r.name: r for r in report.results}, report.tables
 
 

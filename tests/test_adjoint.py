@@ -18,7 +18,6 @@ from caginalp_control import (
     default_nonlinearities,
     default_potential,
     evaluate_cost,
-    final_conditions,
     laplacian_matrix,
     quadrature_weights,
     reduced_gradient,
@@ -28,7 +27,6 @@ from caginalp_control import (
     solve_state,
 )
 from caginalp_control.oracle import oracle_adjoint
-from caginalp_control.state import StateSnapshot
 
 
 def _desk_params():
@@ -86,34 +84,40 @@ def _source_pair(sources, lin, dt, w):
     return value
 
 
-def _snapshot(grid, rng, scale=1.0):
-    return StateSnapshot(
-        theta=Field(grid, rng.normal(size=grid.shape) * scale),
-        phi=Field(grid, rng.normal(size=grid.shape) * scale),
-        mu=Field(grid, rng.normal(size=grid.shape) * scale),
-        sigma=Field(grid, rng.normal(size=grid.shape) * scale),
-    )
+def _terminal_data(cost, params, grid=None, rng=None):
+    """Index nt of the cost adjoint on a two-step base run, with the
+    terminal base state."""
+    rng = rng if rng is not None else np.random.default_rng(3)
+    grid = grid if grid is not None else Grid(9, 1.0)
+    time_grid = TimeGrid(0.05, 2)
+    init = _smooth_init(grid, rng)
+    u = _random_control(time_grid, grid, rng, 0.2)
+    nl = default_nonlinearities()
+    pot = default_potential()
+    cfg = SolverConfig()
+    base = solve_state(init, u, cfg, params, nl, pot)
+    adj = solve_adjoint(base, cost, cfg, params, nl, pot)
+    nt = time_grid.nt
+    terminal = {name: adj.field_array(name)[nt]
+                for name in ("z", "p", "q", "r")}
+    return terminal, base.field("theta", nt), base.field("phi", nt)
 
 
 def test_final_conditions_zero_weights_vanish():
-    rng = np.random.default_rng(3)
-    grid = Grid(9, 1.0)
-    state_t = _snapshot(grid, rng)
     cost = CostSpec(b1=1.0, b2=0.0, b3=1.0, b4=0.0, b5=1.0)
-    adj_t = final_conditions(state_t, cost, _desk_params())
+    adj_t, _, _ = _terminal_data(cost, _desk_params())
     for name in ("z", "p", "q", "r"):
-        assert np.all(getattr(adj_t, name).values == 0.0), name
+        assert np.all(adj_t[name] == 0.0), name
 
 
 def test_final_conditions_perfect_tracking_vanish():
-    rng = np.random.default_rng(5)
-    grid = Grid(9, 1.0)
-    state_t = _snapshot(grid, rng)
+    params = _desk_params()
+    _, theta_t, phi_t = _terminal_data(CostSpec(), params)
     cost = CostSpec(b1=0.0, b2=1.0, b3=0.0, b4=1.0, b5=1.0,
-                    theta_omega=state_t.theta, phi_omega=state_t.phi)
-    adj_t = final_conditions(state_t, cost, _desk_params())
+                    theta_omega=theta_t, phi_omega=phi_t)
+    adj_t, _, _ = _terminal_data(cost, params)
     for name in ("z", "p", "q", "r"):
-        assert np.all(getattr(adj_t, name).values == 0.0), name
+        assert np.all(adj_t[name] == 0.0), name
 
 
 def test_final_conditions_constant_residual():
@@ -122,33 +126,27 @@ def test_final_conditions_constant_residual():
     # equals v and q vanishes regardless of tau.
     grid = Grid(9, 2.0)
     c = 0.7
-    state_t = StateSnapshot(
-        theta=Field(grid, np.full(grid.shape, c)),
-        phi=Field(grid, np.zeros(grid.shape)),
-        mu=Field(grid, np.zeros(grid.shape)),
-        sigma=Field(grid, np.zeros(grid.shape)),
-    )
     for tau in (0.0, 1.0):
         params = ModelParams(ell=0.5, tau=tau)
-        cost = CostSpec(b1=0.0, b2=2.0, b3=0.0, b4=0.0, b5=1.0)
-        adj_t = final_conditions(state_t, cost, params)
-        assert np.allclose(adj_t.z.values, 2.0 * c, atol=1e-14)
-        assert np.allclose(adj_t.p.values, -0.5 * 2.0 * c, atol=1e-12)
-        assert np.allclose(adj_t.q.values, 0.0, atol=1e-11)
-        assert np.all(adj_t.r.values == 0.0)
+        _, theta_t, _ = _terminal_data(CostSpec(), params, grid)
+        cost = CostSpec(b1=0.0, b2=2.0, b3=0.0, b4=0.0, b5=1.0,
+                        theta_omega=theta_t - c)
+        adj_t, _, _ = _terminal_data(cost, params, grid)
+        assert np.allclose(adj_t["z"], 2.0 * c, atol=1e-14)
+        assert np.allclose(adj_t["p"], -0.5 * 2.0 * c, atol=1e-12)
+        assert np.allclose(adj_t["q"], 0.0, atol=1e-11)
+        assert np.all(adj_t["r"] == 0.0)
 
 
 def test_final_conditions_tau_zero_is_direct_copy():
-    rng = np.random.default_rng(7)
-    grid = Grid(9, 1.0)
-    state_t = _snapshot(grid, rng)
     params = ModelParams(ell=0.5, tau=0.0)
     cost = CostSpec(b1=0.0, b2=0.3, b3=0.0, b4=0.9, b5=1.0)
-    adj_t = final_conditions(state_t, cost, params)
-    g_z = 0.3 * state_t.theta.flat
-    g_w = 0.9 * state_t.phi.flat
-    assert np.allclose(adj_t.z.flat, g_z, atol=1e-15)
-    assert np.allclose(adj_t.p.flat, g_w - 0.5 * g_z, atol=1e-15)
+    adj_t, theta_t, phi_t = _terminal_data(cost, params,
+                                           rng=np.random.default_rng(7))
+    g_z = 0.3 * theta_t.flat
+    g_w = 0.9 * phi_t.flat
+    assert np.allclose(adj_t["z"], g_z, atol=1e-15)
+    assert np.allclose(adj_t["p"], g_w - 0.5 * g_z, atol=1e-15)
 
 
 def test_zero_cost_gives_zero_adjoint():
@@ -367,23 +365,6 @@ def test_gradient_result_reports_cost_of_the_sweep():
                               default_potential())
     direct = evaluate_cost(result.state, u, cost)
     assert result.cost_value == direct
-
-
-def test_step_adjoint_level_bounds():
-    rng = np.random.default_rng(47)
-    (grid, time_grid, _, _, params, nl, pot, cfg,
-     base) = _base_setup(9, 4, rng)
-    cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
-    terminal = final_conditions(base.snapshot(time_grid.nt), cost, params,
-                                cfg)
-    from caginalp_control import ConfigurationError, step_adjoint_backward
-
-    with pytest.raises(ConfigurationError, match="level"):
-        step_adjoint_backward(terminal, base, time_grid.nt, cost, cfg,
-                              params, nl, pot)
-    with pytest.raises(ConfigurationError, match="level"):
-        step_adjoint_backward(terminal, base, -1, cost, cfg, params, nl,
-                              pot)
 
 
 @pytest.mark.parametrize("tau, extra", [(0.5, 1), (0.0, 0)])

@@ -4,6 +4,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from conftest import DESK_CFG
 
 from caginalp_control import (
     ConfigurationError,
@@ -346,7 +347,7 @@ def test_effective_config_round_trips_bitwise(tmp_path):
 
 
 def test_shipped_desk_config_loads(tmp_path):
-    cfg = load_config("configs/desk.cfg")
+    cfg = load_config(DESK_CFG)
     problem = cfg.verify_problem()
     assert problem.grid == Grid(33, 2.0)
     assert problem.time_grid == TimeGrid(0.5, 50)

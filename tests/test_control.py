@@ -321,3 +321,47 @@ def test_descent_stops_when_the_step_no_longer_moves_the_control(
     assert report.stop_reason == "min_step"
     assert len(report.iterates) == 1
     assert np.array_equal(report.final_control.values, u0.values)
+
+
+def test_descent_runs_one_forward_sweep_per_trial(monkeypatch):
+    # The accepted trial's state is reused for the next gradient, so the
+    # forward sweeps are the one at the start plus one per trial.
+    import caginalp_control.adjoint as adjoint
+    import caginalp_control.control as control
+    import caginalp_control.state as state
+
+    sweeps = []
+    original = state.solve_state
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return original(*args, **kwargs)
+
+    for module in (state, adjoint, control):
+        if getattr(module, "solve_state", None) is original:
+            monkeypatch.setattr(module, "solve_state", counting)
+
+    rng = np.random.default_rng(17)
+    grid = Grid(9, 1.0)
+    time_grid = TimeGrid(0.2, 6)
+    init = _smooth_init(grid, rng)
+    params = _desk_params()
+    nl = default_nonlinearities()
+    pot = default_potential()
+    reference = original(init, SpaceTimeField.constant(time_grid, grid, 0.4),
+                         SolverConfig(), params, nl, pot)
+    theta_q = reference.space_time("theta")
+    phi_q = reference.space_time("phi")
+    cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5,
+                    theta_q=theta_q, phi_q=phi_q,
+                    theta_omega=theta_q.slice(time_grid.nt),
+                    phi_omega=phi_q.slice(time_grid.nt))
+    report = projected_gradient_descent(
+        SpaceTimeField.zeros(time_grid, grid), init,
+        AdmissibleSet(u_min=-1.0, u_max=1.0), cost,
+        OptimizerConfig(max_iters=4, initial_step=8.0), SolverConfig(),
+        params, nl, pot)
+    assert report.stop_reason == "max_iters"
+    trials = sum(rec.backtracks + 1 for rec in report.iterates[:-1])
+    assert trials > len(report.iterates) - 1, "no step backtracked"
+    assert len(sweeps) == 1 + trials

@@ -19,8 +19,6 @@ from caginalp_control import (
     solve_linearized,
     l2q_norm,
     solve_state,
-    step_linearized,
-    step_state,
     taylor_test,
     zero_potential,
 )
@@ -94,56 +92,38 @@ def test_linearized_map_is_linear():
         assert np.max(np.abs(lhs - rhs)) / scale <= 1e-12, name
 
 
-def test_single_step_matches_forward_difference():
-    # One linearized step is the derivative of one forward step with
-    # respect to (previous state, control slice) jointly.
+def test_two_step_sweep_matches_forward_difference():
+    # Step 1 of the linearized sweep perturbs the temperature, so step 2 is
+    # the derivative of one forward step with respect to (previous state,
+    # control slice) jointly; a forward difference of two-step sweeps must
+    # match it at first order.
     rng = np.random.default_rng(13)
     grid = Grid(9, 1.0)
+    time_grid = TimeGrid(0.04, 2)
     params = _desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     cfg = SolverConfig()
-    dt = 0.02
     init = _smooth_init(grid, rng)
-
-    from caginalp_control import initial_mu
-    from caginalp_control.linearized import LinearizedSnapshot
-    from caginalp_control.state import StateSnapshot
-
-    mu0 = initial_mu(init, params, pot)
-    prev = StateSnapshot(theta=init.theta0, phi=init.phi0, mu=mu0,
-                         sigma=init.sigma0)
-    u_slice = Field(grid, rng.normal(size=grid.shape) * 0.3)
-    base_next = step_state(prev, u_slice, 0.0, dt, cfg, params, nl, pot)
-
-    delta = LinearizedSnapshot(
-        zeta=Field(grid, rng.normal(size=grid.shape)),
-        xi=Field(grid, rng.normal(size=grid.shape)),
-        eta=Field(grid, rng.normal(size=grid.shape)),
-        rho=Field(grid, rng.normal(size=grid.shape)),
-    )
-    h_slice = Field(grid, rng.normal(size=grid.shape))
-    lin = step_linearized(prev, base_next, delta, h_slice, dt, cfg,
-                          params, nl, pot)
+    u = _random_control(time_grid, grid, rng, 0.3)
+    # The control reaches the nonlinearities only through the temperature;
+    # a large direction lifts the first-order remainder above rounding.
+    h = _random_control(time_grid, grid, rng, 100.0)
+    base = solve_state(init, u, cfg, params, nl, pot)
+    lin = solve_linearized(base, h, cfg, params, nl, pot)
+    assert np.any(lin.field_array("zeta")[1] != 0.0)
 
     pairs = (("theta", "zeta"), ("phi", "xi"), ("mu", "eta"),
              ("sigma", "rho"))
     errors = []
     for eps in (1e-3, 1e-4, 1e-5):
-        shifted = StateSnapshot(
-            theta=prev.theta + eps * delta.zeta,
-            phi=prev.phi + eps * delta.xi,
-            mu=prev.mu + eps * delta.eta,
-            sigma=prev.sigma + eps * delta.rho,
-        )
-        fd_next = step_state(shifted, u_slice + eps * h_slice, 0.0, dt,
-                             cfg, params, nl, pot)
+        shifted = solve_state(init, u + eps * h, cfg, params, nl, pot)
         err = 0.0
         for state_name, lin_name in pairs:
-            diff = (getattr(fd_next, state_name).values
-                    - getattr(base_next, state_name).values) / eps
-            err = max(err,
-                      np.max(np.abs(diff - getattr(lin, lin_name).values)))
+            diff = (shifted.field_array(state_name)
+                    - base.field_array(state_name)) / eps
+            err = max(err, np.max(np.abs(
+                diff - lin.field_array(lin_name))))
         errors.append(err)
     # First-order remainder: error should shrink linearly in eps until
     # cancellation noise takes over; demand a decade across each pair.
@@ -270,15 +250,3 @@ def test_taylor_test_input_validation():
         taylor_test(u, h, (1e-2, 1e-3, 0.0), *args)
     with pytest.raises(ConfigurationError, match="nonzero"):
         taylor_test(u, u, (1e-2, 1e-3, 1e-4), *args)
-
-
-def test_linearized_trajectory_requires_zero_start():
-    from caginalp_control.linearized import LinearizedTrajectory
-
-    grid = Grid(5, 1.0)
-    time_grid = TimeGrid(0.1, 2)
-    zero = np.zeros((3, grid.num_nodes))
-    bad = zero.copy()
-    bad[0, 0] = 1.0
-    with pytest.raises(ConfigurationError, match="zero perturbation"):
-        LinearizedTrajectory(time_grid, grid, bad, zero, zero, zero)

@@ -154,4 +154,23 @@ def test_sigma_b_at_scalar_broadcast():
 
     grid = Grid(5, 1.0)
     params = ModelParams(sigma_b=0.75)
-    assert np.array_equal(params.sigma_b_at(0, grid), np.full(5, 0.75))
+    assert np.array_equal(params.sigma_b_at(0.0, 0.1, grid),
+                          np.full(5, 0.75))
+
+
+def test_sigma_b_at_samples_its_own_time_grid():
+    from caginalp_control import Grid, SpaceTimeField, TimeGrid
+
+    grid = Grid(5, 1.0)
+    values = np.arange(7.0)[:, None] * np.ones((7, 5))
+    params = ModelParams(sigma_b=SpaceTimeField(TimeGrid(0.6, 6), grid,
+                                                values))
+    # A run with dt = 0.2 starts its step 1 at t = 0.2, level 2 of the
+    # supply's own grid of step 0.1.
+    assert np.array_equal(params.sigma_b_at(0.2, 0.2, grid), values[2])
+    with pytest.raises(ConfigurationError, match="no level"):
+        params.sigma_b_at(0.25, 0.2, grid)
+    with pytest.raises(ConfigurationError, match="does not cover"):
+        params.sigma_b_at(0.8, 0.2, grid)
+    with pytest.raises(ConfigurationError, match="grid"):
+        params.sigma_b_at(0.2, 0.2, Grid(7, 1.0))

@@ -15,7 +15,8 @@ from caginalp_control import (
     TimeGrid,
     default_nonlinearities,
     default_potential,
-    final_conditions,
+    solve_adjoint,
+    solve_state,
 )
 from caginalp_control.oracle import (
     dense_laplacian,
@@ -23,7 +24,6 @@ from caginalp_control.oracle import (
     dense_weights,
     oracle_terminal_conditions,
 )
-from caginalp_control.state import StateSnapshot
 
 
 def test_size_cap_on_axis_width():
@@ -63,29 +63,35 @@ def test_dense_weights_hand_values():
 
 
 def test_terminal_conditions_match_fast_path():
+    # Index nt of the cost adjoint holds the terminal data of the sweep.
     rng = np.random.default_rng(3)
     grid = Grid(4, 1.0)
-    theta_t = rng.normal(size=grid.shape)
-    phi_t = rng.normal(size=grid.shape)
+    time_grid = TimeGrid(0.1, 2)
+    init = InitialData(
+        theta0=Field(grid, rng.normal(size=grid.shape) * 0.1),
+        phi0=Field(grid, rng.uniform(-0.5, 0.5, size=grid.shape)),
+        sigma0=Field(grid, rng.uniform(0.2, 0.8, size=grid.shape)),
+    )
+    u = SpaceTimeField(time_grid, grid,
+                       rng.normal(size=(3,) + grid.shape) * 0.3)
     cost = CostSpec(
         b1=0.0, b2=0.7, b3=0.0, b4=1.3, b5=1.0,
         theta_omega=Field(grid, rng.normal(size=grid.shape)),
         phi_omega=Field(grid, rng.normal(size=grid.shape)),
     )
+    nl = default_nonlinearities()
+    pot = default_potential()
     for tau in (0.0, 1.0):
         params = ModelParams(ell=0.5, tau=tau)
-        z, p, q, r = oracle_terminal_conditions(
-            theta_t.ravel(), phi_t.ravel(), cost, params, grid)
-        state_t = StateSnapshot(
-            theta=Field(grid, theta_t), phi=Field(grid, phi_t),
-            mu=Field(grid, np.zeros(grid.shape)),
-            sigma=Field(grid, np.zeros(grid.shape)),
-        )
-        adj_t = final_conditions(state_t, cost, params, SolverConfig())
-        for dense, fast in ((z, adj_t.z), (p, adj_t.p), (q, adj_t.q),
-                            (r, adj_t.r)):
-            scale = 1.0 + np.max(np.abs(dense))
-            assert np.max(np.abs(fast.flat - dense)) / scale <= 1e-10
+        base = solve_state(init, u, SolverConfig(), params, nl, pot)
+        adj = solve_adjoint(base, cost, SolverConfig(), params, nl, pot)
+        dense = oracle_terminal_conditions(
+            base.field_array("theta")[-1], base.field_array("phi")[-1],
+            cost, params, grid)
+        for name, expected in zip(("z", "p", "q", "r"), dense):
+            fast = adj.field_array(name)[-1]
+            scale = 1.0 + np.max(np.abs(expected))
+            assert np.max(np.abs(fast - expected)) / scale <= 1e-10, name
 
 
 def test_oracle_solve_conserves_combined_mass():

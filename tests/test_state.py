@@ -21,7 +21,6 @@ from caginalp_control import (
     integrate,
     lipschitz_probe,
     solve_state,
-    step_state,
     trajectory_distance_y,
     zero_potential,
 )
@@ -64,17 +63,13 @@ def test_constant_equilibrium_single_step():
     mu0 = initial_mu(init, params, pot)
     assert np.allclose(mu0.values, -0.4 * 0.3, atol=1e-14)
 
-    from caginalp_control.state import StateSnapshot
-
-    prev = StateSnapshot(theta=init.theta0, phi=init.phi0, mu=mu0,
-                         sigma=init.sigma0)
-    u = Field(grid, np.zeros(grid.shape))
-    nxt = step_state(prev, u, t=0.0, dt=0.05, cfg=cfg, params=params,
-                     nl=nl, pot=pot)
-    assert np.allclose(nxt.theta.values, 0.0, atol=1e-13)
-    assert np.allclose(nxt.phi.values, 1.0, atol=1e-13)
-    assert np.allclose(nxt.sigma.values, 0.3, atol=1e-13)
-    assert np.allclose(nxt.mu.values, -0.4 * 0.3, atol=1e-13)
+    u = SpaceTimeField.zeros(TimeGrid(0.05, 1), grid)
+    traj = solve_state(init, u, cfg, params, nl, pot)
+    assert np.array_equal(traj.field_array("mu")[0], mu0.flat)
+    for name, value in (("theta", 0.0), ("phi", 1.0), ("sigma", 0.3),
+                        ("mu", -0.4 * 0.3)):
+        assert np.allclose(traj.field(name, 1).values, value,
+                           atol=1e-13), name
 
 
 def test_constant_equilibrium_hundred_steps():
@@ -140,9 +135,10 @@ def test_per_step_combined_mass_law():
     dt = time_grid.dt
     worst = 0.0
     for k in range(time_grid.nt):
-        snap, nxt = traj.snapshot(k), traj.snapshot(k + 1)
-        before = integrate(snap.theta + params.ell * snap.phi)
-        after = integrate(nxt.theta + params.ell * nxt.phi)
+        before = integrate(traj.field("theta", k)
+                           + params.ell * traj.field("phi", k))
+        after = integrate(traj.field("theta", k + 1)
+                          + params.ell * traj.field("phi", k + 1))
         source = dt * integrate(u.slice(k))
         scale = 1.0 + abs(before) + abs(source)
         worst = max(worst, abs(after - before - source) / scale)
@@ -169,13 +165,13 @@ def test_phase_mass_matches_reaction_integral():
     dt = time_grid.dt
     worst = 0.0
     for k in range(time_grid.nt):
-        snap, nxt = traj.snapshot(k), traj.snapshot(k + 1)
-        gate = nl.H_gate(snap.phi.values)
-        reaction = (params.lambda_p * snap.sigma.values
+        phi = traj.field("phi", k)
+        gate = nl.H_gate(phi.values)
+        reaction = (params.lambda_p * traj.field("sigma", k).values
                     - params.lambda_a
-                    - params.lambda_e * snap.theta.values) * gate
-        before = integrate(snap.phi)
-        after = integrate(nxt.phi)
+                    - params.lambda_e * traj.field("theta", k).values) * gate
+        before = integrate(phi)
+        after = integrate(traj.field("phi", k + 1))
         source = dt * integrate(Field(grid, reaction))
         scale = 1.0 + abs(before) + abs(source)
         worst = max(worst, abs(after - before - source) / scale)
@@ -198,7 +194,7 @@ def test_energy_non_increasing_in_decoupled_phase_regime():
     u = SpaceTimeField.zeros(time_grid, grid)
     traj = solve_state(init, u, SolverConfig(), params,
                        default_nonlinearities(), pot)
-    energies = [ch_energy(traj.snapshot(k).phi, pot)
+    energies = [ch_energy(traj.field("phi", k), pot)
                 for k in range(time_grid.nt + 1)]
     increments = np.diff(energies)
     scale = 1.0 + abs(energies[0])
@@ -277,25 +273,58 @@ def test_solver_error_carries_step_index():
     assert excinfo.value.step == 0
 
 
-def test_step_state_validates_dt_and_grid():
+def test_solve_state_validates_dt_and_grid():
     grid = Grid(5, 1.0)
     other = Grid(7, 1.0)
     init = _constant_init(grid, 0.0, 0.5, 0.5)
-    mu0 = initial_mu(init, ModelParams(), default_potential())
-    from caginalp_control.state import StateSnapshot
+    args = (SolverConfig(), ModelParams(), default_nonlinearities(),
+            default_potential())
+    with pytest.raises(ConfigurationError, match="positive"):
+        solve_state(init, SpaceTimeField.zeros(TimeGrid(0.0, 1), grid),
+                    *args)
+    with pytest.raises(ConfigurationError, match="grid"):
+        solve_state(init, SpaceTimeField.zeros(TimeGrid(0.1, 1), other),
+                    *args)
 
-    prev = StateSnapshot(theta=init.theta0, phi=init.phi0, mu=mu0,
-                         sigma=init.sigma0)
+
+def _sigma_b_case(sigma_b_steps):
+    """5-node run over 3 steps with a space-time far-field supply."""
+    rng = np.random.default_rng(47)
+    grid = Grid(5, 1.0)
+    time_grid = TimeGrid(0.3, 3)
+    supply_grid = TimeGrid(0.3, sigma_b_steps)
+    sigma_b = SpaceTimeField(
+        supply_grid, grid,
+        rng.uniform(0.5, 1.5, size=(sigma_b_steps + 1,) + grid.shape))
+    params = ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
+                         lambda_p=0.6, lambda_a=0.2, lambda_e=0.3,
+                         lambda_c=0.4, lambda_b=0.8, lambda_d=0.2,
+                         sigma_b=sigma_b)
+    init = InitialData(
+        theta0=Field(grid, rng.normal(size=grid.shape) * 0.1),
+        phi0=Field(grid, rng.uniform(-0.5, 0.5, size=grid.shape)),
+        sigma0=Field(grid, rng.uniform(0.2, 0.8, size=grid.shape)),
+    )
+    u = SpaceTimeField(time_grid, grid,
+                       rng.normal(size=(4,) + grid.shape) * 0.3)
+    return init, u, params
+
+
+@pytest.mark.parametrize("sigma_b_steps", [3, 6])
+def test_space_time_sigma_b_matches_dense_oracle(sigma_b_steps):
+    # The supply may live on a finer time grid than the run; both paths
+    # must sample it at the start time of each step.
+    init, u, params = _sigma_b_case(sigma_b_steps)
     nl = default_nonlinearities()
     pot = default_potential()
-    with pytest.raises(ConfigurationError, match="positive"):
-        step_state(prev, Field(grid, np.zeros(5)), t=0.0, dt=0.0,
-                   cfg=SolverConfig(), params=ModelParams(),
-                   nl=nl, pot=pot)
-    with pytest.raises(ConfigurationError, match="grid"):
-        step_state(prev, Field(other, np.zeros(7)), t=0.0, dt=0.1,
-                   cfg=SolverConfig(), params=ModelParams(),
-                   nl=nl, pot=pot)
+    traj = solve_state(init, u, SolverConfig(), params, nl, pot)
+    oracle = dense_oracle_solve(init.theta0, init.phi0, init.sigma0, u,
+                                params, nl, pot)
+    for name in ("theta", "phi", "mu", "sigma"):
+        ours = traj.field_array(name)
+        theirs = getattr(oracle, name)
+        scale = 1.0 + np.max(np.abs(theirs))
+        assert np.max(np.abs(ours - theirs)) / scale <= 1e-10, name
 
 
 def test_lipschitz_probe_rejects_identical_controls():

@@ -1,9 +1,11 @@
 """Verification battery: selection, tolerances, fault injection, reports."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
+from conftest import CONFIGS
 
 from caginalp_control import (
     ConfigurationError,
@@ -12,15 +14,15 @@ from caginalp_control import (
     InitialData,
     SUITE_NAMES,
     VerifySuiteConfig,
-    default_desk_problem,
+    load_config,
     run_suite,
     solve_state,
 )
 
 
 @pytest.fixture(scope="module")
-def full_report():
-    return run_suite(VerifySuiteConfig())
+def full_report(desk_problem):
+    return run_suite(VerifySuiteConfig(), desk_problem)
 
 
 def test_default_battery_passes(full_report):
@@ -68,19 +70,19 @@ def test_report_tables_have_expected_shapes(full_report):
     assert all(b <= a for a, b in zip(costs, costs[1:]))
 
 
-def test_other_seed_also_passes():
+def test_other_seed_also_passes(desk_problem):
     report = run_suite(VerifySuiteConfig(
-        seed=7, suites=("taylor", "adjoint", "gradient")))
+        seed=7, suites=("taylor", "adjoint", "gradient")), desk_problem)
     assert report.all_passed
     assert report.seed == 7
     assert all(r.seed == 7 for r in report.results)
 
 
-def test_fault_injection_fails_adjoint_and_gradient_only():
+def test_fault_injection_fails_adjoint_and_gradient_only(desk_problem):
     cfg = VerifySuiteConfig(
         suites=("conservation", "adjoint", "gradient"),
         debug_flip_adjoint_sign=True)
-    report = run_suite(cfg)
+    report = run_suite(cfg, desk_problem)
     verdicts = {r.name: r.passed for r in report.results}
     assert verdicts["conservation_theta_ell_phi"]
     assert verdicts["conservation_phi"]
@@ -99,10 +101,10 @@ def test_unknown_tolerance_override_rejected():
         VerifySuiteConfig(tolerances={"no_such_check": 1e-3})
 
 
-def test_tolerance_override_reaches_the_check():
+def test_tolerance_override_reaches_the_check(desk_problem):
     cfg = VerifySuiteConfig(suites=("adjoint",),
                             tolerances={"dot_product": 1e-300})
-    report = run_suite(cfg)
+    report = run_suite(cfg, desk_problem)
     verdicts = {r.name: r.passed for r in report.results}
     assert not verdicts["dot_product"]
     assert verdicts["duality"]
@@ -110,21 +112,20 @@ def test_tolerance_override_reaches_the_check():
     assert failed.tolerance == 1e-300
 
 
-def test_suite_selection_runs_in_canonical_order():
+def test_suite_selection_runs_in_canonical_order(desk_problem):
     cfg = VerifySuiteConfig(suites=("energy", "conservation"))
     assert cfg.selected() == ("conservation", "energy")
-    report = run_suite(cfg)
+    report = run_suite(cfg, desk_problem)
     names = [r.name for r in report.results]
     assert names == ["conservation_theta_ell_phi", "conservation_phi",
                      "energy_dissipation"]
 
 
-def test_suite_exception_is_contained():
+def test_suite_exception_is_contained(desk_problem):
     # Breaking the initial data grid takes out the suites that consume it,
     # but the battery records the failure and keeps going.
-    problem = default_desk_problem()
     other = Grid(9, 2.0)
-    broken = dataclasses.replace(problem, init=InitialData(
+    broken = dataclasses.replace(desk_problem, init=InitialData(
         theta0=Field(other, np.zeros(other.shape)),
         phi0=Field(other, np.zeros(other.shape)),
         sigma0=Field(other, np.zeros(other.shape)),
@@ -139,18 +140,21 @@ def test_suite_exception_is_contained():
     assert by_name["equilibrium_fixed_point"].passed
 
 
-def test_desk_problem_targets_come_from_reference_run():
-    problem = default_desk_problem()
-    ref = problem.reference_control
-    assert ref is not None
-    assert np.all(ref.values >= problem.admissible.u_min)
-    assert np.all(ref.values <= problem.admissible.u_max)
-    traj = solve_state(problem.init, ref, problem.solver, problem.params,
-                       problem.nonlinearities, problem.potential)
-    assert np.array_equal(problem.cost.theta_q.values.reshape(
-        traj.field_array("theta").shape), traj.field_array("theta"))
-    assert np.array_equal(problem.cost.phi_omega.flat,
-                          traj.field_array("phi")[-1])
+def test_desk_problem_targets_come_from_reference_run(desk_problem):
+    reference = load_config(os.path.join(CONFIGS, "desk_reference.cfg"))
+    ref = reference.control
+    assert np.all(ref.values >= desk_problem.admissible.u_min)
+    assert np.all(ref.values <= desk_problem.admissible.u_max)
+    traj = solve_state(reference.init, ref, reference.solver,
+                       reference.params, reference.nonlinearities,
+                       reference.potential)
+    cost = desk_problem.cost
+    for target, name in ((cost.theta_q, "theta"), (cost.phi_q, "phi")):
+        assert np.array_equal(target.values.reshape(
+            traj.field_array(name).shape), traj.field_array(name))
+    assert np.array_equal(cost.theta_omega.flat,
+                          traj.field_array("theta")[-1])
+    assert np.array_equal(cost.phi_omega.flat, traj.field_array("phi")[-1])
 
 
 def test_suite_names_are_pinned():
