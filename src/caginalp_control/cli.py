@@ -108,6 +108,10 @@ def _write_csv(path, header, rows, seed=None):
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_format_cell(cell) for cell in row))
+    _write_lines(path, lines)
+
+
+def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -140,26 +144,30 @@ def _write_effective_config(cfg):
         handle.write(cfg.effective_config())
 
 
-def _state_slice_rows(trajectory, level):
-    theta, phi, mu, sigma = (trajectory.field_array(name)[level]
+# One template per slice row: the node indices, then every float in _FMT.
+_SLICE_ROW_1D = "{}," + ",".join([_FMT] * 5)
+_SLICE_ROW_2D = "{},{}," + ",".join([_FMT] * 6)
+
+
+def _state_slice_lines(trajectory, level):
+    """Header and rows of one state slice CSV, one format call per row."""
+    theta, phi, mu, sigma = (trajectory.field_array(name)[level].tolist()
                              for name in ("theta", "phi", "mu", "sigma"))
     grid = trajectory.grid
     if grid.dim == 1:
-        x = grid.coords(0)
-        for i in range(grid.n[0]):
-            yield (i, _FMT.format(x[i]), _FMT.format(theta[i]),
-                   _FMT.format(phi[i]), _FMT.format(mu[i]),
-                   _FMT.format(sigma[i]))
+        header = "index_x,x,theta,phi,mu,sigma"
+        rows = map(_SLICE_ROW_1D.format, range(grid.n[0]),
+                   grid.coords(0).tolist(), theta, phi, mu, sigma)
     else:
-        x = grid.coords(0)
-        y = grid.coords(1)
-        nx, ny = grid.n
-        for i in range(nx):
-            for j in range(ny):
-                flat = i * ny + j
-                yield (i, j, _FMT.format(x[i]), _FMT.format(y[j]),
-                       _FMT.format(theta[flat]), _FMT.format(phi[flat]),
-                       _FMT.format(mu[flat]), _FMT.format(sigma[flat]))
+        import numpy as np
+
+        header = "index_x,index_y,x,y,theta,phi,mu,sigma"
+        # Row-major flattening: node (i, j) sits at i * ny + j.
+        i, j = np.divmod(np.arange(grid.num_nodes), grid.n[1])
+        rows = map(_SLICE_ROW_2D.format, i.tolist(), j.tolist(),
+                   grid.coords(0)[i].tolist(), grid.coords(1)[j].tolist(),
+                   theta, phi, mu, sigma)
+    return [header, *rows]
 
 
 def _cmd_simulate(config_path):
@@ -179,14 +187,9 @@ def _cmd_simulate(config_path):
              d.linf_theta, d.linf_phi) for d in trajectory.diagnostics]
     _write_csv(os.path.join(out_dir, "diagnostics.csv"), header, rows)
 
-    if cfg.grid.dim == 1:
-        slice_header = ("index_x", "x", "theta", "phi", "mu", "sigma")
-    else:
-        slice_header = ("index_x", "index_y", "x", "y", "theta", "phi",
-                        "mu", "sigma")
     for level in cfg.output_slices:
-        path = os.path.join(out_dir, f"state_{level:06d}.csv")
-        _write_csv(path, slice_header, _state_slice_rows(trajectory, level))
+        _write_lines(os.path.join(out_dir, f"state_{level:06d}.csv"),
+                     _state_slice_lines(trajectory, level))
 
     _write_effective_config(cfg)
     print(f"simulate: {cfg.time_grid.nt} steps,"

@@ -85,9 +85,6 @@ _REQUIRED_KEYS = {
 
 _REQUIRED_SECTIONS = ("grid", "time", "model", "solver")
 
-_reference_cache = {}
-_reference_stack = []
-
 
 def _fail(section, key, message):
     raise ConfigurationError(f"[{section}].{key}: {message}")
@@ -141,9 +138,16 @@ class RunConfig:
     Attributes are built eagerly at load time so that every configuration
     error surfaces before any solve starts. Optional problem pieces (cost,
     admissible set) are None when their sections are absent.
+
+    Reference runs are solved once per load: ``references`` maps each
+    resolved reference path to its state trajectory, or to None while that
+    run is itself being loaded (so a cycle is caught). It is shared with
+    the nested loads and dropped when the load ends, so a later load reads
+    the reference files afresh.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, references=None):
+        self._references = {} if references is None else references
         path = os.path.abspath(path)
         if not os.path.isfile(path):
             raise ConfigurationError(f"config file not found: {path}")
@@ -197,6 +201,7 @@ class RunConfig:
         self._build_optimizer()
         self._build_verify()
         self._build_output()
+        del self._references
 
     def _get(self, section, key, default=None):
         return self._raw.get(section, {}).get(key, default)
@@ -546,26 +551,22 @@ class RunConfig:
 
     def _reference_trajectory(self, section, key, relpath):
         resolved = self._resolve(relpath)
-        if resolved in _reference_stack:
-            _fail(section, key,
-                  f"reference run cycle through {resolved}")
-        if resolved not in _reference_cache:
-            _reference_stack.append(resolved)
-            try:
-                reference = RunConfig(resolved)
-            finally:
-                _reference_stack.pop()
+        if resolved not in self._references:
+            self._references[resolved] = None
+            reference = RunConfig(resolved, self._references)
             if reference.grid != self.grid:
                 _fail(section, key,
                       "reference run grid does not match [grid]")
             if reference.time_grid != self.time_grid:
                 _fail(section, key,
                       "reference run time grid does not match the run")
-            _reference_cache[resolved] = solve_state(
+            self._references[resolved] = solve_state(
                 reference.init, reference.control, reference.solver,
                 reference.params, reference.nonlinearities,
                 reference.potential)
-        trajectory = _reference_cache[resolved]
+        trajectory = self._references[resolved]
+        if trajectory is None:
+            _fail(section, key, f"reference run cycle through {resolved}")
         if trajectory.grid != self.grid \
                 or trajectory.time_grid != self.time_grid:
             _fail(section, key, "reference run grids do not match the run")

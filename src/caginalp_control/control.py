@@ -12,10 +12,22 @@ the projection arc, using the sufficient-decrease test
 
     J(P(u - alpha g)) <= J(u) - (c / alpha) * ||P(u - alpha g) - u||^2
 
-in the control-space norm. The stationarity measure is ||u - P(u - g)|| at
-unit trial step; for a box the fixed points of the projection arc are the
-same for every positive step, so a nonstationary iterate always moves and
-the line search cannot stall at a fixed point.
+in the control-space norm, and a trial is accepted only if it also lowers
+the cost strictly. The stationarity measure is ||u - P(u - g)|| at unit
+trial step; for a box the fixed points of the projection arc are the same
+for every positive step, so a nonstationary iterate always moves and the
+line search cannot stall at a fixed point.
+
+The inner sweeps solve to a relative residual of linear_tol, so the cost is
+resolved to about linear_tol * |J| and no smaller. Once a rejected trial's
+first-order predicted decrease <g, u - P(u - alpha g)> is at or below that
+resolution, its rejection was decided by rounding, and so would be that of
+every shorter step along the arc: the search ends there, reported as
+"min_step", instead of halving alpha down to min_step. The first trial of
+every iterate is always tried.
+
+The report carries the gradient at the final control, so the variational
+inequality is sampled by :func:`stationarity_check` without another sweep.
 """
 
 from __future__ import annotations
@@ -24,6 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# reduced_gradient stays reachable as control.reduced_gradient, a copy that
+# perfbench/selftest.py checks; this module itself differentiates through
+# _gradient_from_state, and stationarity_check takes the gradient given.
 from .adjoint import (
     _gradient_from_state,
     _target_slice,
@@ -31,7 +46,7 @@ from .adjoint import (
     reduced_gradient,
 )
 from .errors import ConfigurationError, OptimizerError, SolverError
-from .grid import SpaceTimeField, l2q_norm, quadrature_weights
+from .grid import SpaceTimeField, l2q_inner, l2q_norm, quadrature_weights
 from .linsolve import SolveCounter
 from .state import solve_state
 
@@ -219,8 +234,13 @@ class OptimizationReport:
 
     stop_reason is one of "stationarity", "max_iters" or "min_step"; hitting
     the iteration cap or the step floor is reported, not raised. "min_step"
-    also covers a line search whose steps became too short to move the
-    control before reaching min_step.
+    also covers a line search that ended before reaching min_step, either
+    because its steps no longer moved the control or because a rejected
+    trial's predicted decrease was below the cost's resolution
+    linear_tol * |J|.
+
+    final_gradient and final_adjoint are the reduced gradient and the
+    adjoint trajectory at final_control.
     """
 
     iterates: tuple
@@ -229,6 +249,7 @@ class OptimizationReport:
     final_stationarity: float
     stop_reason: str
     final_adjoint: object
+    final_gradient: SpaceTimeField
 
     @property
     def final_z(self):
@@ -299,6 +320,8 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
             stop_reason = "max_iters"
             break
 
+        # Decreases at or below this are rounding of the inner sweeps.
+        resolution = solver_cfg.linear_tol * abs(current_cost)
         alpha = opt_cfg.initial_step
         backtracks = 0
         accepted = None
@@ -319,7 +342,8 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
                 break
             alpha *= opt_cfg.backtrack_factor
             backtracks += 1
-            if alpha < opt_cfg.min_step:
+            if (alpha < opt_cfg.min_step
+                    or l2q_inner(grad, u - trial) <= resolution):
                 break
 
         if accepted is None:
@@ -343,6 +367,7 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
         final_stationarity=iterates[-1].stationarity,
         stop_reason=stop_reason,
         final_adjoint=result.adjoint,
+        final_gradient=result.gradient,
     )
 
 
@@ -357,8 +382,7 @@ class StationarityReport:
         return min(self.vi_samples) if self.vi_samples else float("nan")
 
 
-def stationarity_check(u, init, adm, cost, cfg, params, nl, pot,
-                       num_samples=100, seed=0):
+def stationarity_check(u, grad, adm, num_samples=100, seed=0):
     """Measure stationarity and sample the variational inequality.
 
     Computes the projected-gradient residual ||u - P(u - g)|| and, for
@@ -367,21 +391,16 @@ def stationarity_check(u, init, adm, cost, cfg, params, nl, pot,
 
     Args:
         u: Control to check.
-        init: Initial state data.
+        grad: Reduced gradient at u, for example
+            ``OptimizationReport.final_gradient`` or the ``gradient`` of
+            :func:`reduced_gradient`.
         adm: AdmissibleSet.
-        cost: CostSpec.
-        cfg: SolverConfig.
-        params, nl, pot: Model data.
         num_samples: Number of random admissible comparison controls.
         seed: Seed material for the sample generator.
 
     Returns:
         StationarityReport.
     """
-    from .grid import l2q_inner
-
-    result = reduced_gradient(u, init, cost, cfg, params, nl, pot)
-    grad = result.gradient
     measure = l2q_norm(u - project_admissible(u - grad, adm))
 
     rng = np.random.default_rng(seed)

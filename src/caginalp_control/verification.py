@@ -638,9 +638,8 @@ def _suite_optimizer(problem, cfg):
         detail="u against clamp(-z/b5)", seed=cfg.seed)
 
     check = stationarity_check(
-        u, problem.init, problem.admissible, problem.cost, problem.solver,
-        problem.params, problem.nonlinearities, problem.potential,
-        num_samples=100, seed=[int(cfg.seed), 8, 1])
+        u, report.final_gradient, problem.admissible, num_samples=100,
+        seed=[int(cfg.seed), 8, 1])
     violation = max(0.0, -min(check.vi_samples))
     vi_tol = cfg.tolerance("variational_inequality")
     vi_row = TestResult(

@@ -8,13 +8,10 @@ contract, independent of the defaults inside the verification module.
 
 import pytest
 
-from caginalp_control import VerifySuiteConfig, run_suite
-
 
 @pytest.fixture(scope="module")
-def battery(desk_problem):
-    report = run_suite(VerifySuiteConfig(), desk_problem)
-    return {r.name: r for r in report.results}, report.tables
+def battery(desk_report):
+    return {r.name: r for r in desk_report.results}, desk_report.tables
 
 
 def _gate(number, label, checks, bound_overrides=None):

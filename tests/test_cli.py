@@ -6,8 +6,9 @@ import textwrap
 
 import numpy as np
 import pytest
+from conftest import CONFIGS
 
-from caginalp_control import ConfigurationError
+from caginalp_control import ConfigurationError, Grid, TimeGrid, Trajectory
 from caginalp_control.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -15,6 +16,7 @@ from caginalp_control.cli import (
     EXIT_SOLVER,
     EXIT_VERIFY,
     _apply_thread_limit,
+    _state_slice_lines,
     main,
 )
 
@@ -83,6 +85,29 @@ def test_simulate_writes_reports(tmp_path, capsys):
     assert state.split("\n")[0] == "index_x,x,theta,phi,mu,sigma"
     assert os.path.isfile(
         os.path.join(str(tmp_path), "sim_out", "effective_config"))
+
+
+@pytest.mark.parametrize("n, length", [((9,), (1.0,)),
+                                       ((5, 4), (1.0, 0.75))])
+def test_state_slice_lines_match_per_cell_formatting(n, length):
+    # Each slice row is formatted by one template; the reference formats
+    # every cell on its own, with node (i, j) at flat index i * ny + j.
+    grid = Grid(n, length)
+    time_grid = TimeGrid(0.2, 2)
+    rng = np.random.default_rng(11)
+    names = ("theta", "phi", "mu", "sigma")
+    traj = Trajectory(time_grid, grid, {
+        name: rng.normal(size=(3, grid.num_nodes)) for name in names})
+    columns = [traj.field_array(name)[1] for name in names]
+    coords = [grid.coords(axis) for axis in range(grid.dim)]
+    expected = [("index_x,x," if grid.dim == 1 else
+                 "index_x,index_y,x,y,") + ",".join(names)]
+    for flat, index in enumerate(np.ndindex(*grid.n)):
+        cells = [str(i) for i in index]
+        cells += ["{:.17g}".format(c[i]) for c, i in zip(coords, index)]
+        cells += ["{:.17g}".format(col[flat]) for col in columns]
+        expected.append(",".join(cells))
+    assert _state_slice_lines(traj, 1) == expected
 
 
 def test_simulate_constant_data_has_constant_diagnostics(tmp_path):
@@ -221,7 +246,7 @@ def test_verify_fault_injection_exits_5(tmp_path, capsys):
 
 def test_verify_all_on_shipped_desk_config(tmp_path, capsys):
     for name in ("desk.cfg", "desk_reference.cfg"):
-        shutil.copy(os.path.join("configs", name), str(tmp_path / name))
+        shutil.copy(os.path.join(CONFIGS, name), str(tmp_path / name))
     text = (tmp_path / "desk.cfg").read_text()
     text = text.replace("dir = out_desk", f"dir = {tmp_path}/desk_out")
     (tmp_path / "desk.cfg").write_text(text)

@@ -1,10 +1,12 @@
 """Config parsing: grammar, defaults, sources, reference runs, round trip."""
 
+import os
+import shutil
 import textwrap
 
 import numpy as np
 import pytest
-from conftest import DESK_CFG
+from conftest import CONFIGS, DESK_CFG
 
 from caginalp_control import (
     ConfigurationError,
@@ -202,6 +204,22 @@ def test_reference_run_builds_targets(tmp_path):
     assert np.array_equal(got, expected)
     assert np.array_equal(cfg.cost.phi_omega.flat,
                           traj.field_array("phi")[-1])
+
+
+def test_reference_run_is_read_afresh_on_every_load(tmp_path):
+    # Reference runs are solved once per load, not once per process: after
+    # the referenced file changes, the next load sees the new targets.
+    for name in ("desk.cfg", "desk_reference.cfg"):
+        shutil.copy(os.path.join(CONFIGS, name), str(tmp_path / name))
+    before = load_config(str(tmp_path / "desk.cfg")).cost.theta_omega
+    reference = tmp_path / "desk_reference.cfg"
+    text = reference.read_text(encoding="utf-8")
+    assert "control = cosine:0.4,1\n" in text
+    reference.write_text(text.replace("control = cosine:0.4,1\n",
+                                      "control = cosine:0.9,1\n"),
+                         encoding="utf-8")
+    after = load_config(str(tmp_path / "desk.cfg")).cost.theta_omega
+    assert np.max(np.abs(after.flat - before.flat)) > 1e-3
 
 
 def test_reference_run_cycle_is_detected(tmp_path):

@@ -22,9 +22,11 @@ from caginalp_control import (
     evaluate_cost,
     project_admissible,
     projected_gradient_descent,
+    reduced_gradient,
     solve_state,
     stationarity_check,
 )
+from caginalp_control.grid import l2q_norm
 from caginalp_control.oracle import dense_oracle_solve, oracle_cost
 
 
@@ -218,10 +220,8 @@ def test_descent_respects_active_lower_bound():
     assert report.stop_reason == "stationarity"
     values = report.final_control.values[:-1]
     assert np.allclose(values, 0.2, atol=1e-9)
-    check = stationarity_check(
-        report.final_control, init, adm, cost, SolverConfig(),
-        ModelParams(), default_nonlinearities(), default_potential(),
-        num_samples=50, seed=5)
+    check = stationarity_check(report.final_control, report.final_gradient,
+                               adm, num_samples=50, seed=5)
     assert check.measure <= 1e-8
     assert np.min(check.vi_samples) >= -1e-10
 
@@ -233,10 +233,10 @@ def test_stationarity_check_flags_nonminimizer():
     u = SpaceTimeField.constant(time_grid, grid, 0.9)
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
-    check = stationarity_check(u, init, adm, cost, SolverConfig(),
-                               ModelParams(), default_nonlinearities(),
-                               default_potential(), num_samples=50,
-                               seed=7)
+    grad = reduced_gradient(u, init, cost, SolverConfig(), ModelParams(),
+                            default_nonlinearities(),
+                            default_potential()).gradient
+    check = stationarity_check(u, grad, adm, num_samples=50, seed=7)
     assert check.measure > 0.1
     assert np.min(check.vi_samples) < 0.0
 
@@ -323,6 +323,32 @@ def test_descent_stops_when_the_step_no_longer_moves_the_control(
     assert np.array_equal(report.final_control.values, u0.values)
 
 
+def test_descent_at_zero_cost_stops_when_the_step_no_longer_moves(
+        monkeypatch):
+    # At J = 0 the cost's resolution linear_tol * |J| is zero, so every
+    # rejected trial that moved the control predicts a decrease above it;
+    # only the null trial at a step below rounding ends the search.
+    import caginalp_control.control as control
+
+    monkeypatch.setattr(control, "evaluate_cost", lambda *args: 0.0)
+    grid = Grid(9, 1.0)
+    time_grid = TimeGrid(0.2, 4)
+    init = _constant_init(grid, 0.0, 1.0, 0.5)
+    u0 = SpaceTimeField.constant(time_grid, grid, 0.5)
+    cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
+    adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
+    report = projected_gradient_descent(
+        u0, init, adm, cost, OptimizerConfig(max_iters=5, min_step=1e-300),
+        SolverConfig(), ModelParams(), default_nonlinearities(),
+        default_potential())
+    assert report.stop_reason == "min_step"
+    assert len(report.iterates) == 1
+    # 0.5 - alpha * 0.5 rounds back to 0.5 once alpha reaches 2^-54.
+    assert report.iterates[0].step < 2.0 ** -53
+    assert report.iterates[0].step > 1e-300
+    assert np.array_equal(report.final_control.values, u0.values)
+
+
 def test_descent_runs_one_forward_sweep_per_trial(monkeypatch):
     # The accepted trial's state is reused for the next gradient, so the
     # forward sweeps are the one at the start plus one per trial.
@@ -365,3 +391,107 @@ def test_descent_runs_one_forward_sweep_per_trial(monkeypatch):
     trials = sum(rec.backtracks + 1 for rec in report.iterates[:-1])
     assert trials > len(report.iterates) - 1, "no step backtracked"
     assert len(sweeps) == 1 + trials
+
+
+# Cost and stationarity of iterates 0-15 of PGD from zero on the desk
+# problem. Each of iterates 0-14 accepts its first trial, which the
+# resolution stop never skips, so these values do not depend on it.
+_DESK_DESCENT = (
+    (0.004964887383781061, 0.03562773535708495),
+    (0.004094422864931884, 0.013239092278379999),
+    (0.003974209310286292, 0.004921652414093345),
+    (0.003957594502284719, 0.001830259555575121),
+    (0.003955296473473171, 0.0006810101413484123),
+    (0.003954978250504029, 0.00025362517789975835),
+    (0.003954934096929872, 9.46000731609047e-05),
+    (0.003954927950491913, 3.537361200928212e-05),
+    (0.003954927090241524, 1.3281397795938824e-05),
+    (0.003954926968777789, 5.019459056404087e-06),
+    (0.003954926951387256, 1.916526211778771e-06),
+    (0.0039549269488416364, 7.430532748588702e-07),
+    (0.003954926948455478, 2.943511145051815e-07),
+    (0.003954926948396429, 1.1988207414209096e-07),
+    (0.003954926948385864, 5.041574815436701e-08),
+    (0.003954926948381626, 2.190742103578588e-08),
+)
+
+
+@pytest.fixture(scope="module")
+def desk_descent(desk_problem):
+    p = desk_problem
+    return projected_gradient_descent(
+        SpaceTimeField.zeros(p.time_grid, p.grid), p.init, p.admissible,
+        p.cost, p.optimizer, p.solver, p.params, p.nonlinearities,
+        p.potential)
+
+
+def test_desk_descent_stops_at_the_cost_resolution(desk_descent):
+    # Iterate 15's first trial predicts a decrease of about 5e-16, under
+    # the cost's resolution linear_tol * |J| (about 4e-15), so its search
+    # ends after that one rejection; halving alpha 34 times down to
+    # min_step would only sample rounding.
+    report = desk_descent
+    assert report.stop_reason == "min_step"
+    assert report.iterates[-1].backtracks <= 1
+    costs = [rec.cost for rec in report.iterates]
+    stationarity = [rec.stationarity for rec in report.iterates]
+    assert costs == pytest.approx([c for c, _ in _DESK_DESCENT], rel=1e-10)
+    assert stationarity == pytest.approx([s for _, s in _DESK_DESCENT],
+                                         rel=1e-6)
+    assert report.final_cost == pytest.approx(0.003954926948381626,
+                                              rel=1e-10)
+    assert l2q_norm(report.final_control) == pytest.approx(
+        0.05669759794018723, rel=1e-10)
+
+
+def test_report_gradient_is_the_gradient_at_the_final_control(
+        desk_problem, desk_descent):
+    p = desk_problem
+    result = reduced_gradient(desk_descent.final_control, p.init, p.cost,
+                              p.solver, p.params, p.nonlinearities,
+                              p.potential)
+    assert np.array_equal(desk_descent.final_gradient.values,
+                          result.gradient.values)
+
+
+def test_search_ends_once_a_rejection_is_below_the_cost_resolution(
+        monkeypatch):
+    # Pure regularization over the box [0.2, 1]: the minimizer is u = 0.2,
+    # and a start 1e-12 above it at one node has a first trial that lowers
+    # the cost by about 8e-16, under the resolution linear_tol * J = 4e-15.
+    # When the trial's cost reads high by noise under that resolution, the
+    # rejection is noise, and the search must end after that one trial
+    # instead of halving alpha down to min_step.
+    import caginalp_control.control as control
+
+    grid = Grid(9, 1.0)
+    time_grid = TimeGrid(0.2, 6)
+    init = _constant_init(grid, 0.0, 1.0, 0.5)
+    values = np.full((time_grid.nt + 1,) + grid.shape, 0.2)
+    values[0, 4] += 1e-12
+    u0 = SpaceTimeField(time_grid, grid, values)
+    cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
+    adm = AdmissibleSet(u_min=0.2, u_max=1.0)
+    solver_cfg = SolverConfig()
+    args = (init, adm, cost)
+    model = (solver_cfg, ModelParams(), default_nonlinearities(),
+             default_potential())
+    opt_cfg = OptimizerConfig(stationarity_tol=0.0, max_iters=1)
+
+    clean = projected_gradient_descent(u0, *args, opt_cfg, *model)
+    assert clean.iterates[0].backtracks == 0, "the trial lowers the cost"
+
+    start_cost = clean.iterates[0].cost
+    noise = 0.5 * solver_cfg.linear_tol * abs(start_cost)
+    original = control.evaluate_cost
+
+    def noisy(traj, u, cost_spec):
+        value = original(traj, u, cost_spec)
+        return value if np.array_equal(u.values, values) else value + noise
+
+    monkeypatch.setattr(control, "evaluate_cost", noisy)
+    report = projected_gradient_descent(u0, *args, opt_cfg, *model)
+    assert report.stop_reason == "min_step"
+    assert len(report.iterates) == 1
+    assert report.iterates[0].backtracks == 1
+    assert np.array_equal(report.final_control.values, values)

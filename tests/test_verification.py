@@ -20,19 +20,14 @@ from caginalp_control import (
 )
 
 
-@pytest.fixture(scope="module")
-def full_report(desk_problem):
-    return run_suite(VerifySuiteConfig(), desk_problem)
+def test_default_battery_passes(desk_report):
+    failures = [r.name for r in desk_report.results if not r.passed]
+    assert desk_report.all_passed, f"failed checks: {failures}"
+    assert desk_report.seed == 1729
 
 
-def test_default_battery_passes(full_report):
-    failures = [r.name for r in full_report.results if not r.passed]
-    assert full_report.all_passed, f"failed checks: {failures}"
-    assert full_report.seed == 1729
-
-
-def test_every_suite_contributes_results(full_report):
-    names = {r.name for r in full_report.results}
+def test_every_suite_contributes_results(desk_report):
+    names = {r.name for r in desk_report.results}
     expected = {
         "conservation_theta_ell_phi", "conservation_phi",
         "equilibrium_fixed_point", "oracle_state", "oracle_linearized",
@@ -45,16 +40,16 @@ def test_every_suite_contributes_results(full_report):
     assert names == expected
 
 
-def test_summary_lines_one_per_check(full_report):
-    lines = full_report.summary_lines()
-    assert len(lines) == len(full_report.results)
+def test_summary_lines_one_per_check(desk_report):
+    lines = desk_report.summary_lines()
+    assert len(lines) == len(desk_report.results)
     assert all(line.startswith(("PASS", "FAIL")) for line in lines)
     assert any("measured=" in line and "tolerance=" in line
                for line in lines)
 
 
-def test_report_tables_have_expected_shapes(full_report):
-    tables = full_report.tables
+def test_report_tables_have_expected_shapes(desk_report):
+    tables = desk_report.tables
     header, rows = tables["taylor_report"]
     assert header == ("epsilon", "remainder_norm", "slope")
     assert len(rows) == 3
