@@ -185,7 +185,9 @@ def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
     theta_b = base.field_array("theta")
     phi_b = base.field_array("phi")
     sigma_b = base.field_array("sigma")
-    decay = _decay_coefficient(theta_b[level], phi_b[level], params, nl)
+    decay = _decay_coefficient(
+        theta_b[level], np.asarray(nl.H_gate(phi_b[level]), dtype=float),
+        params, nl)
     s_eta_k = sources.s_eta[k]
 
     if k == nt:

@@ -5,6 +5,12 @@ parsed by the standard library with interpolation disabled. Unknown sections
 and unknown keys are rejected, every diagnostic names the offending
 ``[section].key``, and all paths resolve relative to the config file.
 
+The scalar keys of a section are the float, int and bool fields of its
+dataclass: ModelParams for ``[model]``, SolverConfig, CostSpec,
+AdmissibleSet, OptimizerConfig and VerifySuiteConfig for ``[solver]``,
+``[cost]``, ``[admissible]``, ``[optimizer]`` and ``[verify]``. Each field
+gives its key's name, type and default; an absent key keeps the default.
+
 Field-valued entries (initial data, controls, tracking targets, the far-field
 supply) use a small source grammar:
 
@@ -27,7 +33,9 @@ loading that file reproduces the run exactly.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import os
+import typing
 
 import numpy as np
 
@@ -42,12 +50,13 @@ from .grid import (
     read_space_time_csv,
 )
 from .model import (
+    ModelParams,
     Nonlinearities,
     default_nonlinearities,
     default_potential,
 )
 from .state import InitialData, SolverConfig, solve_state
-from .verification import SUITE_NAMES, VerifyProblem, VerifySuiteConfig
+from .verification import VerifyProblem, VerifySuiteConfig
 
 __all__ = ["RunConfig", "load_config", "EFFECTIVE_CONFIG_NAME"]
 
@@ -57,34 +66,6 @@ _TRUE = {"true", "1", "yes", "on"}
 _FALSE = {"false", "0", "no", "off"}
 
 _READ_ERRORS = (OSError, ValueError, IndexError, KeyError, StopIteration)
-
-_KNOWN_KEYS = {
-    "grid": ("n", "length"),
-    "time": ("t_final",),
-    "model": ("ell", "lambda_big", "chi", "tau", "lambda_p", "lambda_a",
-              "lambda_e", "lambda_c", "lambda_b", "lambda_d", "sigma_b",
-              "nonlinearity", "potential"),
-    "solver": ("nt", "dt", "stabilization_s", "linear_tol",
-               "max_linear_iters", "control", "theta0", "phi0", "sigma0"),
-    "cost": ("b1", "b2", "b3", "b4", "b5", "theta_q", "phi_q", "theta_omega",
-             "phi_omega"),
-    "admissible": ("u_min", "u_max", "m_bound"),
-    "optimizer": ("max_iters", "armijo_c", "backtrack_factor",
-                  "initial_step", "stationarity_tol", "min_step"),
-    "verify": ("seed", "suites", "debug_flip_adjoint_sign"),
-    "output": ("dir", "slices"),
-}
-
-_REQUIRED_KEYS = {
-    "grid": ("n", "length"),
-    "time": ("t_final",),
-    "model": ("ell", "lambda_big", "chi"),
-    "solver": ("theta0", "phi0", "sigma0"),
-    "admissible": ("u_min", "u_max"),
-}
-
-_REQUIRED_SECTIONS = ("grid", "time", "model", "solver")
-
 
 def _fail(section, key, message):
     raise ConfigurationError(f"[{section}].{key}: {message}")
@@ -130,6 +111,73 @@ def _parse_axis_values(section, key, raw, caster):
 
 def _float_str(value):
     return repr(float(value))
+
+
+_PARSERS = {float: _parse_float, int: _parse_int, bool: _parse_bool}
+_FORMATS = {float: _float_str, int: str,
+            bool: lambda value: "true" if value else "false"}
+
+
+def _scalar_fields(cls):
+    """Name and type of each float, int or bool field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls)
+                 if hints[f.name] in _PARSERS)
+
+
+_INITIAL_KEYS = ("theta0", "phi0", "sigma0")
+_TARGET_KEYS = ("theta_q", "phi_q", "theta_omega", "phi_omega")
+
+# Each section's dataclass, whose scalar fields are the section's scalar
+# keys, and the keys that have parsers of their own.
+_SECTIONS = {
+    "grid": (None, ("n", "length")),
+    "time": (None, ("t_final",)),
+    "model": (ModelParams, ("sigma_b", "nonlinearity")),
+    "solver": (SolverConfig, ("nt", "dt", "control") + _INITIAL_KEYS),
+    "cost": (CostSpec, _TARGET_KEYS),
+    "admissible": (AdmissibleSet, ()),
+    "optimizer": (OptimizerConfig, ()),
+    "verify": (VerifySuiteConfig, ("suites",)),
+    "output": (None, ("dir", "slices")),
+}
+
+_KNOWN_KEYS = {
+    section: tuple(name for name, _ in (_scalar_fields(cls) if cls else ()))
+    + own for section, (cls, own) in _SECTIONS.items()
+}
+
+# Keys a config file must set, even where the dataclass has a default.
+_REQUIRED_KEYS = {
+    "grid": ("n", "length"),
+    "time": ("t_final",),
+    "model": ("ell", "lambda_big", "chi"),
+    "solver": _INITIAL_KEYS,
+    "admissible": ("u_min", "u_max"),
+}
+
+_REQUIRED_SECTIONS = ("grid", "time", "model", "solver")
+
+
+def _field_pairs(obj, **special):
+    """``(key, text)`` of each config key among obj's fields, in field order.
+
+    Scalar fields are formatted by type. A field named in ``special`` is
+    emitted as the text given there, or left out where that is None; the
+    other fields are not config keys.
+    """
+    scalars = dict(_scalar_fields(type(obj)))
+    pairs = []
+    for f in dataclasses.fields(obj):
+        if f.name in special:
+            text = special[f.name]
+        elif f.name in scalars:
+            text = _FORMATS[scalars[f.name]](getattr(obj, f.name))
+        else:
+            continue
+        if text is not None:
+            pairs.append((f.name, text))
+    return pairs
 
 
 class RunConfig:
@@ -189,7 +237,6 @@ class RunConfig:
                         f"missing required key [{section}].{key}"
                     )
 
-        self._parser = parser
         self._raw = {section: dict(parser[section])
                      for section in parser.sections()}
 
@@ -197,8 +244,9 @@ class RunConfig:
         self._build_model()
         self._build_solver()
         self._build_cost()
-        self._build_admissible()
-        self._build_optimizer()
+        self.admissible = (self._dataclass("admissible")
+                           if "admissible" in self._raw else None)
+        self.optimizer = self._dataclass("optimizer")
         self._build_verify()
         self._build_output()
         del self._references
@@ -208,6 +256,20 @@ class RunConfig:
 
     def _resolve(self, relpath):
         return os.path.abspath(os.path.join(self.base_dir, relpath))
+
+    def _dataclass(self, section, **special):
+        """The section's dataclass, from the scalar keys the section sets
+        and the ``special`` fields; an absent key keeps its default."""
+        cls = _SECTIONS[section][0]
+        values = {}
+        for name, kind in _scalar_fields(cls):
+            raw = self._get(section, name)
+            if raw is not None:
+                values[name] = _PARSERS[kind](section, name, raw)
+        try:
+            return cls(**values, **special)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"[{section}]: {exc}")
 
     # -- section builders ---------------------------------------------------
 
@@ -251,17 +313,6 @@ class RunConfig:
             raise ConfigurationError(f"[time]: {exc}")
 
     def _build_model(self):
-        from .model import ModelParams
-
-        values = {}
-        for key in ("ell", "lambda_big", "chi"):
-            values[key] = _parse_float("model", key,
-                                       self._get("model", key))
-        for key in ("tau", "lambda_p", "lambda_a", "lambda_e", "lambda_c",
-                    "lambda_b", "lambda_d"):
-            values[key] = _parse_float("model", key,
-                                       self._get("model", key, "0.0"))
-
         sigma_raw = self._get("model", "sigma_b", "1.0")
         try:
             sigma_b = float(sigma_raw)
@@ -288,17 +339,8 @@ class RunConfig:
             _fail("model", "nonlinearity",
                   f"expected 'default' or 'custom:<path>', got {nl_raw!r}")
         self._nonlinearity_raw = nl_raw
-
-        pot_raw = self._get("model", "potential", "quartic")
-        if pot_raw != "quartic":
-            _fail("model", "potential",
-                  f"only 'quartic' is available, got {pot_raw!r}")
         self.potential = default_potential()
-
-        try:
-            self.params = ModelParams(sigma_b=sigma_b, **values)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[model]: {exc}")
+        self.params = self._dataclass("model", sigma_b=sigma_b)
 
     def _load_custom_nonlinearities(self, relpath):
         resolved = self._resolve(relpath)
@@ -325,115 +367,37 @@ class RunConfig:
         return made
 
     def _build_solver(self):
-        s = _parse_float("solver", "stabilization_s",
-                         self._get("solver", "stabilization_s", "2.0"))
-        tol = _parse_float("solver", "linear_tol",
-                           self._get("solver", "linear_tol", "1e-12"))
-        iters = _parse_int("solver", "max_linear_iters",
-                           self._get("solver", "max_linear_iters", "50"))
+        self.solver = self._dataclass("solver")
+        fields = {key: self._source("solver", key, self._get("solver", key))
+                  for key in _INITIAL_KEYS}
         try:
-            self.solver = SolverConfig(stabilization_s=s, linear_tol=tol,
-                                       max_linear_iters=iters)
+            self.init = InitialData(**fields)
         except ConfigurationError as exc:
             raise ConfigurationError(f"[solver]: {exc}")
-
-        fields = {}
-        for key in ("theta0", "phi0", "sigma0"):
-            fields[key] = self._spatial_source(
-                "solver", key, self._get("solver", key))
-        try:
-            self.init = InitialData(theta0=fields["theta0"],
-                                    phi0=fields["phi0"],
-                                    sigma0=fields["sigma0"])
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[solver]: {exc}")
-
-        self.control = self._space_time_source(
-            "solver", "control", self._get("solver", "control", "zero"))
+        self.control = self._source(
+            "solver", "control", self._get("solver", "control", "zero"),
+            space_time=True)
 
     def _build_cost(self):
         if "cost" not in self._raw:
             self.cost = None
             return
-        weights = {key: _parse_float("cost", key,
-                                     self._get("cost", key, default))
-                   for key, default in (("b1", "0.0"), ("b2", "0.0"),
-                                        ("b3", "0.0"), ("b4", "0.0"),
-                                        ("b5", "1.0"))}
         targets = {}
-        for key in ("theta_q", "phi_q"):
+        for key in _TARGET_KEYS:
             raw = self._get("cost", key)
-            targets[key] = (None if raw is None
-                            else self._space_time_source("cost", key, raw,
-                                                         allow_reference=True))
-        for key in ("theta_omega", "phi_omega"):
-            raw = self._get("cost", key)
-            targets[key] = (None if raw is None
-                            else self._spatial_source("cost", key, raw,
-                                                      allow_reference=True))
-        try:
-            self.cost = CostSpec(**weights, **targets)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[cost]: {exc}")
-
-    def _build_admissible(self):
-        if "admissible" not in self._raw:
-            self.admissible = None
-            return
-        u_min = _parse_float("admissible", "u_min",
-                             self._get("admissible", "u_min"))
-        u_max = _parse_float("admissible", "u_max",
-                             self._get("admissible", "u_max"))
-        m_raw = self._get("admissible", "m_bound")
-        m_bound = (None if m_raw is None
-                   else _parse_float("admissible", "m_bound", m_raw))
-        try:
-            self.admissible = AdmissibleSet(u_min=u_min, u_max=u_max,
-                                            m_bound=m_bound)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[admissible]: {exc}")
-
-    def _build_optimizer(self):
-        def get(key, default):
-            return self._get("optimizer", key, default)
-
-        try:
-            self.optimizer = OptimizerConfig(
-                max_iters=_parse_int("optimizer", "max_iters",
-                                     get("max_iters", "100")),
-                armijo_c=_parse_float("optimizer", "armijo_c",
-                                      get("armijo_c", "1e-4")),
-                backtrack_factor=_parse_float(
-                    "optimizer", "backtrack_factor",
-                    get("backtrack_factor", "0.5")),
-                initial_step=_parse_float("optimizer", "initial_step",
-                                          get("initial_step", "1.0")),
-                stationarity_tol=_parse_float(
-                    "optimizer", "stationarity_tol",
-                    get("stationarity_tol", "1e-8")),
-                min_step=_parse_float("optimizer", "min_step",
-                                      get("min_step", "1e-14")),
-            )
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[optimizer]: {exc}")
+            targets[key] = (None if raw is None else self._source(
+                "cost", key, raw, space_time=key.endswith("_q"),
+                allow_reference=True))
+        self.cost = self._dataclass("cost", **targets)
 
     def _build_verify(self):
-        seed = _parse_int("verify", "seed", self._get("verify", "seed",
-                                                      "1729"))
         suites_raw = self._get("verify", "suites", "all")
         if suites_raw.strip() == "all":
             suites = None
         else:
             suites = tuple(part.strip() for part in suites_raw.split(",")
                            if part.strip())
-        flip = _parse_bool(
-            "verify", "debug_flip_adjoint_sign",
-            self._get("verify", "debug_flip_adjoint_sign", "false"))
-        try:
-            self.verify = VerifySuiteConfig(
-                seed=seed, suites=suites, debug_flip_adjoint_sign=flip)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[verify].suites: {exc}")
+        self.verify = self._dataclass("verify", suites=suites)
 
     def _build_output(self):
         self.output_dir = self._resolve(self._get("output", "dir", "out"))
@@ -477,68 +441,37 @@ class RunConfig:
             canonical += f",{_float_str(offset)}"
         return self._cosine_values(amplitude, mode, offset), canonical
 
-    def _spatial_source(self, section, key, raw, allow_reference=False):
-        raw = raw.strip()
-        if raw == "zero":
-            return Field.zeros(self.grid)
-        if raw.startswith("constant:"):
-            value = _parse_float(section, key, raw[len("constant:"):])
-            self._raw[section][key] = f"constant:{_float_str(value)}"
-            return Field.constant(self.grid, value)
-        if raw.startswith("cosine:"):
-            values, canonical = self._parse_cosine(
-                section, key, raw[len("cosine:"):])
-            self._raw[section][key] = canonical
-            return Field(self.grid, values)
-        if raw.startswith("file:"):
-            resolved = self._resolve(raw[len("file:"):])
-            self._raw[section][key] = f"file:{resolved}"
-            try:
-                field = read_field_csv(resolved)
-            except _READ_ERRORS as exc:
-                _fail(section, key, f"could not read {resolved}: {exc}")
-            if field.grid != self.grid:
-                _fail(section, key, "field grid does not match [grid]")
-            return field
-        if raw.startswith("from_reference_run:"):
-            if not allow_reference:
-                _fail(section, key,
-                      "from_reference_run is only valid for tracking targets")
-            trajectory, resolved = self._reference_trajectory(
-                section, key, raw[len("from_reference_run:"):])
-            self._raw[section][key] = f"from_reference_run:{resolved}"
-            name = "theta" if key.startswith("theta") else "phi"
-            return trajectory.field(name, trajectory.time_grid.nt)
-        _fail(section, key, f"unrecognized field source {raw!r}")
+    def _source(self, section, key, raw, space_time=False,
+                allow_reference=False):
+        """A Field, or with ``space_time`` a SpaceTimeField, from a source.
 
-    def _space_time_source(self, section, key, raw, allow_reference=False):
+        A profile source (zero, constant, cosine) gives a space-time field
+        that repeats the profile at every time level.
+        """
         raw = raw.strip()
         if raw == "zero":
-            return SpaceTimeField.zeros(self.time_grid, self.grid)
-        if raw.startswith("constant:"):
+            profile = np.zeros(self.grid.shape)
+        elif raw.startswith("constant:"):
             value = _parse_float(section, key, raw[len("constant:"):])
             self._raw[section][key] = f"constant:{_float_str(value)}"
-            return SpaceTimeField.constant(self.time_grid, self.grid, value)
-        if raw.startswith("cosine:"):
-            values, canonical = self._parse_cosine(
+            profile = np.full(self.grid.shape, value)
+        elif raw.startswith("cosine:"):
+            profile, self._raw[section][key] = self._parse_cosine(
                 section, key, raw[len("cosine:"):])
-            self._raw[section][key] = canonical
-            reps = (self.time_grid.nt + 1,) + (1,) * values.ndim
-            return SpaceTimeField(self.time_grid, self.grid,
-                                  np.tile(values, reps))
-        if raw.startswith("file:"):
+        elif raw.startswith("file:"):
             resolved = self._resolve(raw[len("file:"):])
             self._raw[section][key] = f"file:{resolved}"
+            reader = read_space_time_csv if space_time else read_field_csv
             try:
-                field = read_space_time_csv(resolved)
+                field = reader(resolved)
             except _READ_ERRORS as exc:
                 _fail(section, key, f"could not read {resolved}: {exc}")
             if field.grid != self.grid:
                 _fail(section, key, "field grid does not match [grid]")
-            if field.time_grid != self.time_grid:
+            if space_time and field.time_grid != self.time_grid:
                 _fail(section, key, "field time grid does not match the run")
             return field
-        if raw.startswith("from_reference_run:"):
+        elif raw.startswith("from_reference_run:"):
             if not allow_reference:
                 _fail(section, key,
                       "from_reference_run is only valid for tracking targets")
@@ -546,8 +479,16 @@ class RunConfig:
                 section, key, raw[len("from_reference_run:"):])
             self._raw[section][key] = f"from_reference_run:{resolved}"
             name = "theta" if key.startswith("theta") else "phi"
-            return trajectory.space_time(name)
-        _fail(section, key, f"unrecognized field source {raw!r}")
+            if space_time:
+                return trajectory.space_time(name)
+            return trajectory.field(name, trajectory.time_grid.nt)
+        else:
+            _fail(section, key, f"unrecognized field source {raw!r}")
+        if not space_time:
+            return Field(self.grid, profile)
+        levels = (self.time_grid.nt + 1,) + profile.shape
+        return SpaceTimeField(self.time_grid, self.grid,
+                              np.broadcast_to(profile, levels))
 
     def _reference_trajectory(self, section, key, relpath):
         resolved = self._resolve(relpath)
@@ -612,60 +553,25 @@ class RunConfig:
         ])
         emit("time", [("t_final", _float_str(self.t_final))])
 
-        model_pairs = [(key, _float_str(getattr(self.params, key)))
-                       for key in ("ell", "lambda_big", "chi", "tau",
-                                   "lambda_p", "lambda_a", "lambda_e",
-                                   "lambda_c", "lambda_b", "lambda_d")]
-        model_pairs.append(("sigma_b", self._sigma_b_raw))
-        model_pairs.append(("nonlinearity", self._nonlinearity_raw))
-        model_pairs.append(("potential", "quartic"))
-        emit("model", model_pairs)
+        emit("model", _field_pairs(self.params, sigma_b=self._sigma_b_raw)
+             + [("nonlinearity", self._nonlinearity_raw)])
 
-        emit("solver", [
-            ("nt", str(self.time_grid.nt)),
-            ("stabilization_s", _float_str(self.solver.stabilization_s)),
-            ("linear_tol", _float_str(self.solver.linear_tol)),
-            ("max_linear_iters", str(self.solver.max_linear_iters)),
-            ("control", self._raw["solver"].get("control", "zero")),
-            ("theta0", self._raw["solver"]["theta0"]),
-            ("phi0", self._raw["solver"]["phi0"]),
-            ("sigma0", self._raw["solver"]["sigma0"]),
-        ])
+        solver_raw = self._raw["solver"]
+        emit("solver", [("nt", str(self.time_grid.nt))]
+             + _field_pairs(self.solver)
+             + [("control", solver_raw.get("control", "zero"))]
+             + [(key, solver_raw[key]) for key in _INITIAL_KEYS])
 
         if self.cost is not None:
-            pairs = [(key, _float_str(getattr(self.cost, key)))
-                     for key in ("b1", "b2", "b3", "b4", "b5")]
-            for key in ("theta_q", "phi_q", "theta_omega", "phi_omega"):
-                raw = self._raw["cost"].get(key)
-                if raw is not None:
-                    pairs.append((key, raw))
-            emit("cost", pairs)
-
+            cost_raw = self._raw["cost"]
+            emit("cost", _field_pairs(self.cost, **{
+                key: cost_raw.get(key) for key in _TARGET_KEYS}))
         if self.admissible is not None:
-            emit("admissible", [
-                ("u_min", _float_str(self.admissible.u_min)),
-                ("u_max", _float_str(self.admissible.u_max)),
-                ("m_bound", _float_str(self.admissible.m_bound)),
-            ])
-
-        emit("optimizer", [
-            ("max_iters", str(self.optimizer.max_iters)),
-            ("armijo_c", _float_str(self.optimizer.armijo_c)),
-            ("backtrack_factor",
-             _float_str(self.optimizer.backtrack_factor)),
-            ("initial_step", _float_str(self.optimizer.initial_step)),
-            ("stationarity_tol",
-             _float_str(self.optimizer.stationarity_tol)),
-            ("min_step", _float_str(self.optimizer.min_step)),
-        ])
-
-        emit("verify", [
-            ("seed", str(self.verify.seed)),
-            ("suites", "all" if self.verify.suites is None
-             else ",".join(self.verify.suites)),
-            ("debug_flip_adjoint_sign",
-             "true" if self.verify.debug_flip_adjoint_sign else "false"),
-        ])
+            emit("admissible", _field_pairs(self.admissible))
+        emit("optimizer", _field_pairs(self.optimizer))
+        emit("verify", _field_pairs(
+            self.verify, suites="all" if self.verify.suites is None
+            else ",".join(self.verify.suites)))
 
         emit("output", [
             ("dir", self.output_dir),

@@ -23,7 +23,7 @@ resolved to about linear_tol * |J| and no smaller. Once a rejected trial's
 first-order predicted decrease <g, u - P(u - alpha g)> is at or below that
 resolution, its rejection was decided by rounding, and so would be that of
 every shorter step along the arc: the search ends there, reported as
-"min_step", instead of halving alpha down to min_step. The first trial of
+"resolution", instead of halving alpha down to min_step. The first trial of
 every iterate is always tried.
 
 The report carries the gradient at the final control, so the variational
@@ -100,17 +100,14 @@ class CostSpec:
 
 @dataclass(frozen=True)
 class AdmissibleSet:
-    """Pointwise box of admissible controls.
+    """Pointwise box u_min <= u <= u_max of admissible controls.
 
     Attributes:
-        u_min, u_max: Scalar box bounds with u_min <= u_max.
-        m_bound: Uniform bound dominating the box; defaults to
-            1 + max(|u_min|, |u_max|).
+        u_min, u_max: Finite scalar box bounds with u_min <= u_max.
     """
 
     u_min: float
     u_max: float
-    m_bound: float = None
 
     def __post_init__(self):
         if not (np.isfinite(self.u_min) and np.isfinite(self.u_max)):
@@ -119,20 +116,6 @@ class AdmissibleSet:
             raise ConfigurationError(
                 f"empty box: u_min={self.u_min} > u_max={self.u_max}"
             )
-        if self.m_bound is None:
-            object.__setattr__(
-                self, "m_bound",
-                1.0 + max(abs(self.u_min), abs(self.u_max)))
-        elif self.m_bound < max(abs(self.u_min), abs(self.u_max)):
-            raise ConfigurationError(
-                "m_bound must dominate the box bounds"
-            )
-
-    def contains(self, u, tol=0.0):
-        """Whether every nodal value of u lies in the box, up to tol."""
-        values = u.values
-        return bool(np.all(values >= self.u_min - tol)
-                    and np.all(values <= self.u_max + tol))
 
 
 def project_admissible(u, adm):
@@ -232,12 +215,11 @@ class IterateRecord:
 class OptimizationReport:
     """Outcome of one projected gradient descent run.
 
-    stop_reason is one of "stationarity", "max_iters" or "min_step"; hitting
-    the iteration cap or the step floor is reported, not raised. "min_step"
-    also covers a line search that ended before reaching min_step, either
-    because its steps no longer moved the control or because a rejected
-    trial's predicted decrease was below the cost's resolution
-    linear_tol * |J|.
+    stop_reason is one of "stationarity", "max_iters", "resolution" or
+    "min_step"; none of them is raised. "resolution" means the line search
+    ended because a rejected trial's predicted decrease was at or below the
+    cost's resolution linear_tol * |J|. "min_step" means the step fell below
+    min_step, or the step no longer moved the control.
 
     final_gradient and final_adjoint are the reduced gradient and the
     adjoint trajectory at final_control.
@@ -325,6 +307,7 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
         alpha = opt_cfg.initial_step
         backtracks = 0
         accepted = None
+        search_end = "min_step"
         while True:
             trial = project_admissible(u - alpha * grad, adm)
             movement = l2q_norm(trial - u)
@@ -342,15 +325,17 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
                 break
             alpha *= opt_cfg.backtrack_factor
             backtracks += 1
-            if (alpha < opt_cfg.min_step
-                    or l2q_inner(grad, u - trial) <= resolution):
+            if alpha < opt_cfg.min_step:
+                break
+            if l2q_inner(grad, u - trial) <= resolution:
+                search_end = "resolution"
                 break
 
         if accepted is None:
             iterates.append(IterateRecord(iteration, current_cost,
                                           stationarity, alpha, backtracks,
                                           counter.count))
-            stop_reason = "min_step"
+            stop_reason = search_end
             break
 
         iterates.append(IterateRecord(iteration, current_cost, stationarity,
@@ -377,9 +362,6 @@ class StationarityReport:
 
     measure: float
     vi_samples: tuple
-
-    def min_sample(self):
-        return min(self.vi_samples) if self.vi_samples else float("nan")
 
 
 def stationarity_check(u, grad, adm, num_samples=100, seed=0):

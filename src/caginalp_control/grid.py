@@ -215,14 +215,6 @@ class Field:
     def zeros(cls, grid):
         return cls.constant(grid, 0.0)
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        """Sample ``fn`` at the nodes; fn takes one coordinate array per axis."""
-        if grid.dim == 1:
-            return cls(grid, fn(grid.coords(0)))
-        x, y = np.meshgrid(grid.coords(0), grid.coords(1), indexing="ij")
-        return cls(grid, fn(x, y))
-
     @property
     def values(self):
         return self._values

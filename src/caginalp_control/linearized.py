@@ -27,7 +27,13 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import Trajectory, l2q_norm
 from .linsolve import SolveCounter
-from .state import StepOperators, _require_finite, solve_state, y_norm
+from .state import (
+    StepOperators,
+    _decay_coefficient,
+    _require_finite,
+    solve_state,
+    y_norm,
+)
 
 __all__ = [
     "solve_linearized",
@@ -54,9 +60,7 @@ def _lin_step_arrays(ops, base_theta_n, base_phi_n, base_sigma_n,
                          - np.asarray(pot.f_prime(base_phi_n), dtype=float)
                          * xi_n
                          + params.chi * rho_n + params.lambda_big * zeta_n)
-        decay = (params.lambda_c * gate + params.lambda_b
-                 + params.lambda_d
-                 * np.asarray(nl.K_temp(base_theta_n), dtype=float))
+        decay = _decay_coefficient(base_theta_n, gate, params, nl)
         gate_prime_phi = params.lambda_c * gate_prime
         k_prime = params.lambda_d * np.asarray(
             nl.K_temp_prime(base_theta_n), dtype=float)

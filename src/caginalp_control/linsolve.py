@@ -2,13 +2,20 @@
 
 Every inner linear system in the package goes through this wrapper: one LU
 factorization per matrix, made once per sweep and reused across right-hand
-sides, with each solve iterated until the relative residual meets the
-requested tolerance. A plain solve refines the LU solution. A shifted solve
-of (A + diag(shift)) x = b, whose diagonal changes from step to step, runs
+sides, with each solve iterated until it is accepted. A solution is accepted
+once its relative residual ||r||_2 / ||b||_2 meets the requested tolerance,
+or once its normwise backward error ||r||_inf / (||A||_inf ||x||_inf +
+||b||_inf) is at rounding level, a few units of roundoff (Higham, Accuracy
+and Stability of Numerical Algorithms, section 7.1). The relative residual
+of a backward-stable solve grows with the condition number of A, which on
+fine grids keeps it above any fixed tolerance; the backward error does not.
+
+A plain solve refines the LU solution. A shifted solve of
+(A + diag(shift)) x = b, whose diagonal changes from step to step, runs
 conjugate gradients preconditioned by the LU of A instead, so no matrix is
-assembled or factorized per step. A solve that cannot reach the tolerance,
-or that produces non-finite values, raises ``SolverError`` carrying the
-block label, the step index and the achieved residual.
+assembled or factorized per step. A solve that meets neither test, or that
+produces non-finite values, raises ``SolverError`` carrying the block label,
+the step index and the achieved residual.
 """
 
 from __future__ import annotations
@@ -20,9 +27,17 @@ from .errors import SolverError
 
 __all__ = ["SolveCounter", "FactorizedOperator"]
 
-# Backward error at which a shifted solve counts as converged to rounding
-# level, a few units of roundoff.
+# Backward error at which a solve counts as converged to rounding level, a
+# few units of roundoff.
 _ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _at_rounding(residual, x, matrix_norm, rhs_inf):
+    """Whether ||r||_inf <= _ROUNDING (||A||_inf ||x||_inf + ||b||_inf)."""
+    # The array methods skip np.max's Python-level dispatch, which costs as
+    # much as the reduction itself on desk-sized vectors.
+    return abs(residual).max() <= _ROUNDING * (
+        matrix_norm * abs(x).max() + rhs_inf)
 
 
 class SolveCounter:
@@ -39,7 +54,8 @@ class FactorizedOperator:
 
     Args:
         matrix: Sparse square matrix A to factorize.
-        linear_tol: Relative residual target of every solve.
+        linear_tol: Relative residual at which a solve is accepted, unless
+            its backward error reaches rounding level first.
         max_linear_iters: Cap on the corrections of one solve, each costing
             one back-substitution.
         counter: Optional SolveCounter ticked once per solve.
@@ -62,7 +78,7 @@ class FactorizedOperator:
         self.label = label
 
     def solve(self, rhs, step=None, guess=None, shift=None):
-        """Solve (A + diag(shift)) x = rhs to the configured relative residual.
+        """Solve (A + diag(shift)) x = rhs until the solution is accepted.
 
         Args:
             rhs: Right-hand side (flat array).
@@ -106,7 +122,8 @@ class FactorizedOperator:
             self._require_finite(x, step)
             residual = rhs - self._matrix @ x
             relative = float(np.linalg.norm(residual)) / rhs_norm
-            if relative <= self._tol:
+            if relative <= self._tol or _at_rounding(
+                    residual, x, self._norm_inf, abs(rhs).max()):
                 return x
             x = x + self._lu.solve(residual)
         raise self._stall(relative, step)
@@ -119,8 +136,10 @@ class FactorizedOperator:
         rounding level too, so the solution is as accurate as a
         backward-stable LU solve of the same system; callers that difference
         nearby solutions (line searches in particular) rely on that. The
-        true residual confirms every acceptance, and CG restarts from it if
-        the two residuals disagree.
+        recursive residual keeps falling below the true one, so it meets the
+        tolerance even where the true residual cannot. The true residual
+        then confirms the acceptance on either test, and CG restarts from it
+        if it passes neither.
         """
 
         def apply(v):
@@ -143,12 +162,12 @@ class FactorizedOperator:
             if not np.isfinite(relative):
                 raise self._failure("produced non-finite values", step,
                                     float("nan"))
-            if relative <= self._tol and (
-                    budget == 0 or np.max(np.abs(residual)) <= _ROUNDING * (
-                        matrix_norm * np.max(np.abs(x)) + rhs_inf)):
+            if relative <= self._tol and (budget == 0 or _at_rounding(
+                    residual, x, matrix_norm, rhs_inf)):
                 residual = rhs - apply(x)
                 relative = float(np.linalg.norm(residual)) / rhs_norm
-                if relative <= self._tol:
+                if relative <= self._tol or _at_rounding(
+                        residual, x, matrix_norm, rhs_inf):
                     return x
                 direction = None
             if budget == 0:

@@ -78,7 +78,10 @@ class SolverConfig:
     Attributes:
         stabilization_s: Nonnegative constant S multiplying the implicit
             stabilization term of the explicit-potential splitting.
-        linear_tol: Relative residual target of inner solves, in (0, 1e-6].
+        linear_tol: Relative residual at which an inner solve is
+            accepted, in (0, 1e-6]. A solve is also accepted once its
+            normwise backward error is at rounding level, which is what
+            a fine grid's solves reach before this target.
         max_linear_iters: Refinement cap per solve.
     """
 
@@ -177,9 +180,10 @@ class StepOperators:
                                   weights=self.weights, label=label)
 
 
-def _decay_coefficient(theta_flat, phi_flat, params, nl):
-    return (params.lambda_c * np.asarray(nl.H_gate(phi_flat), dtype=float)
-            + params.lambda_b
+def _decay_coefficient(theta_flat, gate, params, nl):
+    """Nutrient decay lambda_c H(phi) + lambda_b + lambda_d K(theta), given
+    the gate values H(phi)."""
+    return (params.lambda_c * gate + params.lambda_b
             + params.lambda_d * np.asarray(nl.K_temp(theta_flat), dtype=float))
 
 
@@ -200,7 +204,7 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, params, nl,
         rhs_phase = phi_n / dt + source
         rhs_potential = (ops.a * phi_n - np.asarray(pot.f(phi_n), dtype=float)
                          + params.chi * sigma_n + params.lambda_big * theta_n)
-        decay = _decay_coefficient(theta_n, phi_n, params, nl)
+        decay = _decay_coefficient(theta_n, gate, params, nl)
     _require_finite(rhs_phase, step)
     _require_finite(rhs_potential, step)
     _require_finite(decay, step)

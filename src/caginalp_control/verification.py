@@ -663,11 +663,7 @@ def _suite_energy(problem, cfg):
         lambda_d=0.0)
     time_grid = TimeGrid(ENERGY_TEST_STEPS * ENERGY_TEST_DT,
                          ENERGY_TEST_STEPS)
-    x = grid.coords(0) if grid.dim == 1 else None
-    if x is not None:
-        profile = 0.1 + 0.6 * np.cos(np.pi * x / grid.length[0])
-    else:
-        profile = 0.1 + 0.6 * _smooth_profile(grid)
+    profile = 0.1 + 0.6 * _smooth_profile(grid)
     init = InitialData(
         theta0=Field.zeros(grid),
         phi0=Field(grid, profile),

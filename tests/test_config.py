@@ -1,19 +1,27 @@
 """Config parsing: grammar, defaults, sources, reference runs, round trip."""
 
+import dataclasses
 import os
 import shutil
 import textwrap
+import typing
 
 import numpy as np
 import pytest
 from conftest import CONFIGS, DESK_CFG
 
 from caginalp_control import (
+    AdmissibleSet,
     ConfigurationError,
+    CostSpec,
     Field,
     Grid,
+    ModelParams,
+    OptimizerConfig,
+    SolverConfig,
     SpaceTimeField,
     TimeGrid,
+    VerifySuiteConfig,
     load_config,
     solve_state,
     write_field_csv,
@@ -307,10 +315,17 @@ def test_custom_nonlinearity_missing_factory(tmp_path):
         load_config(_write(tmp_path, text))
 
 
-def test_only_quartic_potential_is_available(tmp_path):
-    text = MINIMAL.replace("chi = 0.3", "chi = 0.3\npotential = sextic")
-    with pytest.raises(ConfigurationError, match="quartic"):
+def test_keys_that_did_nothing_are_unknown(tmp_path):
+    # Only the quartic potential exists, and no constraint read m_bound.
+    text = MINIMAL.replace("chi = 0.3", "chi = 0.3\npotential = quartic")
+    with pytest.raises(ConfigurationError,
+                       match=r"unknown key \[model\]\.potential"):
         load_config(_write(tmp_path, text))
+    text = MINIMAL + "\n[admissible]\nu_min = -1.0\nu_max = 1.0\n" \
+        "m_bound = 2.0\n"
+    with pytest.raises(ConfigurationError,
+                       match=r"unknown key \[admissible\]\.m_bound"):
+        load_config(_write(tmp_path, text, "m_bound.cfg"))
 
 
 def test_verify_problem_requires_cost_and_admissible(tmp_path):
@@ -362,6 +377,68 @@ def test_effective_config_round_trips_bitwise(tmp_path):
     assert "nt = 4" in emitted
     assert "dt" not in emitted.split("[solver]")[1].split("[")[0].replace(
         "dt = ", "dt_absent")
+
+
+# Every float, int and bool key, with a legal value other than its default,
+# written in the form effective_config re-emits it.
+_SCALAR_KEYS = {
+    "model": {"ell": "0.25", "lambda_big": "0.25", "chi": "0.25",
+              "tau": "0.25", "lambda_p": "0.25", "lambda_a": "0.25",
+              "lambda_e": "0.25", "lambda_c": "0.25", "lambda_b": "0.25",
+              "lambda_d": "0.25"},
+    "solver": {"stabilization_s": "0.25", "linear_tol": "1e-09",
+               "max_linear_iters": "7"},
+    "cost": {"b1": "0.25", "b2": "0.25", "b3": "0.25", "b4": "0.25",
+             "b5": "0.25"},
+    "admissible": {"u_min": "-0.5", "u_max": "0.25"},
+    "optimizer": {"max_iters": "7", "armijo_c": "0.25",
+                  "backtrack_factor": "0.25", "initial_step": "0.25",
+                  "stationarity_tol": "1e-07", "min_step": "1e-10"},
+    "verify": {"seed": "7", "debug_flip_adjoint_sign": "true"},
+}
+
+# The RunConfig attribute that holds each section's dataclass.
+_SECTION_OBJECTS = {"model": ("params", ModelParams),
+                    "solver": ("solver", SolverConfig),
+                    "cost": ("cost", CostSpec),
+                    "admissible": ("admissible", AdmissibleSet),
+                    "optimizer": ("optimizer", OptimizerConfig),
+                    "verify": ("verify", VerifySuiteConfig)}
+
+
+def test_scalar_key_table_covers_every_scalar_field():
+    for section, (_, cls) in _SECTION_OBJECTS.items():
+        hints = typing.get_type_hints(cls)
+        scalars = {f.name for f in dataclasses.fields(cls)
+                   if hints[f.name] in (float, int, bool)}
+        assert scalars == set(_SCALAR_KEYS[section]), section
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in _SCALAR_KEYS.items()
+    for key in keys])
+def test_every_scalar_key_is_parsed_and_re_emitted(tmp_path, section, key):
+    text = _SCALAR_KEYS[section][key]
+    base = MINIMAL + "\n[cost]\n\n[admissible]\nu_min = -1.0\n" \
+        "u_max = 1.0\n\n[optimizer]\n\n[verify]\n"
+    lines = [line for line in base.splitlines()
+             if line.split(" = ")[0] != key]
+    lines.insert(lines.index(f"[{section}]") + 1, f"{key} = {text}")
+    cfg = load_config(_write(tmp_path, "\n".join(lines) + "\n"))
+
+    attr = _SECTION_OBJECTS[section][0]
+    built = getattr(cfg, attr)
+    value = getattr(built, key)
+    assert str(value).lower() == text
+    default = next(f.default for f in dataclasses.fields(built)
+                   if f.name == key)
+    assert value != default
+
+    emitted = cfg.effective_config()
+    body = emitted.split(f"[{section}]\n")[1].split("\n\n")[0]
+    assert f"{key} = {text}" in body.splitlines()
+    again = load_config(_write(tmp_path, emitted, "effective.cfg"))
+    assert getattr(again, attr) == built
 
 
 def test_shipped_desk_config_loads(tmp_path):

@@ -163,8 +163,6 @@ def test_projection_is_nonexpansive():
 def test_admissible_set_validation():
     with pytest.raises(ConfigurationError, match="empty box"):
         AdmissibleSet(u_min=1.0, u_max=-1.0)
-    with pytest.raises(ConfigurationError, match="m_bound"):
-        AdmissibleSet(u_min=-3.0, u_max=3.0, m_bound=1.0)
     with pytest.raises(ConfigurationError, match="finite"):
         AdmissibleSet(u_min=float("nan"), u_max=1.0)
 
@@ -305,6 +303,8 @@ def test_descent_stops_when_the_step_no_longer_moves_the_control(
     # A flat cost fails every Armijo test. With a step floor far below
     # rounding, backtracking reaches steps that leave the control unchanged;
     # such a null trial must end the search, not be accepted as a move.
+    # (With J = 1 the resolution stop now ends the search first, after 37
+    # backtracks; the zero-cost test below reaches the null trial.)
     import caginalp_control.control as control
 
     monkeypatch.setattr(control, "evaluate_cost", lambda *args: 1.0)
@@ -318,7 +318,7 @@ def test_descent_stops_when_the_step_no_longer_moves_the_control(
         u0, init, adm, cost, OptimizerConfig(max_iters=5, min_step=1e-300),
         SolverConfig(), ModelParams(), default_nonlinearities(),
         default_potential())
-    assert report.stop_reason == "min_step"
+    assert report.stop_reason == "resolution"
     assert len(report.iterates) == 1
     assert np.array_equal(report.final_control.values, u0.values)
 
@@ -431,7 +431,7 @@ def test_desk_descent_stops_at_the_cost_resolution(desk_descent):
     # ends after that one rejection; halving alpha 34 times down to
     # min_step would only sample rounding.
     report = desk_descent
-    assert report.stop_reason == "min_step"
+    assert report.stop_reason == "resolution"
     assert report.iterates[-1].backtracks <= 1
     costs = [rec.cost for rec in report.iterates]
     stationarity = [rec.stationarity for rec in report.iterates]
@@ -491,7 +491,7 @@ def test_search_ends_once_a_rejection_is_below_the_cost_resolution(
 
     monkeypatch.setattr(control, "evaluate_cost", noisy)
     report = projected_gradient_descent(u0, *args, opt_cfg, *model)
-    assert report.stop_reason == "min_step"
+    assert report.stop_reason == "resolution"
     assert len(report.iterates) == 1
     assert report.iterates[0].backtracks == 1
     assert np.array_equal(report.final_control.values, values)

@@ -1,7 +1,10 @@
 """Forward time stepping: fixed points, mass laws, energy, stability."""
 
+import configparser
+
 import numpy as np
 import pytest
+from conftest import DESK_CFG
 
 from caginalp_control import (
     ConfigurationError,
@@ -20,6 +23,8 @@ from caginalp_control import (
     initial_mu,
     integrate,
     lipschitz_probe,
+    load_config,
+    quadrature_weights,
     solve_state,
     trajectory_distance_y,
     zero_potential,
@@ -395,3 +400,77 @@ def test_trajectory_distance_is_a_metric_sample():
     traj = solve_state(init, u, SolverConfig(), ModelParams(),
                        default_nonlinearities(), default_potential())
     assert trajectory_distance_y(traj, traj) == 0.0
+
+
+def _scaled_desk_run(tmp_path, n, nt):
+    """desk.cfg with only [grid] n (and length, in 2D) and [solver] nt
+    changed, solved forward at the default solver settings."""
+    parser = configparser.ConfigParser(interpolation=None,
+                                       delimiters=("=",))
+    parser.optionxform = str
+    parser.read(DESK_CFG, encoding="utf-8")
+    for section in ("cost", "admissible", "optimizer", "verify"):
+        parser.remove_section(section)
+    parser["grid"]["n"] = n
+    if "," in n:
+        parser["grid"]["length"] = "2.0,2.0"
+    parser["solver"]["nt"] = str(nt)
+    path = tmp_path / "scaled.cfg"
+    with open(path, "w", encoding="utf-8") as handle:
+        parser.write(handle)
+    cfg = load_config(str(path))
+    assert cfg.solver == SolverConfig()
+    traj = solve_state(cfg.init, cfg.control, cfg.solver, cfg.params,
+                       cfg.nonlinearities, cfg.potential)
+    return cfg, traj, quadrature_weights(cfg.grid)
+
+
+def _rate_gap(rate, expected):
+    # The conservation suite's per-step measure, held to its 1e-10.
+    return abs(rate - expected) / max(1.0, abs(expected), abs(rate))
+
+
+_LADDER = [("65", 5), ("257", 5), ("1025", 5), ("33,33", 3), ("65,65", 3)]
+
+
+@pytest.mark.parametrize("n, nt", _LADDER)
+def test_default_settings_run_at_every_grid_size(tmp_path, n, nt):
+    # The relative residual of a backward-stable solve on these grids stays
+    # above the default linear_tol of 1e-12, so the sweep completes only
+    # because solves are accepted on their backward error.
+    cfg, traj, w = _scaled_desk_run(tmp_path, n, nt)
+    ell = cfg.params.ell
+    theta = traj.field_array("theta")
+    phi = traj.field_array("phi")
+    u = cfg.control.flat_slices
+    for k in range(nt):
+        mass_rate = ((theta[k + 1] + ell * phi[k + 1]
+                      - theta[k] - ell * phi[k]) @ w) / cfg.time_grid.dt
+        assert _rate_gap(mass_rate, u[k] @ w) <= 1e-10
+
+
+# The phase law is lost on the finer grids although every solve is backward
+# stable: the phase block solves with the Schur operator
+# I/dt - a Lap + Lap^2, whose norm grows like h^-4, and rounding of relative
+# size u in that operator moves the phase mass by more than 1e-10 (1.2e-8 at
+# 257 nodes, the same at the largest legal linear_tol of 1e-6).
+_PHASE_LAW_LOST = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="phase mass perturbed by the Schur operator's rounding")
+
+
+@pytest.mark.parametrize("n, nt", [
+    pytest.param(n, nt, marks=_PHASE_LAW_LOST)
+    if n in ("257", "1025", "65,65") else (n, nt) for n, nt in _LADDER])
+def test_phase_mass_law_at_every_grid_size(tmp_path, n, nt):
+    cfg, traj, w = _scaled_desk_run(tmp_path, n, nt)
+    params = cfg.params
+    theta = traj.field_array("theta")
+    phi = traj.field_array("phi")
+    sigma = traj.field_array("sigma")
+    for k in range(nt):
+        source = (params.lambda_p * sigma[k] - params.lambda_a
+                  - params.lambda_e * theta[k]) * cfg.nonlinearities.H_gate(
+                      phi[k])
+        phase_rate = ((phi[k + 1] - phi[k]) @ w) / cfg.time_grid.dt
+        assert _rate_gap(phase_rate, source @ w) <= 1e-10
