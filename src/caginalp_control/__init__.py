@@ -62,7 +62,6 @@ _EXPORTS = {
     "oracle_terminal_conditions": "oracle",
     "oracle_cost": "oracle",
     # linsolve
-    "SolveCounter": "linsolve",
     "FactorizedOperator": "linsolve",
     # state
     "SolverConfig": "state",

@@ -8,7 +8,10 @@ equations read again as nodal equations in L itself, and every adjoint solve
 reuses a forward factorization: the backward heat solve uses I - dt*L, the
 backward phase solve uses the same fourth-order Schur complement, and the
 backward nutrient solve uses the forward nutrient operator shifted by the
-decay coefficient one level below the step.
+decay coefficient one level below the step. An adjoint sweep takes those
+factorizations, and the model, from its base trajectory; only the terminal
+operator I - tau*L is new, factorized once per base by its first adjoint
+sweep.
 
 Indexing convention: the multiplier attached to the step that produces
 level k is stored at trajectory index k - 1, so index m of the adjoint
@@ -28,12 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError
-from .grid import Field, SpaceTimeField, Trajectory, laplacian_matrix
-from .linsolve import FactorizedOperator, SolveCounter
-from .state import StepOperators, _decay_coefficient, solve_state
+from .grid import Field, SpaceTimeField, Trajectory
+from .state import _decay_coefficient, solve_state
 
 __all__ = [
     "AdjointSources",
@@ -147,7 +148,7 @@ class AdjointSources:
                    else None)
 
 
-def _terminal_from_vectors(g_z, g_w, g_r, grid, params, cfg, counter=None):
+def _terminal_from_vectors(ops, g_z, g_w, g_r):
     """Split terminal cost gradients into the four adjoint variables.
 
     z_T = g_z, (I - tau * Lap) p_T = g_w - ell * g_z, q_T = -Lap p_T and
@@ -155,22 +156,14 @@ def _terminal_from_vectors(g_z, g_w, g_r, grid, params, cfg, counter=None):
     g_w = b4 * (phi_T - phi_omega) and g_r = 0.
     """
     z_t = np.asarray(g_z, dtype=float)
-    v_t = np.asarray(g_w, dtype=float) - params.ell * z_t
-    if params.tau == 0.0:
-        p_t = v_t.copy()
-    else:
-        lap = laplacian_matrix(grid)
-        eye = sp.identity(grid.num_nodes, format="csr")
-        op = FactorizedOperator(eye - params.tau * lap, cfg.linear_tol,
-                                cfg.max_linear_iters, counter,
-                                label="terminal")
-        p_t = op.solve(v_t)
-    q_t = -(laplacian_matrix(grid) @ p_t)
+    v_t = np.asarray(g_w, dtype=float) - ops.params.ell * z_t
+    p_t = v_t.copy() if ops.params.tau == 0.0 else ops.solve_terminal(v_t)
+    q_t = -(ops.lap @ p_t)
     return z_t, p_t, q_t, np.asarray(g_r, dtype=float)
 
 
 def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
-                         r_next, params, nl, pot):
+                         r_next):
     """One backward step on flat arrays, producing trajectory index level.
 
     The step transposes the forward step level -> level + 1, so the decay
@@ -179,7 +172,7 @@ def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
     (level = nt - 1) is seeded by the terminal data instead of later
     multipliers.
     """
-    dt = ops.dt
+    dt, params, nl, pot = ops.dt, ops.params, ops.nl, ops.pot
     nt = base.time_grid.nt
     k = level + 1
     theta_b = base.field_array("theta")
@@ -237,16 +230,13 @@ def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
     return z_new, p_new, q_new, r_new
 
 
-def solve_adjoint_with_sources(base, sources, cfg, params, nl, pot,
-                               counter=None):
+def solve_adjoint_with_sources(base, sources):
     """Backward sweep driven by explicit sources and terminal vectors.
 
     Args:
-        base: Forward state trajectory.
+        base: State trajectory of :func:`~caginalp_control.state.solve_state`;
+            its operators and model are used.
         sources: AdjointSources on matching grids.
-        cfg: SolverConfig.
-        params, nl, pot: Model data.
-        counter: Optional SolveCounter.
 
     Returns:
         Trajectory of (z, p, q, r); index nt holds the terminal data.
@@ -258,39 +248,35 @@ def solve_adjoint_with_sources(base, sources, cfg, params, nl, pot,
     nt = time_grid.nt
     total = grid.num_nodes
 
-    counter = counter if counter is not None else SolveCounter()
-    start_count = counter.count
-    ops = StepOperators(grid, time_grid.dt, cfg, params, nl, counter=counter)
+    ops = base.operators
+    start_count = ops.counter.count
 
     z = np.zeros((nt + 1, total))
     p = np.zeros((nt + 1, total))
     q = np.zeros((nt + 1, total))
     r = np.zeros((nt + 1, total))
     z[nt], p[nt], q[nt], r[nt] = _terminal_from_vectors(
-        sources.g_z, sources.g_w, sources.g_r, grid, params, cfg, counter)
+        ops, sources.g_z, sources.g_w, sources.g_r)
 
     for level in range(nt - 1, -1, -1):
-        out = _adjoint_step_arrays(
-            ops, base, sources, level, z[level + 1], p[level + 1],
-            q[level + 1], r[level + 1], params, nl, pot,
-        )
+        out = _adjoint_step_arrays(ops, base, sources, level, z[level + 1],
+                                   p[level + 1], q[level + 1], r[level + 1])
         z[level], p[level], q[level], r[level] = out
 
     return Trajectory(
         time_grid, grid, {"z": z, "p": p, "q": q, "r": r},
-        linear_solve_count=counter.count - start_count,
+        linear_solve_count=ops.counter.count - start_count,
     )
 
 
-def solve_adjoint(base, cost, cfg, params, nl, pot, counter=None):
+def solve_adjoint(base, cost):
     """Backward sweep driven by a cost functional.
 
     Equivalent to solve_adjoint_with_sources with the tracking and terminal
     residuals of the cost as sources.
     """
     sources = AdjointSources.from_cost(base, cost)
-    return solve_adjoint_with_sources(base, sources, cfg, params, nl, pot,
-                                      counter=counter)
+    return solve_adjoint_with_sources(base, sources)
 
 
 @dataclass(frozen=True)
@@ -303,7 +289,7 @@ class GradientResult:
     adjoint: Trajectory
 
 
-def reduced_gradient(u, init, cost, cfg, params, nl, pot, counter=None):
+def reduced_gradient(u, init, cost, cfg, params, nl, pot):
     """Reduced cost gradient at a control, via one forward-backward sweep.
 
     The gradient slice at level n is z_n + b5 * u_n, where z_n is the
@@ -314,20 +300,18 @@ def reduced_gradient(u, init, cost, cfg, params, nl, pot, counter=None):
     Returns:
         GradientResult with the gradient, the cost value and both sweeps.
     """
-    state = solve_state(init, u, cfg, params, nl, pot, counter=counter)
-    return _gradient_from_state(state, u, cost, cfg, params, nl, pot,
-                                counter=counter)
+    state = solve_state(init, u, cfg, params, nl, pot)
+    return _gradient_from_state(state, u, cost)
 
 
-def _gradient_from_state(state, u, cost, cfg, params, nl, pot, counter=None):
+def _gradient_from_state(state, u, cost):
     """Reduced gradient at u from the state trajectory u produced.
 
     Runs only the backward sweep; see :func:`reduced_gradient`.
     """
     from .control import evaluate_cost
 
-    adjoint = solve_adjoint(state, cost, cfg, params, nl, pot,
-                            counter=counter)
+    adjoint = solve_adjoint(state, cost)
     return GradientResult(gradient=adjoint.space_time("z") + cost.b5 * u,
                           cost_value=evaluate_cost(state, u, cost),
                           state=state, adjoint=adjoint)

@@ -47,7 +47,6 @@ from .adjoint import (
 )
 from .errors import ConfigurationError, OptimizerError, SolverError
 from .grid import SpaceTimeField, l2q_inner, l2q_norm, quadrature_weights
-from .linsolve import SolveCounter
 from .state import solve_state
 
 __all__ = [
@@ -259,28 +258,32 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
         OptimizerError: If a forward or backward sweep fails inside the
             iteration.
     """
-    counter = SolveCounter()
     u = project_admissible(u0, adm)
     iterates = []
     stop_reason = None
+    solves = 0
 
     def state_at(control):
+        nonlocal solves
         try:
-            return solve_state(init, control, solver_cfg, params, nl, pot,
-                               counter=counter)
+            traj = solve_state(init, control, solver_cfg, params, nl, pot)
         except SolverError as exc:
             raise OptimizerError(
                 f"state sweep failed at iterate {len(iterates)}: {exc}"
             ) from exc
+        solves += traj.linear_solve_count
+        return traj
 
     def gradient_at(control, traj):
+        nonlocal solves
         try:
-            return _gradient_from_state(traj, control, cost, solver_cfg,
-                                        params, nl, pot, counter=counter)
+            result = _gradient_from_state(traj, control, cost)
         except SolverError as exc:
             raise OptimizerError(
                 f"adjoint sweep failed at iterate {len(iterates)}: {exc}"
             ) from exc
+        solves += result.adjoint.linear_solve_count
+        return result
 
     result = gradient_at(u, state_at(u))
     iteration = 0
@@ -290,16 +293,12 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
         stationarity = l2q_norm(u - project_admissible(u - grad, adm))
 
         if stationarity <= opt_cfg.stationarity_tol:
-            iterates.append(IterateRecord(iteration, current_cost,
-                                          stationarity, 0.0, 0,
-                                          counter.count))
             stop_reason = "stationarity"
-            break
-        if iteration >= opt_cfg.max_iters:
-            iterates.append(IterateRecord(iteration, current_cost,
-                                          stationarity, 0.0, 0,
-                                          counter.count))
+        elif iteration >= opt_cfg.max_iters:
             stop_reason = "max_iters"
+        if stop_reason is not None:
+            iterates.append(IterateRecord(iteration, current_cost,
+                                          stationarity, 0.0, 0, solves))
             break
 
         # Decreases at or below this are rounding of the inner sweeps.
@@ -331,15 +330,11 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
                 search_end = "resolution"
                 break
 
+        iterates.append(IterateRecord(iteration, current_cost, stationarity,
+                                      alpha, backtracks, solves))
         if accepted is None:
-            iterates.append(IterateRecord(iteration, current_cost,
-                                          stationarity, alpha, backtracks,
-                                          counter.count))
             stop_reason = search_end
             break
-
-        iterates.append(IterateRecord(iteration, current_cost, stationarity,
-                                      alpha, backtracks, counter.count))
         u = accepted
         # The accepted trial's state is the state at the new iterate.
         result = gradient_at(u, trial_state)

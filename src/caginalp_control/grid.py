@@ -360,14 +360,15 @@ class Trajectory:
     (zeta, xi, eta, rho) and the adjoint sweep (z, p, q, r). The arrays are
     taken over, not copied, and made read-only, so a producer hands over
     arrays it no longer writes to. ``diagnostics`` holds the per-level rows
-    of a forward sweep and is empty otherwise.
+    of a forward sweep and is empty otherwise, and ``operators`` holds its
+    StepOperators, which the sweeps around it reuse, and is None otherwise.
     """
 
     __slots__ = ("time_grid", "grid", "_arrays", "diagnostics",
-                 "linear_solve_count")
+                 "linear_solve_count", "operators")
 
     def __init__(self, time_grid, grid, arrays, diagnostics=(),
-                 linear_solve_count=0):
+                 linear_solve_count=0, operators=None):
         expected = (time_grid.nt + 1, grid.num_nodes)
         for name, arr in arrays.items():
             if arr.shape != expected:
@@ -381,6 +382,7 @@ class Trajectory:
         self._arrays = dict(arrays)
         self.diagnostics = tuple(diagnostics)
         self.linear_solve_count = int(linear_solve_count)
+        self.operators = operators
 
     def field_array(self, name):
         """Read-only (nt + 1, N) array of one field's nodal values."""

@@ -4,9 +4,10 @@ Each forward step freezes its nonlinear coefficients at the old level, so the
 step is a smooth map of (old state, control slice) and its derivative is
 computed exactly: the linearized step solves the same three linear systems
 with the same matrices as the forward step, only the right-hand sides change.
-Sharing the factorizations makes one linearized sweep cost the same as one
-forward sweep and keeps the derivative consistent with the discrete map to
-rounding accuracy, which the Taylor test below verifies.
+A linearized sweep takes those factorizations, and the model, from its base
+trajectory, so it costs no more than one forward sweep and stays consistent
+with the discrete map to rounding accuracy, which the Taylor test below
+verifies.
 
 The linearized variables are (zeta, xi, eta, rho) for the perturbations of
 (theta, phi, mu, sigma). Initial data is unperturbed, so all four start at
@@ -26,9 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Trajectory, l2q_norm
-from .linsolve import SolveCounter
 from .state import (
-    StepOperators,
     _decay_coefficient,
     _require_finite,
     solve_state,
@@ -44,10 +43,9 @@ __all__ = [
 
 
 def _lin_step_arrays(ops, base_theta_n, base_phi_n, base_sigma_n,
-                     base_sigma_next, zeta_n, xi_n, rho_n, h_n, params, nl,
-                     pot, step):
+                     base_sigma_next, zeta_n, xi_n, rho_n, h_n, step):
     """One linearized step on flat arrays; returns the four new levels."""
-    dt = ops.dt
+    dt, params, nl, pot = ops.dt, ops.params, ops.nl, ops.pot
     with np.errstate(over="ignore", invalid="ignore"):
         gate = np.asarray(nl.H_gate(base_phi_n), dtype=float)
         gate_prime = np.asarray(nl.H_gate_prime(base_phi_n), dtype=float)
@@ -82,15 +80,14 @@ def _lin_step_arrays(ops, base_theta_n, base_phi_n, base_sigma_n,
     return zeta_next, xi_next, eta_next, rho_next
 
 
-def solve_linearized(base, h, cfg, params, nl, pot, counter=None):
+def solve_linearized(base, h):
     """Sweep the linearized system along a base trajectory.
 
     Args:
-        base: State trajectory the linearization is taken around.
+        base: State trajectory of :func:`~caginalp_control.state.solve_state`
+            the linearization is taken around; its operators and model are
+            used.
         h: Control direction as a SpaceTimeField on the same grids.
-        cfg: SolverConfig.
-        params, nl, pot: Model data.
-        counter: Optional SolveCounter.
 
     Returns:
         Trajectory of (zeta, xi, eta, rho), zero at level 0.
@@ -102,9 +99,8 @@ def solve_linearized(base, h, cfg, params, nl, pot, counter=None):
     nt = time_grid.nt
     total = grid.num_nodes
 
-    counter = counter if counter is not None else SolveCounter()
-    start_count = counter.count
-    ops = StepOperators(grid, time_grid.dt, cfg, params, nl, counter=counter)
+    ops = base.operators
+    start_count = ops.counter.count
 
     zeta = np.zeros((nt + 1, total))
     xi = np.zeros((nt + 1, total))
@@ -116,16 +112,14 @@ def solve_linearized(base, h, cfg, params, nl, pot, counter=None):
     sigma_b = base.field_array("sigma")
     directions = h.flat_slices
     for step in range(nt):
-        out = _lin_step_arrays(
-            ops, theta_b[step], phi_b[step], sigma_b[step],
-            sigma_b[step + 1], zeta[step], xi[step], rho[step],
-            directions[step], params, nl, pot, step=step,
-        )
+        out = _lin_step_arrays(ops, theta_b[step], phi_b[step], sigma_b[step],
+                               sigma_b[step + 1], zeta[step], xi[step],
+                               rho[step], directions[step], step=step)
         zeta[step + 1], xi[step + 1], eta[step + 1], rho[step + 1] = out
 
     return Trajectory(
         time_grid, grid, {"zeta": zeta, "xi": xi, "eta": eta, "rho": rho},
-        linear_solve_count=counter.count - start_count,
+        linear_solve_count=ops.counter.count - start_count,
     )
 
 
@@ -189,7 +183,7 @@ def taylor_test(base_u, h, epsilons, init, cfg, params, nl, pot):
         raise ConfigurationError("taylor direction must be nonzero")
 
     base_traj = solve_state(init, base_u, cfg, params, nl, pot)
-    lin = solve_linearized(base_traj, h, cfg, params, nl, pot)
+    lin = solve_linearized(base_traj, h)
     grid = base_traj.grid
     time_grid = base_traj.time_grid
 

@@ -1,14 +1,15 @@
 """LU-factorized sparse solves with residual-checked iteration.
 
 Every inner linear system in the package goes through this wrapper: one LU
-factorization per matrix, made once per sweep and reused across right-hand
-sides, with each solve iterated until it is accepted. A solution is accepted
-once its relative residual ||r||_2 / ||b||_2 meets the requested tolerance,
-or once its normwise backward error ||r||_inf / (||A||_inf ||x||_inf +
-||b||_inf) is at rounding level, a few units of roundoff (Higham, Accuracy
-and Stability of Numerical Algorithms, section 7.1). The relative residual
-of a backward-stable solve grows with the condition number of A, which on
-fine grids keeps it above any fixed tolerance; the backward error does not.
+factorization per matrix, made once per forward sweep and reused by every
+linearized and adjoint sweep around that trajectory, with each solve
+iterated until it is accepted. A solution is accepted once its relative
+residual ||r||_2 / ||b||_2 meets the requested tolerance, or once its
+normwise backward error ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf) is at
+rounding level, a few units of roundoff (Higham, Accuracy and Stability of
+Numerical Algorithms, section 7.1). The relative residual of a
+backward-stable solve grows with the condition number of A, which on fine
+grids keeps it above any fixed tolerance; the backward error does not.
 
 A plain solve refines the LU solution. A shifted solve of
 (A + diag(shift)) x = b, whose diagonal changes from step to step, runs
@@ -41,7 +42,7 @@ def _at_rounding(residual, x, matrix_norm, rhs_inf):
 
 
 class SolveCounter:
-    """Mutable tally of inner linear solves, threaded through sweeps."""
+    """Mutable tally of inner linear solves, one per StepOperators."""
 
     __slots__ = ("count",)
 

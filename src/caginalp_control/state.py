@@ -18,10 +18,11 @@ Freezing the nonlinearities at the old level makes the whole step an
 explicitly differentiable affine map of (old state, control slice); the
 linearized and adjoint modules differentiate and transpose exactly this map.
 
-The phase, heat and nutrient operators are each factorized once per sweep
-(see :class:`StepOperators`); the nutrient decay changes every step and
-enters each nutrient solve as a diagonal shift of a factorization made at a
-reference decay.
+The phase, heat and nutrient operators are each factorized once per forward
+sweep (see :class:`StepOperators`) and reused by every linearized and
+adjoint sweep around that trajectory; the nutrient decay changes every step
+and enters each nutrient solve as a diagonal shift of a factorization made
+at a reference decay.
 
 The Cahn-Hilliard pair is solved through its Schur complement in phi
 (eliminating mu by the potential equation), so the potential relation
@@ -34,7 +35,8 @@ equation with a zero phase rate, mu0 = -Lap(phi0) + f(phi0) - chi*sigma0
 
 A sweep returns a :class:`~caginalp_control.grid.Trajectory` with fields
 theta, phi, mu and sigma: index k of the state trajectory holds time level
-t_k, from the initial data at index 0 to the final state at index nt.
+t_k, from the initial data at index 0 to the final state at index nt. The
+trajectory keeps the operators that produced it as ``operators``.
 """
 
 from __future__ import annotations
@@ -135,25 +137,30 @@ class DiagnosticsRecord:
 
 
 class StepOperators:
-    """Shared factorizations and coefficient plumbing for one solve.
+    """Model data and factorizations of one forward sweep.
 
-    Holds the sparse Laplacian, the potential recovery operator
-    (a*I - Lap), and three operators factorized once per sweep: the heat
-    operator (I/dt - Lap), the Cahn-Hilliard Schur complement
-    (I/dt - a*Lap + Lap^2) and the nutrient operator at a reference decay
-    (I/dt - Lap + decay_ref*I). The nutrient decay changes every step; each
-    step solves with its own decay through :meth:`solve_nutrient`. The
-    reference decay is the midpoint of the declared range [lambda_B,
-    lambda_B + lambda_C*h_star + lambda_D*k_star], taken from the model
-    alone, so that every sweep of a problem factorizes the same matrix.
+    Holds the model (params, nl, pot), the sparse Laplacian, the potential
+    recovery operator (a*I - Lap), and three operators factorized once per
+    forward sweep and reused by every linearized and adjoint sweep around
+    its trajectory: the heat operator (I/dt - Lap), the Cahn-Hilliard Schur
+    complement (I/dt - a*Lap + Lap^2) and the nutrient operator at a
+    reference decay (I/dt - Lap + decay_ref*I). The nutrient decay changes
+    every step; each step solves with its own decay through
+    :meth:`solve_nutrient`. The reference decay is the midpoint of the
+    declared range [lambda_B, lambda_B + lambda_C*h_star + lambda_D*k_star],
+    taken from the model alone, so that every sweep of a problem factorizes
+    the same matrix. Every solve ticks ``counter``.
     """
 
-    def __init__(self, grid, dt, cfg, params, nl, counter=None):
+    def __init__(self, grid, dt, cfg, params, nl, pot):
         self.grid = grid
         self.dt = float(dt)
         self.cfg = cfg
         self.params = params
-        self.counter = counter if counter is not None else SolveCounter()
+        self.nl = nl
+        self.pot = pot
+        self.counter = SolveCounter()
+        self._terminal = None
         self.lap = laplacian_matrix(grid)
         self.weights = quadrature_weights(grid)
         self.a = params.tau / self.dt + cfg.stabilization_s
@@ -174,6 +181,14 @@ class StepOperators:
         return self.nutrient.solve(rhs, step=step, guess=guess,
                                    shift=decay - self.decay_ref)
 
+    def solve_terminal(self, rhs):
+        """Solve (I - tau*Lap) x = rhs, factorizing on the first call."""
+        if self._terminal is None:
+            eye = sp.identity(self.grid.num_nodes, format="csr")
+            self._terminal = self._factorize(
+                eye - self.params.tau * self.lap, "terminal")
+        return self._terminal.solve(rhs)
+
     def _factorize(self, matrix, label):
         return FactorizedOperator(matrix, self.cfg.linear_tol,
                                   self.cfg.max_linear_iters, self.counter,
@@ -193,10 +208,9 @@ def _require_finite(arr, step):
                           step=step, residual=float("nan"))
 
 
-def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, params, nl,
-                 pot, step):
+def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
     """One forward step on flat arrays; returns the four new levels."""
-    dt = ops.dt
+    dt, params, nl, pot = ops.dt, ops.params, ops.nl, ops.pot
     with np.errstate(over="ignore", invalid="ignore"):
         gate = np.asarray(nl.H_gate(phi_n), dtype=float)
         source = (params.lambda_p * sigma_n - params.lambda_a
@@ -243,7 +257,7 @@ def ch_energy(phi, pot):
     return float(interface + bulk)
 
 
-def solve_state(init, u, cfg, params, nl, pot, counter=None):
+def solve_state(init, u, cfg, params, nl, pot):
     """March the full horizon and record per-level diagnostics.
 
     Args:
@@ -252,11 +266,11 @@ def solve_state(init, u, cfg, params, nl, pot, counter=None):
             final slice is unused.
         cfg: SolverConfig.
         params, nl, pot: Model data.
-        counter: Optional SolveCounter to accumulate inner-solve tallies.
 
     Returns:
         Trajectory of (theta, phi, mu, sigma) at levels 0..nt, with one
-        diagnostics row per level.
+        diagnostics row per level and the sweep's StepOperators, which
+        linearized and adjoint sweeps around it reuse.
 
     Raises:
         SolverError: Propagated from the failing step, with its index.
@@ -269,9 +283,7 @@ def solve_state(init, u, cfg, params, nl, pot, counter=None):
     dt = time_grid.dt
     total = grid.num_nodes
 
-    counter = counter if counter is not None else SolveCounter()
-    start_count = counter.count
-    ops = StepOperators(grid, dt, cfg, params, nl, counter=counter)
+    ops = StepOperators(grid, dt, cfg, params, nl, pot)
 
     theta = np.zeros((nt + 1, total))
     phi = np.zeros((nt + 1, total))
@@ -287,7 +299,7 @@ def solve_state(init, u, cfg, params, nl, pot, counter=None):
     for step in range(nt):
         sb = params.sigma_b_at(times[step], dt, grid)
         out = _step_arrays(ops, theta[step], phi[step], sigma[step],
-                           controls[step], sb, params, nl, pot, step=step)
+                           controls[step], sb, step=step)
         theta[step + 1], phi[step + 1], mu[step + 1], sigma[step + 1] = out
 
     weights = ops.weights
@@ -310,7 +322,8 @@ def solve_state(init, u, cfg, params, nl, pot, counter=None):
         time_grid, grid,
         {"theta": theta, "phi": phi, "mu": mu, "sigma": sigma},
         diagnostics=diagnostics,
-        linear_solve_count=counter.count - start_count,
+        linear_solve_count=ops.counter.count,
+        operators=ops,
     )
 
 

@@ -196,6 +196,10 @@ class TestResult:
     runtime: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        # A numpy bool would be written True/False instead of true/false.
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -404,7 +408,7 @@ def _suite_oracle(problem, cfg):
                 traj.field_array(name), getattr(dense, name)))
 
         h = _random_direction(rng, time_grid, grid)
-        lin = solve_linearized(traj, h, solver, params, nl, pot)
+        lin = solve_linearized(traj, h)
         dense_lin = oracle_linearized(
             dense, grid, time_grid, params, nl, pot, h,
             stabilization_s=solver.stabilization_s)
@@ -422,8 +426,7 @@ def _suite_oracle(problem, cfg):
         terminal = {key: rng.standard_normal(total)
                     for key in ("g_z", "g_w", "g_r")}
         sources = AdjointSources(time_grid, grid, **source_arrays, **terminal)
-        adj = solve_adjoint_with_sources(traj, sources, solver, params, nl,
-                                         pot)
+        adj = solve_adjoint_with_sources(traj, sources)
         dense_adj = oracle_adjoint(
             dense, grid, time_grid, params, nl, pot,
             {**source_arrays, **terminal},
@@ -504,8 +507,6 @@ def _suite_adjoint(problem, cfg):
     dt = time_grid.dt
     w = quadrature_weights(grid)
     sign = -1.0 if cfg.debug_flip_adjoint_sign else 1.0
-    args = (problem.solver, problem.params, problem.nonlinearities,
-            problem.potential)
 
     dot_rows = []
     worst_dot = 0.0
@@ -522,8 +523,8 @@ def _suite_adjoint(problem, cfg):
                     for key in ("g_z", "g_w", "g_r")}
         sources = AdjointSources(time_grid, grid, **source_arrays, **terminal)
 
-        lin = solve_linearized(base, h, *args)
-        adj = solve_adjoint_with_sources(base, sources, *args)
+        lin = solve_linearized(base, h)
+        adj = solve_adjoint_with_sources(base, sources)
         lhs = _control_pairing(h, sign * adj.field_array("z"), dt, w)
         rhs = _source_pairing(sources, lin, dt, w)
         gap = _relative_gap(lhs, rhs)
@@ -531,13 +532,13 @@ def _suite_adjoint(problem, cfg):
         dot_rows.append((trial, lhs, rhs, gap))
 
     cost_sources = AdjointSources.from_cost(base, problem.cost)
-    cost_adjoint = solve_adjoint(base, problem.cost, *args)
+    cost_adjoint = solve_adjoint(base, problem.cost)
     dual_rows = []
     worst_dual = 0.0
     for trial in range(10):
         rng = _child_rng(cfg.seed, 6, trial)
         h = _random_direction(rng, time_grid, grid)
-        lin = solve_linearized(base, h, *args)
+        lin = solve_linearized(base, h)
         lhs = _control_pairing(h, sign * cost_adjoint.field_array("z"), dt, w)
         rhs = _source_pairing(cost_sources, lin, dt, w)
         gap = _relative_gap(lhs, rhs)
@@ -564,14 +565,20 @@ def _suite_adjoint(problem, cfg):
 def _suite_gradient(problem, cfg):
     from .control import evaluate_cost
 
-    args = (problem.solver, problem.params, problem.nonlinearities,
-            problem.potential)
     u = problem.base_control
-    result = reduced_gradient(u, problem.init, problem.cost, *args)
+    result = reduced_gradient(u, problem.init, problem.cost, problem.solver,
+                              problem.params, problem.nonlinearities,
+                              problem.potential)
     grad = result.gradient
     if cfg.debug_flip_adjoint_sign:
         # Negate the adjoint density: z + b5*u becomes -z + b5*u.
         grad = grad - 2.0 * result.adjoint.space_time("z")
+
+    def cost_at(control):
+        traj = solve_state(problem.init, control, problem.solver,
+                           problem.params, problem.nonlinearities,
+                           problem.potential)
+        return evaluate_cost(traj, control, problem.cost)
 
     eps = 1e-5
     worst = 0.0
@@ -584,10 +591,7 @@ def _suite_gradient(problem, cfg):
         # divides by eps, so the relative gap measures the gradient formula
         # rather than the luck of a nearly orthogonal draw.
         h = (GRADIENT_DIRECTION_NORM / l2q_norm(h)) * h
-        plus = solve_state(problem.init, u + eps * h, *args)
-        minus = solve_state(problem.init, u - eps * h, *args)
-        fd = (evaluate_cost(plus, u + eps * h, problem.cost)
-              - evaluate_cost(minus, u - eps * h, problem.cost)) / (2 * eps)
+        fd = (cost_at(u + eps * h) - cost_at(u - eps * h)) / (2 * eps)
         pairing = l2q_inner(grad, h)
         gap = _relative_gap(fd, pairing)
         worst = max(worst, gap)

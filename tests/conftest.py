@@ -1,10 +1,12 @@
 """Shared fixtures: the shipped desk problem, found from this file's path,
-and one run of the full verification battery on it."""
+one run of the full verification battery on it, and a factorization
+counter."""
 
 import os
 
 import pytest
 
+import caginalp_control.linsolve as linsolve
 from caginalp_control import VerifySuiteConfig, load_config, run_suite
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
@@ -22,3 +24,17 @@ def desk_problem():
 def desk_report(desk_problem):
     """VerifyReport of the default battery on the desk problem."""
     return run_suite(VerifySuiteConfig(), desk_problem)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Shapes of the matrices factorized while the test runs."""
+    calls = []
+    real_splu = linsolve.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return real_splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(linsolve, "splu", counting_splu)
+    return calls

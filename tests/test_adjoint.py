@@ -54,17 +54,15 @@ def _random_control(time_grid, grid, rng, scale=1.0):
     return SpaceTimeField(time_grid, grid, values)
 
 
-def _base_setup(n, nt, rng, t_final=0.2):
+def _base_setup(n, nt, rng, t_final=0.2, params=None):
+    """Grids and the state trajectory of a random smooth problem."""
     grid = Grid(n, 1.0)
     time_grid = TimeGrid(t_final, nt)
     init = _smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.2)
-    params = _desk_params()
-    nl = default_nonlinearities()
-    pot = default_potential()
-    cfg = SolverConfig()
-    base = solve_state(init, u, cfg, params, nl, pot)
-    return grid, time_grid, init, u, params, nl, pot, cfg, base
+    base = solve_state(init, u, SolverConfig(), params or _desk_params(),
+                       default_nonlinearities(), default_potential())
+    return grid, time_grid, base
 
 
 def _control_pair(h, z_levels, dt, w):
@@ -92,11 +90,9 @@ def _terminal_data(cost, params, grid=None, rng=None):
     time_grid = TimeGrid(0.05, 2)
     init = _smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.2)
-    nl = default_nonlinearities()
-    pot = default_potential()
-    cfg = SolverConfig()
-    base = solve_state(init, u, cfg, params, nl, pot)
-    adj = solve_adjoint(base, cost, cfg, params, nl, pot)
+    base = solve_state(init, u, SolverConfig(), params,
+                       default_nonlinearities(), default_potential())
+    adj = solve_adjoint(base, cost)
     nt = time_grid.nt
     terminal = {name: adj.field_array(name)[nt]
                 for name in ("z", "p", "q", "r")}
@@ -151,19 +147,18 @@ def test_final_conditions_tau_zero_is_direct_copy():
 
 def test_zero_cost_gives_zero_adjoint():
     rng = np.random.default_rng(11)
-    (_, _, _, _, params, nl, pot, cfg, base) = _base_setup(9, 8, rng)
+    _, _, base = _base_setup(9, 8, rng)
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
-    adj = solve_adjoint(base, cost, cfg, params, nl, pot)
+    adj = solve_adjoint(base, cost)
     for name in ("z", "p", "q", "r"):
         assert np.all(adj.field_array(name) == 0.0), name
 
 
 def test_q_equals_minus_laplacian_p_for_cost_sweeps():
     rng = np.random.default_rng(13)
-    (grid, time_grid, _, _, params, nl, pot, cfg,
-     base) = _base_setup(9, 8, rng)
+    grid, time_grid, base = _base_setup(9, 8, rng)
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
-    adj = solve_adjoint(base, cost, cfg, params, nl, pot)
+    adj = solve_adjoint(base, cost)
     lap = laplacian_matrix(grid)
     p = adj.field_array("p")
     q = adj.field_array("q")
@@ -175,11 +170,11 @@ def test_q_equals_minus_laplacian_p_for_cost_sweeps():
 
 def test_adjoint_is_linear_in_cost_weights():
     rng = np.random.default_rng(17)
-    (_, _, _, _, params, nl, pot, cfg, base) = _base_setup(9, 6, rng)
+    _, _, base = _base_setup(9, 6, rng)
     cost = CostSpec(b1=0.8, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
     doubled = CostSpec(b1=1.6, b2=1.2, b3=1.8, b4=1.0, b5=0.5)
-    adj = solve_adjoint(base, cost, cfg, params, nl, pot)
-    adj2 = solve_adjoint(base, doubled, cfg, params, nl, pot)
+    adj = solve_adjoint(base, cost)
+    adj2 = solve_adjoint(base, doubled)
     for name in ("z", "p", "q", "r"):
         lhs = adj2.field_array(name)
         rhs = 2.0 * adj.field_array(name)
@@ -189,8 +184,7 @@ def test_adjoint_is_linear_in_cost_weights():
 
 def test_matches_dense_transpose_on_tiny_grid():
     rng = np.random.default_rng(19)
-    (grid, time_grid, _, _, params, nl, pot, cfg,
-     base) = _base_setup(4, 3, rng, t_final=0.3)
+    grid, time_grid, base = _base_setup(4, 3, rng, t_final=0.3)
     nt = time_grid.nt
     total = grid.num_nodes
     sources = AdjointSources(
@@ -207,11 +201,13 @@ def test_matches_dense_transpose_on_tiny_grid():
         g_w=rng.normal(size=total),
         g_r=rng.normal(size=total),
     )
-    adj = solve_adjoint_with_sources(base, sources, cfg, params, nl, pot)
+    adj = solve_adjoint_with_sources(base, sources)
     base_arrays = SimpleNamespace(theta=base.field_array("theta"),
                                   phi=base.field_array("phi"),
                                   sigma=base.field_array("sigma"))
-    dense = oracle_adjoint(base_arrays, grid, time_grid, params, nl, pot,
+    ops = base.operators
+    dense = oracle_adjoint(base_arrays, grid, time_grid, ops.params, ops.nl,
+                           ops.pot,
                            {"s_theta": sources.s_theta,
                             "s_phi": sources.s_phi,
                             "s_eta": sources.s_eta,
@@ -230,8 +226,7 @@ def test_matches_dense_transpose_on_tiny_grid():
 
 def test_dot_product_identity_random_sources():
     rng = np.random.default_rng(23)
-    (grid, time_grid, _, _, params, nl, pot, cfg,
-     base) = _base_setup(9, 8, rng)
+    grid, time_grid, base = _base_setup(9, 8, rng)
     nt = time_grid.nt
     total = grid.num_nodes
     dt = time_grid.dt
@@ -254,9 +249,8 @@ def test_dot_product_identity_random_sources():
             g_r=sub.normal(size=total),
         )
         h = _random_control(time_grid, grid, sub)
-        adj = solve_adjoint_with_sources(base, sources, cfg, params, nl,
-                                         pot)
-        lin = solve_linearized(base, h, cfg, params, nl, pot)
+        adj = solve_adjoint_with_sources(base, sources)
+        lin = solve_linearized(base, h)
         lhs = _control_pair(h, adj.field_array("z"), dt, w)
         rhs = _source_pair(sources, lin, dt, w)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
@@ -267,20 +261,19 @@ def test_duality_identity_for_tracking_cost():
     # The adjoint built from the cost must reproduce the Gateaux derivative
     # of the tracking part of J, written directly from the residuals.
     rng = np.random.default_rng(29)
-    (grid, time_grid, _, _, params, nl, pot, cfg,
-     base) = _base_setup(9, 8, rng)
+    grid, time_grid, base = _base_setup(9, 8, rng)
     nt = time_grid.nt
     dt = time_grid.dt
     w = quadrature_weights(grid).ravel()
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
-    adj = solve_adjoint(base, cost, cfg, params, nl, pot)
+    adj = solve_adjoint(base, cost)
     theta = base.field_array("theta")
     phi = base.field_array("phi")
     worst = 0.0
     for trial in range(10):
         sub = np.random.default_rng([29, trial])
         h = _random_control(time_grid, grid, sub)
-        lin = solve_linearized(base, h, cfg, params, nl, pot)
+        lin = solve_linearized(base, h)
         zeta = lin.field_array("zeta")
         xi = lin.field_array("xi")
         rhs = 0.0
@@ -368,20 +361,26 @@ def test_gradient_result_reports_cost_of_the_sweep():
 
 
 @pytest.mark.parametrize("tau, extra", [(0.5, 1), (0.0, 0)])
-def test_adjoint_sweep_counts_terminal_solve(tau, extra):
+def test_adjoint_sweep_counts_terminal_solve(splu_calls, tau, extra):
     # With tau > 0 the terminal data needs one (I - tau*Lap) solve on top of
-    # the three block solves of every step, and it goes into the tally.
+    # the three block solves of every step, and it goes into the tally. The
+    # terminal operator is factorized by the first adjoint sweep around a
+    # base and kept, so a second sweep tallies the same solves and
+    # factorizes nothing.
     from dataclasses import replace
 
-    from caginalp_control.linsolve import SolveCounter
-
     rng = np.random.default_rng(53)
-    (grid, time_grid, _, _, params, nl, pot, cfg,
-     base) = _base_setup(9, 5, rng)
-    params = replace(params, tau=tau)
+    _, time_grid, base = _base_setup(
+        9, 5, rng, params=replace(_desk_params(), tau=tau))
+    assert base.operators.params.tau == tau
+    assert len(splu_calls) == 3
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
-    counter = SolveCounter()
-    adj = solve_adjoint(base, cost, cfg, params, nl, pot, counter=counter)
-    expected = 3 * time_grid.nt + extra
-    assert counter.count == expected
-    assert adj.linear_solve_count == expected
+    first = solve_adjoint(base, cost)
+    assert first.linear_solve_count == 3 * time_grid.nt + extra
+    assert len(splu_calls) == 3 + extra
+    second = solve_adjoint(base, cost)
+    assert second.linear_solve_count == 3 * time_grid.nt + extra
+    assert len(splu_calls) == 3 + extra
+    for name in ("z", "p", "q", "r"):
+        assert np.array_equal(second.field_array(name),
+                              first.field_array(name)), name

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, reports, exit codes, determinism."""
 
+import contextlib
+import io
 import os
 import shutil
 import textwrap
@@ -244,18 +246,39 @@ def test_verify_fault_injection_exits_5(tmp_path, capsys):
     assert "FAILED" in out
 
 
-def test_verify_all_on_shipped_desk_config(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def desk_verify_run(tmp_path_factory):
+    """Exit code, stdout and output directory of ``verify all`` on the
+    shipped desk config."""
+    tmp_path = tmp_path_factory.mktemp("desk_verify")
     for name in ("desk.cfg", "desk_reference.cfg"):
         shutil.copy(os.path.join(CONFIGS, name), str(tmp_path / name))
     text = (tmp_path / "desk.cfg").read_text()
     text = text.replace("dir = out_desk", f"dir = {tmp_path}/desk_out")
     (tmp_path / "desk.cfg").write_text(text)
-    assert main(["verify", "all", str(tmp_path / "desk.cfg")]) == EXIT_OK
-    out = capsys.readouterr().out
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "all", str(tmp_path / "desk.cfg")])
+    return code, out.getvalue(), tmp_path / "desk_out"
+
+
+def test_verify_all_on_shipped_desk_config(desk_verify_run):
+    code, out, out_dir = desk_verify_run
+    assert code == EXIT_OK
     assert "all 17 check(s) passed" in out
-    out_files = os.listdir(str(tmp_path / "desk_out"))
+    out_files = os.listdir(str(out_dir))
     assert "verify_report.csv" in out_files
     assert "optim_report.csv" in out_files
+
+
+def test_desk_verify_report_writes_every_verdict_as_true_or_false(
+        desk_verify_run):
+    _, _, out_dir = desk_verify_run
+    lines = (out_dir / "verify_report.csv").read_text().splitlines()
+    assert lines[1] == "name,passed,measured,tolerance"
+    verdicts = [line.split(",")[1] for line in lines[2:]]
+    assert len(verdicts) == 17
+    assert set(verdicts) <= {"true", "false"}
 
 
 def test_thread_limit_parsing():

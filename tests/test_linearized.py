@@ -61,7 +61,7 @@ def test_zero_direction_gives_zero_trajectory():
     pot = default_potential()
     base = solve_state(init, u, SolverConfig(), params, nl, pot)
     h = SpaceTimeField.zeros(time_grid, grid)
-    lin = solve_linearized(base, h, SolverConfig(), params, nl, pot)
+    lin = solve_linearized(base, h)
     for name in ("zeta", "xi", "eta", "rho"):
         assert np.all(lin.field_array(name) == 0.0), name
 
@@ -80,10 +80,9 @@ def test_linearized_map_is_linear():
     h1 = _random_control(time_grid, grid, rng)
     h2 = _random_control(time_grid, grid, rng)
     alpha, beta = 1.7, -0.4
-    combined = solve_linearized(
-        base, alpha * h1 + beta * h2, cfg, params, nl, pot)
-    lin1 = solve_linearized(base, h1, cfg, params, nl, pot)
-    lin2 = solve_linearized(base, h2, cfg, params, nl, pot)
+    combined = solve_linearized(base, alpha * h1 + beta * h2)
+    lin1 = solve_linearized(base, h1)
+    lin2 = solve_linearized(base, h2)
     for name in ("zeta", "xi", "eta", "rho"):
         lhs = combined.field_array(name)
         rhs = (alpha * lin1.field_array(name)
@@ -110,7 +109,7 @@ def test_two_step_sweep_matches_forward_difference():
     # a large direction lifts the first-order remainder above rounding.
     h = _random_control(time_grid, grid, rng, 100.0)
     base = solve_state(init, u, cfg, params, nl, pot)
-    lin = solve_linearized(base, h, cfg, params, nl, pot)
+    lin = solve_linearized(base, h)
     assert np.any(lin.field_array("zeta")[1] != 0.0)
 
     pairs = (("theta", "zeta"), ("phi", "xi"), ("mu", "eta"),
@@ -147,7 +146,7 @@ def test_matches_dense_jacobian_on_tiny_grid():
     u = _random_control(time_grid, grid, rng, 0.3)
     h = _random_control(time_grid, grid, rng)
     base = solve_state(init, u, cfg, params, nl, pot)
-    lin = solve_linearized(base, h, cfg, params, nl, pot)
+    lin = solve_linearized(base, h)
     # Hand the dense oracle the same base trajectory so the comparison
     # isolates the Jacobian itself.
     base_arrays = SimpleNamespace(theta=base.field_array("theta"),
@@ -180,7 +179,7 @@ def test_linear_regime_state_equals_linearization():
     base = solve_state(init, SpaceTimeField.zeros(time_grid, grid), cfg,
                        params, nl, pot)
     full = solve_state(init, h, cfg, params, nl, pot)
-    lin = solve_linearized(base, h, cfg, params, nl, pot)
+    lin = solve_linearized(base, h)
     pairs = (("theta", "zeta"), ("phi", "xi"), ("mu", "eta"),
              ("sigma", "rho"))
     for state_name, lin_name in pairs:

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-import caginalp_control.linsolve as linsolve
 from caginalp_control import (
+    AdjointSources,
     Field,
     Grid,
     InitialData,
@@ -18,6 +18,8 @@ from caginalp_control import (
     default_nonlinearities,
     default_potential,
     laplacian_matrix,
+    solve_adjoint_with_sources,
+    solve_linearized,
     solve_state,
 )
 from caginalp_control.state import StepOperators
@@ -34,7 +36,8 @@ def _desk_params(**overrides):
 def _nutrient_case(grid, dt, params, seed):
     """Operators, a decay drawn across the declared range and a rhs."""
     nl = default_nonlinearities()
-    ops = StepOperators(grid, dt, SolverConfig(), params, nl)
+    ops = StepOperators(grid, dt, SolverConfig(), params, nl,
+                        default_potential())
     rng = np.random.default_rng(seed)
     top = (params.lambda_b + params.lambda_c * nl.h_star
            + params.lambda_d * nl.k_star)
@@ -77,7 +80,7 @@ def test_shifted_nutrient_solve_converges_when_decay_is_stiff():
 def test_decay_reference_is_midpoint_of_declared_range():
     params = _desk_params()
     ops = StepOperators(Grid(9, 1.0), 0.1, SolverConfig(), params,
-                        default_nonlinearities())
+                        default_nonlinearities(), default_potential())
     assert ops.decay_ref == pytest.approx(0.3 + 0.5 * (0.4 + 0.2))
 
 
@@ -89,23 +92,40 @@ def _desk_init(grid):
                        sigma0=Field(grid, 0.8 + 0.1 * cosx))
 
 
-@pytest.mark.parametrize("nt", [2, 9])
-def test_forward_sweep_factorizes_three_times(monkeypatch, nt):
-    calls = []
-    real_splu = linsolve.splu
-
-    def counting_splu(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return real_splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(linsolve, "splu", counting_splu)
+def _desk_base(nt, **overrides):
     grid = Grid(17, 2.0)
     time_grid = TimeGrid(0.1 * nt, nt)
     u = SpaceTimeField.zeros(time_grid, grid)
-    traj = solve_state(_desk_init(grid), u, SolverConfig(), _desk_params(),
-                       default_nonlinearities(), default_potential())
-    assert len(calls) == 3
+    return solve_state(_desk_init(grid), u, SolverConfig(),
+                       _desk_params(**overrides), default_nonlinearities(),
+                       default_potential())
+
+
+@pytest.mark.parametrize("nt", [2, 9])
+def test_forward_sweep_factorizes_three_times(splu_calls, nt):
+    traj = _desk_base(nt)
+    assert len(splu_calls) == 3
     assert traj.linear_solve_count == 3 * nt
+
+
+@pytest.mark.parametrize("tau", [0.5, 0.0])
+def test_sweeps_around_a_base_reuse_its_factorizations(splu_calls, tau):
+    # Linearized and adjoint sweeps solve on the operators of their base;
+    # only the adjoint's terminal operator I - tau*Lap is new, factorized
+    # once per base when tau > 0.
+    nt = 4
+    base = _desk_base(nt, tau=tau)
+    assert len(splu_calls) == 3
+    grid, time_grid = base.grid, base.time_grid
+    h = SpaceTimeField.constant(time_grid, grid, 0.3)
+    sources = AdjointSources(time_grid, grid,
+                             g_w=np.ones(grid.num_nodes))
+    for _ in range(2):
+        lin = solve_linearized(base, h)
+        adj = solve_adjoint_with_sources(base, sources)
+        assert lin.linear_solve_count == 3 * nt
+        assert adj.linear_solve_count == 3 * nt + (tau > 0.0)
+    assert len(splu_calls) == 3 + (tau > 0.0)
 
 
 def test_forward_stall_names_block_and_step():
@@ -126,7 +146,8 @@ def test_forward_stall_names_block_and_step():
 def test_every_block_names_itself_when_it_stalls():
     grid = Grid(9, 1.0)
     ops = StepOperators(grid, 0.1, SolverConfig(max_linear_iters=0),
-                        _desk_params(), default_nonlinearities())
+                        _desk_params(), default_nonlinearities(),
+                        default_potential())
     rhs = np.ones(grid.num_nodes)
     guess = np.zeros(grid.num_nodes)
     decay = np.zeros(grid.num_nodes)

@@ -84,7 +84,7 @@ def test_terminal_conditions_match_fast_path():
     for tau in (0.0, 1.0):
         params = ModelParams(ell=0.5, tau=tau)
         base = solve_state(init, u, SolverConfig(), params, nl, pot)
-        adj = solve_adjoint(base, cost, SolverConfig(), params, nl, pot)
+        adj = solve_adjoint(base, cost)
         dense = oracle_terminal_conditions(
             base.field_array("theta")[-1], base.field_array("phi")[-1],
             cost, params, grid)

@@ -29,7 +29,6 @@ from caginalp_control import (
     trajectory_distance_y,
     zero_potential,
 )
-from caginalp_control.linsolve import SolveCounter
 from caginalp_control.oracle import dense_oracle_solve
 
 
@@ -228,12 +227,10 @@ def test_linear_solve_count_three_per_step():
     time_grid = TimeGrid(0.1, 7)
     init = _constant_init(grid, 0.1, 0.2, 0.5)
     u = SpaceTimeField.zeros(time_grid, grid)
-    counter = SolveCounter()
     traj = solve_state(init, u, SolverConfig(), ModelParams(),
-                       default_nonlinearities(), default_potential(),
-                       counter=counter)
-    assert counter.count == 3 * time_grid.nt
+                       default_nonlinearities(), default_potential())
     assert traj.linear_solve_count == 3 * time_grid.nt
+    assert traj.operators.counter.count == 3 * time_grid.nt
 
 
 def test_initial_mu_formula():
