@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Field, SpaceTimeField, Trajectory
-from .state import _decay_coefficient, solve_state
+from .state import _base_operators, _decay_coefficient, solve_state
 
 __all__ = [
     "AdjointSources",
@@ -158,7 +158,7 @@ def _terminal_from_vectors(ops, g_z, g_w, g_r):
     z_t = np.asarray(g_z, dtype=float)
     v_t = np.asarray(g_w, dtype=float) - ops.params.ell * z_t
     p_t = v_t.copy() if ops.params.tau == 0.0 else ops.solve_terminal(v_t)
-    q_t = -(ops.lap @ p_t)
+    q_t = -ops.apply_lap(p_t)
     return z_t, p_t, q_t, np.asarray(g_r, dtype=float)
 
 
@@ -190,8 +190,8 @@ def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
             (r_next + dt * sources.s_sigma[k]) / dt, decay, step=level)
         w_t = p_next + params.tau * q_next + params.ell * z_next
         rhs_p = (w_t + dt * sources.s_phi[k] - params.ell * z_new
-                 - dt * params.chi * (ops.lap @ r_new)
-                 + dt * (ops.a * s_eta_k - ops.lap @ s_eta_k))
+                 - dt * params.chi * ops.apply_lap(r_new)
+                 + dt * (ops.a * s_eta_k - ops.apply_lap(s_eta_k)))
     else:
         theta_k = theta_b[k]
         phi_k = phi_b[k]
@@ -222,11 +222,11 @@ def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
                          * r_next
                          + sources.s_phi[k])
                  + params.ell * (z_next - z_new)
-                 - dt * params.chi * (ops.lap @ r_new)
-                 + dt * (ops.a * s_eta_k - ops.lap @ s_eta_k))
+                 - dt * params.chi * ops.apply_lap(r_new)
+                 + dt * (ops.a * s_eta_k - ops.apply_lap(s_eta_k)))
 
     p_new = ops.ch_schur.solve(rhs_p / dt, step=level)
-    q_new = -(ops.lap @ p_new) - s_eta_k
+    q_new = -ops.apply_lap(p_new) - s_eta_k
     return z_new, p_new, q_new, r_new
 
 
@@ -240,6 +240,10 @@ def solve_adjoint_with_sources(base, sources):
 
     Returns:
         Trajectory of (z, p, q, r); index nt holds the terminal data.
+
+    Raises:
+        ConfigurationError: If the grids differ or ``base`` carries no
+            operators.
     """
     grid = base.grid
     time_grid = base.time_grid
@@ -248,7 +252,7 @@ def solve_adjoint_with_sources(base, sources):
     nt = time_grid.nt
     total = grid.num_nodes
 
-    ops = base.operators
+    ops = _base_operators(base)
     start_count = ops.counter.count
 
     z = np.zeros((nt + 1, total))
@@ -275,6 +279,7 @@ def solve_adjoint(base, cost):
     Equivalent to solve_adjoint_with_sources with the tracking and terminal
     residuals of the cost as sources.
     """
+    _base_operators(base)
     sources = AdjointSources.from_cost(base, cost)
     return solve_adjoint_with_sources(base, sources)
 

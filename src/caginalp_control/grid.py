@@ -179,7 +179,7 @@ class TimeGrid:
 
 
 def _check_finite(values, what):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ConfigurationError(f"{what} contains non-finite values")
 
 
@@ -360,11 +360,13 @@ class Trajectory:
     (zeta, xi, eta, rho) and the adjoint sweep (z, p, q, r). The arrays are
     taken over, not copied, and made read-only, so a producer hands over
     arrays it no longer writes to. ``diagnostics`` holds the per-level rows
-    of a forward sweep and is empty otherwise, and ``operators`` holds its
-    StepOperators, which the sweeps around it reuse, and is None otherwise.
+    of a forward sweep and is empty otherwise; a producer may hand over a
+    function that computes them instead, which then runs on the first read
+    and is replaced by its rows. ``operators`` holds the StepOperators of a
+    forward sweep, which the sweeps around it reuse, and is None otherwise.
     """
 
-    __slots__ = ("time_grid", "grid", "_arrays", "diagnostics",
+    __slots__ = ("time_grid", "grid", "_arrays", "_diagnostics",
                  "linear_solve_count", "operators")
 
     def __init__(self, time_grid, grid, arrays, diagnostics=(),
@@ -380,9 +382,17 @@ class Trajectory:
         self.time_grid = time_grid
         self.grid = grid
         self._arrays = dict(arrays)
-        self.diagnostics = tuple(diagnostics)
+        self._diagnostics = (diagnostics if callable(diagnostics)
+                             else tuple(diagnostics))
         self.linear_solve_count = int(linear_solve_count)
         self.operators = operators
+
+    @property
+    def diagnostics(self):
+        """Tuple of per-level rows, computed and kept on the first read."""
+        if callable(self._diagnostics):
+            self._diagnostics = tuple(self._diagnostics())
+        return self._diagnostics
 
     def field_array(self, name):
         """Read-only (nt + 1, N) array of one field's nodal values."""

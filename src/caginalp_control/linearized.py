@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import Trajectory, l2q_norm
 from .state import (
+    _base_operators,
     _decay_coefficient,
     _require_finite,
     solve_state,
@@ -66,14 +67,14 @@ def _lin_step_arrays(ops, base_theta_n, base_phi_n, base_sigma_n,
     _require_finite(rhs_potential, step)
     _require_finite(decay, step)
 
-    xi_next = ops.ch_schur.solve(rhs_phase - ops.lap @ rhs_potential,
+    xi_next = ops.ch_schur.solve(rhs_phase - ops.apply_lap(rhs_potential),
                                  step=step)
-    eta_next = ops.a_minus_lap @ xi_next - rhs_potential
+    eta_next = ops.apply_a_minus_lap(xi_next) - rhs_potential
 
     rhs_heat = zeta_n / dt - (params.ell / dt) * (xi_next - xi_n) + h_n
     zeta_next = ops.heat.solve(rhs_heat, step=step)
 
-    rhs_nutrient = (rho_n / dt - params.chi * (ops.lap @ xi_next)
+    rhs_nutrient = (rho_n / dt - params.chi * ops.apply_lap(xi_next)
                     - base_sigma_next * (gate_prime_phi * xi_n
                                          + k_prime * zeta_n))
     rho_next = ops.solve_nutrient(rhs_nutrient, decay, step=step)
@@ -91,6 +92,10 @@ def solve_linearized(base, h):
 
     Returns:
         Trajectory of (zeta, xi, eta, rho), zero at level 0.
+
+    Raises:
+        ConfigurationError: If the grids differ or ``base`` carries no
+            operators.
     """
     grid = base.grid
     time_grid = base.time_grid
@@ -99,7 +104,7 @@ def solve_linearized(base, h):
     nt = time_grid.nt
     total = grid.num_nodes
 
-    ops = base.operators
+    ops = _base_operators(base)
     start_count = ops.counter.count
 
     zeta = np.zeros((nt + 1, total))

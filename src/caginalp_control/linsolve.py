@@ -17,16 +17,30 @@ conjugate gradients preconditioned by the LU of A instead, so no matrix is
 assembled or factorized per step. A solve that meets neither test, or that
 produces non-finite values, raises ``SolverError`` carrying the block label,
 the step index and the achieved residual.
+
+Every matrix-vector product of a sweep goes through :class:`MatVec`, which
+calls the compiled CSR/CSC kernel that scipy's own ``A @ x`` ends in.
+scipy's operator dispatch around that kernel costs more than the kernel
+itself at desk size, and a sweep makes several products per step; the kernel
+and its summation order are the same, so the products are bit-equal. MatVec
+is the package's only use of scipy's private ``_sparsetools``. The norms and
+checks below call array methods (``x.dot(x)``, ``abs(x).max()``,
+``np.isfinite(x).all()``) for the same reason: they compute exactly what
+``np.linalg.norm``, ``np.max`` and ``np.all`` compute on a 1-D real array,
+without their Python-level wrappers.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
 
-__all__ = ["SolveCounter", "FactorizedOperator"]
+__all__ = ["SolveCounter", "FactorizedOperator", "MatVec"]
 
 # Backward error at which a solve counts as converged to rounding level, a
 # few units of roundoff.
@@ -39,6 +53,38 @@ def _at_rounding(residual, x, matrix_norm, rhs_inf):
     # much as the reduction itself on desk-sized vectors.
     return abs(residual).max() <= _ROUNDING * (
         matrix_norm * abs(x).max() + rhs_inf)
+
+
+def _norm(v):
+    """Euclidean norm of a contiguous 1-D float array, as np.linalg.norm."""
+    return math.sqrt(v.dot(v))
+
+
+class MatVec:
+    """y = A @ x for a CSR or CSC matrix A, by the kernel ``A @ x`` calls.
+
+    Calls ``csr_matvec`` or ``csc_matvec`` into a fresh zero vector, as
+    scipy does once it has dispatched ``A @ x`` for a 1-D float array x, so
+    the result is bit-equal to ``A @ x``.
+    """
+
+    __slots__ = ("_kernel", "_rows", "_cols", "_indptr", "_indices", "_data")
+
+    _KERNELS = {"csr": _sparsetools.csr_matvec,
+                "csc": _sparsetools.csc_matvec}
+
+    def __init__(self, matrix):
+        self._kernel = self._KERNELS[matrix.format]
+        self._rows, self._cols = matrix.shape
+        self._indptr = matrix.indptr
+        self._indices = matrix.indices
+        self._data = matrix.data
+
+    def __call__(self, x):
+        result = np.zeros(self._rows)
+        self._kernel(self._rows, self._cols, self._indptr, self._indices,
+                     self._data, x, result)
+        return result
 
 
 class SolveCounter:
@@ -69,6 +115,7 @@ class FactorizedOperator:
     def __init__(self, matrix, linear_tol, max_linear_iters, counter=None,
                  weights=None, label="linear"):
         self._matrix = matrix.tocsc()
+        self._apply = MatVec(self._matrix)
         self._lu = splu(self._matrix)
         self._norm_inf = float(abs(self._matrix).sum(axis=1).max())
         self._tol = float(linear_tol)
@@ -101,11 +148,11 @@ class FactorizedOperator:
         """
         if self._counter is not None:
             self._counter.count += 1
-        rhs = np.asarray(rhs, dtype=float)
-        if not np.all(np.isfinite(rhs)):
+        rhs = np.ascontiguousarray(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
             raise self._failure("received non-finite right-hand side", step,
                                 float("nan"))
-        rhs_norm = float(np.linalg.norm(rhs))
+        rhs_norm = _norm(rhs)
         if rhs_norm == 0.0:
             return np.zeros_like(rhs)
         if shift is None:
@@ -121,8 +168,8 @@ class FactorizedOperator:
         relative = np.inf
         for _ in range(self._max_iters + 1):
             self._require_finite(x, step)
-            residual = rhs - self._matrix @ x
-            relative = float(np.linalg.norm(residual)) / rhs_norm
+            residual = rhs - self._apply(x)
+            relative = _norm(residual) / rhs_norm
             if relative <= self._tol or _at_rounding(
                     residual, x, self._norm_inf, abs(rhs).max()):
                 return x
@@ -144,10 +191,10 @@ class FactorizedOperator:
         """
 
         def apply(v):
-            return self._matrix @ v + shift * v
+            return self._apply(v) + shift * v
 
-        matrix_norm = self._norm_inf + float(np.max(np.abs(shift)))
-        rhs_inf = float(np.max(np.abs(rhs)))
+        matrix_norm = self._norm_inf + float(abs(shift).max())
+        rhs_inf = float(abs(rhs).max())
         if guess is None:
             x = np.zeros_like(rhs)
             residual = rhs
@@ -159,14 +206,14 @@ class FactorizedOperator:
         budget = self._max_iters + (guess is None)
         direction = None
         while True:
-            relative = float(np.linalg.norm(residual)) / rhs_norm
-            if not np.isfinite(relative):
+            relative = _norm(residual) / rhs_norm
+            if not math.isfinite(relative):
                 raise self._failure("produced non-finite values", step,
                                     float("nan"))
             if relative <= self._tol and (budget == 0 or _at_rounding(
                     residual, x, matrix_norm, rhs_inf)):
                 residual = rhs - apply(x)
-                relative = float(np.linalg.norm(residual)) / rhs_norm
+                relative = _norm(residual) / rhs_norm
                 if relative <= self._tol or _at_rounding(
                         residual, x, matrix_norm, rhs_inf):
                     return x
@@ -190,7 +237,7 @@ class FactorizedOperator:
             residual = residual - alpha * applied
 
     def _require_finite(self, x, step):
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise self._failure("produced non-finite values", step,
                                 float("nan"))
 

@@ -56,7 +56,7 @@ from .grid import (
     laplacian_matrix,
     quadrature_weights,
 )
-from .linsolve import FactorizedOperator, SolveCounter
+from .linsolve import FactorizedOperator, MatVec, SolveCounter
 
 __all__ = [
     "SolverConfig",
@@ -125,7 +125,11 @@ class InitialData:
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Per-level balance and norm diagnostics."""
+    """Per-level balance and norm diagnostics.
+
+    A forward sweep computes its rows on the first read of
+    ``Trajectory.diagnostics``, not while it marches.
+    """
 
     step: int
     time: float
@@ -140,12 +144,14 @@ class StepOperators:
     """Model data and factorizations of one forward sweep.
 
     Holds the model (params, nl, pot), the sparse Laplacian, the potential
-    recovery operator (a*I - Lap), and three operators factorized once per
-    forward sweep and reused by every linearized and adjoint sweep around
-    its trajectory: the heat operator (I/dt - Lap), the Cahn-Hilliard Schur
-    complement (I/dt - a*Lap + Lap^2) and the nutrient operator at a
-    reference decay (I/dt - Lap + decay_ref*I). The nutrient decay changes
-    every step; each step solves with its own decay through
+    recovery operator (a*I - Lap), their products with a vector
+    (``apply_lap`` and ``apply_a_minus_lap``, see
+    :class:`~caginalp_control.linsolve.MatVec`), and three operators
+    factorized once per forward sweep and reused by every linearized and
+    adjoint sweep around its trajectory: the heat operator (I/dt - Lap), the
+    Cahn-Hilliard Schur complement (I/dt - a*Lap + Lap^2) and the nutrient
+    operator at a reference decay (I/dt - Lap + decay_ref*I). The nutrient
+    decay changes every step; each step solves with its own decay through
     :meth:`solve_nutrient`. The reference decay is the midpoint of the
     declared range [lambda_B, lambda_B + lambda_C*h_star + lambda_D*k_star],
     taken from the model alone, so that every sweep of a problem factorizes
@@ -166,6 +172,8 @@ class StepOperators:
         self.a = params.tau / self.dt + cfg.stabilization_s
         eye = sp.identity(grid.num_nodes, format="csr")
         self.a_minus_lap = (self.a * eye - self.lap).tocsr()
+        self.apply_lap = MatVec(self.lap)
+        self.apply_a_minus_lap = MatVec(self.a_minus_lap)
         self.decay_ref = params.lambda_b + 0.5 * (
             params.lambda_c * nl.h_star + params.lambda_d * nl.k_star)
         heat = eye / self.dt - self.lap
@@ -195,6 +203,20 @@ class StepOperators:
                                   weights=self.weights, label=label)
 
 
+def _base_operators(base):
+    """The StepOperators a linearized or adjoint sweep around ``base`` uses.
+
+    Raises:
+        ConfigurationError: If ``base`` carries none, so it is not the
+            output of :func:`solve_state`.
+    """
+    if base.operators is None:
+        raise ConfigurationError(
+            "base trajectory carries no operators; it must come from"
+            " solve_state")
+    return base.operators
+
+
 def _decay_coefficient(theta_flat, gate, params, nl):
     """Nutrient decay lambda_c H(phi) + lambda_b + lambda_d K(theta), given
     the gate values H(phi)."""
@@ -203,7 +225,7 @@ def _decay_coefficient(theta_flat, gate, params, nl):
 
 
 def _require_finite(arr, step):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SolverError("non-finite values while assembling a step",
                           step=step, residual=float("nan"))
 
@@ -223,14 +245,14 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
     _require_finite(rhs_potential, step)
     _require_finite(decay, step)
 
-    phi_next = ops.ch_schur.solve(rhs_phase - ops.lap @ rhs_potential,
+    phi_next = ops.ch_schur.solve(rhs_phase - ops.apply_lap(rhs_potential),
                                   step=step, guess=phi_n)
-    mu_next = ops.a_minus_lap @ phi_next - rhs_potential
+    mu_next = ops.apply_a_minus_lap(phi_next) - rhs_potential
 
     rhs_heat = (theta_n / dt - (params.ell / dt) * (phi_next - phi_n) + u_n)
     theta_next = ops.heat.solve(rhs_heat, step=step, guess=theta_n)
 
-    rhs_nutrient = (sigma_n / dt - params.chi * (ops.lap @ phi_next)
+    rhs_nutrient = (sigma_n / dt - params.chi * ops.apply_lap(phi_next)
                     + params.lambda_b * sigma_b_n)
     sigma_next = ops.solve_nutrient(rhs_nutrient, decay, step=step,
                                     guess=sigma_n)
@@ -258,7 +280,7 @@ def ch_energy(phi, pot):
 
 
 def solve_state(init, u, cfg, params, nl, pot):
-    """March the full horizon and record per-level diagnostics.
+    """March the full horizon; per-level diagnostics follow on first read.
 
     Args:
         init: Initial data.
@@ -269,8 +291,9 @@ def solve_state(init, u, cfg, params, nl, pot):
 
     Returns:
         Trajectory of (theta, phi, mu, sigma) at levels 0..nt, with one
-        diagnostics row per level and the sweep's StepOperators, which
-        linearized and adjoint sweeps around it reuse.
+        diagnostics row per level, computed on the first read of
+        ``diagnostics``, and the sweep's StepOperators, which linearized
+        and adjoint sweeps around it reuse.
 
     Raises:
         SolverError: Propagated from the failing step, with its index.
@@ -302,21 +325,23 @@ def solve_state(init, u, cfg, params, nl, pot):
                            controls[step], sb, step=step)
         theta[step + 1], phi[step + 1], mu[step + 1], sigma[step + 1] = out
 
-    weights = ops.weights
-    diagnostics = []
-    shape = grid.shape
-    for level in range(nt + 1):
-        phi_field = Field(grid, phi[level].reshape(shape))
-        diagnostics.append(DiagnosticsRecord(
-            step=level,
-            time=float(times[level]),
-            mass_theta_ell_phi=float(
-                np.dot(weights, theta[level] + params.ell * phi[level])),
-            mass_phi=float(np.dot(weights, phi[level])),
-            energy=ch_energy(phi_field, pot),
-            linf_theta=float(np.max(np.abs(theta[level]))),
-            linf_phi=float(np.max(np.abs(phi[level]))),
-        ))
+    def diagnostics():
+        weights = ops.weights
+        rows = []
+        shape = grid.shape
+        for level in range(nt + 1):
+            phi_field = Field(grid, phi[level].reshape(shape))
+            rows.append(DiagnosticsRecord(
+                step=level,
+                time=float(times[level]),
+                mass_theta_ell_phi=float(
+                    np.dot(weights, theta[level] + params.ell * phi[level])),
+                mass_phi=float(np.dot(weights, phi[level])),
+                energy=ch_energy(phi_field, pot),
+                linf_theta=float(np.max(np.abs(theta[level]))),
+                linf_phi=float(np.max(np.abs(phi[level]))),
+            ))
+        return rows
 
     return Trajectory(
         time_grid, grid,

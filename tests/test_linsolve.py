@@ -1,12 +1,16 @@
-"""Inner solves: the shifted nutrient solve, factorization counts, failures."""
+"""Inner solves: the shifted nutrient solve, factorization counts, failures,
+and the sparse products of every sweep."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse._base import _spbase
 from scipy.sparse.linalg import spsolve
 
 from caginalp_control import (
     AdjointSources,
+    ConfigurationError,
+    CostSpec,
     Field,
     Grid,
     InitialData,
@@ -18,6 +22,7 @@ from caginalp_control import (
     default_nonlinearities,
     default_potential,
     laplacian_matrix,
+    solve_adjoint,
     solve_adjoint_with_sources,
     solve_linearized,
     solve_state,
@@ -161,3 +166,95 @@ def test_every_block_names_itself_when_it_stalls():
             solve()
         assert excinfo.value.block == label
         assert str(excinfo.value).startswith(f"{label} solve at step 0")
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(33, 2.0),
+    Grid(1025, 2.0),
+    Grid((5, 4), (2.0, 1.5)),
+    Grid((33, 33), (2.0, 2.0)),
+], ids=["1d-33", "1d-1025", "2d-5x4", "2d-33x33"])
+def test_matvec_is_bit_equal_to_sparse_matmul(grid):
+    ops = StepOperators(grid, 0.01, SolverConfig(), _desk_params(),
+                        default_nonlinearities(), default_potential())
+    ops.solve_terminal(np.ones(grid.num_nodes))
+    rng = np.random.default_rng(5)
+    total = grid.num_nodes
+    # Entries spread over sixteen decades, so that any change in summation
+    # order would show in the last bits.
+    x = rng.normal(size=total) * 10.0 ** rng.uniform(-8.0, 8.0, size=total)
+    strided = np.repeat(x[:, None], 3, axis=1)[:, 1]
+    assert not strided.flags.c_contiguous
+    cases = [(ops.lap, ops.apply_lap),
+             (ops.a_minus_lap, ops.apply_a_minus_lap)]
+    for operator in (ops.ch_schur, ops.heat, ops.nutrient, ops._terminal):
+        cases.append((operator._matrix, operator._apply))
+    for matrix, apply in cases:
+        for vector in (x, strided):
+            assert np.array_equal(apply(vector), matrix @ vector)
+
+
+@pytest.mark.parametrize("sweep", ["linearized", "adjoint",
+                                   "adjoint-with-sources"])
+def test_sweeps_reject_a_base_without_operators(sweep):
+    # A linearized trajectory carries no operators to sweep around.
+    base = _desk_base(2)
+    grid, time_grid = base.grid, base.time_grid
+    lin = solve_linearized(base, SpaceTimeField.constant(time_grid, grid,
+                                                         0.3))
+    calls = {
+        "linearized": lambda: solve_linearized(
+            lin, SpaceTimeField.zeros(time_grid, grid)),
+        "adjoint": lambda: solve_adjoint(
+            lin, CostSpec(b1=1.0, b2=1.0, b3=1.0, b4=1.0)),
+        "adjoint-with-sources": lambda: solve_adjoint_with_sources(
+            lin, AdjointSources(time_grid, grid)),
+    }
+    with pytest.raises(ConfigurationError, match="solve_state"):
+        calls[sweep]()
+
+
+@pytest.fixture
+def sparse_matmuls(monkeypatch):
+    """Running count of scipy sparse ``@`` calls."""
+    calls = [0]
+    real = _spbase.__matmul__
+
+    def counting(self, other):
+        calls[0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(_spbase, "__matmul__", counting)
+    return calls
+
+
+def _desk_sweep_matmuls(problem, nt, matmuls):
+    """Sparse ``@`` calls of a forward, a linearized and an adjoint sweep on
+    the desk model, at the desk time step over nt steps."""
+    grid = problem.grid
+    time_grid = TimeGrid(problem.time_grid.dt * nt, nt)
+    counts = []
+
+    def counted(sweep, *args):
+        start = matmuls[0]
+        result = sweep(*args)
+        counts.append(matmuls[0] - start)
+        return result
+
+    base = counted(solve_state, problem.init,
+                   SpaceTimeField.constant(time_grid, grid, 0.3),
+                   problem.solver, problem.params, problem.nonlinearities,
+                   problem.potential)
+    counted(solve_linearized, base,
+            SpaceTimeField.constant(time_grid, grid, 0.1))
+    counted(solve_adjoint_with_sources, base, AdjointSources(
+        time_grid, grid, s_theta=np.ones((nt + 1, grid.num_nodes)),
+        g_w=np.ones(grid.num_nodes)))
+    return counts
+
+
+def test_sweeps_make_no_sparse_matmul_per_step(desk_problem, sparse_matmuls):
+    # Per-step products go through MatVec; what is left is per-sweep setup.
+    nt = 5
+    assert (_desk_sweep_matmuls(desk_problem, nt, sparse_matmuls)
+            == _desk_sweep_matmuls(desk_problem, 2 * nt, sparse_matmuls))

@@ -29,6 +29,7 @@ from caginalp_control import (
     trajectory_distance_y,
     zero_potential,
 )
+from caginalp_control import state
 from caginalp_control.oracle import dense_oracle_solve
 
 
@@ -220,6 +221,44 @@ def test_diagnostics_track_mass_and_energy():
                                                    default_potential()))
     assert traj.diagnostics[-1].step == time_grid.nt
     assert traj.diagnostics[-1].time == pytest.approx(0.1)
+
+
+def test_diagnostics_are_computed_on_first_read(desk_problem, monkeypatch):
+    problem = desk_problem
+    calls = []
+    real_energy = state.ch_energy
+
+    def counting_energy(phi, pot):
+        calls.append(None)
+        return real_energy(phi, pot)
+
+    monkeypatch.setattr(state, "ch_energy", counting_energy)
+    traj = solve_state(problem.init, problem.base_control, problem.solver,
+                       problem.params, problem.nonlinearities,
+                       problem.potential)
+    assert len(calls) == 0
+    rows = traj.diagnostics
+    nt = problem.time_grid.nt
+    assert len(calls) == nt + 1
+    assert traj.diagnostics is rows
+    assert len(calls) == nt + 1
+
+    weights = quadrature_weights(problem.grid)
+    ell = problem.params.ell
+    times = problem.time_grid.times
+    assert len(rows) == nt + 1
+    for k, row in enumerate(rows):
+        theta = traj.field_array("theta")[k]
+        phi = traj.field_array("phi")[k]
+        assert row.step == k
+        assert row.time == float(times[k])
+        assert row.mass_theta_ell_phi == float(
+            np.dot(weights, theta + ell * phi))
+        assert row.mass_phi == float(np.dot(weights, phi))
+        assert row.energy == real_energy(traj.field("phi", k),
+                                         problem.potential)
+        assert row.linf_theta == float(np.max(np.abs(theta)))
+        assert row.linf_phi == float(np.max(np.abs(phi)))
 
 
 def test_linear_solve_count_three_per_step():
