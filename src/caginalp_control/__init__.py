@@ -31,8 +31,6 @@ _EXPORTS = {
     "quadrature_weights": "grid",
     "inner_product": "grid",
     "integrate": "grid",
-    "mean_value": "grid",
-    "norms": "grid",
     "l2q_inner": "grid",
     "l2q_norm": "grid",
     "write_field_csv": "grid",
@@ -73,8 +71,6 @@ _EXPORTS = {
     "ch_energy": "state",
     "y_norm": "state",
     "trajectory_distance_y": "state",
-    "LipschitzReport": "state",
-    "lipschitz_probe": "state",
     # linearized
     "solve_linearized": "linearized",
     "TaylorRow": "linearized",

@@ -43,8 +43,6 @@ __all__ = [
     "quadrature_weights",
     "inner_product",
     "integrate",
-    "mean_value",
-    "norms",
     "l2q_inner",
     "l2q_norm",
     "write_field_csv",
@@ -121,14 +119,6 @@ class Grid:
     @property
     def spacing(self):
         return tuple(ext / (count - 1) for ext, count in zip(self.length, self.n))
-
-    @property
-    def measure(self):
-        """Total quadrature mass, the discrete |Omega|."""
-        total = 1.0
-        for w in self._axis_weights():
-            total *= float(w.sum())
-        return total
 
     def coords(self, axis=0):
         """Node coordinates along one axis (read-only array)."""
@@ -292,20 +282,6 @@ class SpaceTimeField:
     @classmethod
     def zeros(cls, time_grid, grid):
         return cls.constant(time_grid, grid, 0.0)
-
-    @classmethod
-    def from_slices(cls, time_grid, slices):
-        if len(slices) != time_grid.nt + 1:
-            raise ConfigurationError(
-                f"expected {time_grid.nt + 1} slices, got {len(slices)}"
-            )
-        grid = slices[0].grid
-        return cls(time_grid, grid, np.stack([s.values for s in slices]))
-
-    @classmethod
-    def from_time_function(cls, time_grid, grid, fn):
-        """Build from ``fn(t) -> Field`` evaluated at every time level."""
-        return cls.from_slices(time_grid, [fn(t) for t in time_grid.times])
 
     @property
     def values(self):
@@ -499,26 +475,6 @@ def integrate(f):
     """Quadrature of ``f`` over the domain, inner_product(f, 1)."""
     w = quadrature_weights(f.grid)
     return float(np.dot(w, f.flat))
-
-
-def mean_value(f):
-    """Quadrature average of ``f``; exact on constants."""
-    return integrate(f) / f.grid.measure
-
-
-def norms(f):
-    """Discrete norms of a field.
-
-    Returns:
-        Dict with keys ``l2`` (weighted), ``h1_semi``
-        (sqrt of inner_product(-lap f, f), clamped at zero against roundoff)
-        and ``linf`` (max absolute nodal value).
-    """
-    l2 = np.sqrt(inner_product(f, f))
-    semi_sq = inner_product(-1.0 * laplacian_apply(f), f)
-    h1_semi = np.sqrt(max(semi_sq, 0.0))
-    linf = float(np.max(np.abs(f.values))) if f.grid.num_nodes else 0.0
-    return {"l2": float(l2), "h1_semi": float(h1_semi), "linf": linf}
 
 
 def l2q_inner(u, v):

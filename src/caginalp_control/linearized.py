@@ -150,32 +150,33 @@ class TaylorReport:
     slopes: tuple
     floor: float
 
-    def min_slope(self):
-        return min(self.slopes) if self.slopes else float("nan")
 
-    def max_slope(self):
-        return max(self.slopes) if self.slopes else float("nan")
-
-
-def taylor_test(base_u, h, epsilons, init, cfg, params, nl, pot):
-    """Second-order Taylor remainder check of the linearization.
+def taylor_test(base, base_u, h, epsilons, init):
+    """Second-order Taylor remainder check of the linearization around a base.
 
     For each epsilon the remainder ||S(u + eps*h) - S(u) - eps*S'(u)h||_Y is
     computed; exact differentiation makes it O(eps^2), so consecutive
     remainders should decay with slope about 2 in log-log until they hit the
-    rounding floor 1e-12 * (1 + ||S(u)||_Y).
+    rounding floor 1e-12 * (1 + ||S(u)||_Y). S(u) is the given base, not
+    solved again: the test costs one linearized sweep plus one forward sweep
+    per epsilon, on the solver settings and model of ``base.operators``.
 
     Args:
+        base: S(base_u), the trajectory of
+            :func:`~caginalp_control.state.solve_state` from ``init`` and
+            ``base_u``.
         base_u: Base control.
         h: Direction; must be nonzero.
         epsilons: At least three strictly decreasing positive values.
-        init: Initial data.
-        cfg: SolverConfig.
-        params, nl, pot: Model data.
+        init: Initial data of ``base``.
 
     Returns:
         TaylorReport with one row per epsilon and one slope per consecutive
         pair of rows that both sit above the floor.
+
+    Raises:
+        ConfigurationError: On invalid epsilons, a zero direction, or a base
+            that carries no operators.
     """
     eps = [float(e) for e in epsilons]
     if len(eps) < 3:
@@ -187,29 +188,30 @@ def taylor_test(base_u, h, epsilons, init, cfg, params, nl, pot):
     if l2q_norm(h) == 0.0:
         raise ConfigurationError("taylor direction must be nonzero")
 
-    base_traj = solve_state(init, base_u, cfg, params, nl, pot)
-    lin = solve_linearized(base_traj, h)
-    grid = base_traj.grid
-    time_grid = base_traj.time_grid
+    ops = _base_operators(base)
+    lin = solve_linearized(base, h)
+    grid = base.grid
+    time_grid = base.time_grid
 
     base_norm = y_norm(
-        base_traj.field_array("theta"), base_traj.field_array("phi"),
-        base_traj.field_array("mu"), base_traj.field_array("sigma"),
+        base.field_array("theta"), base.field_array("phi"),
+        base.field_array("mu"), base.field_array("sigma"),
         grid, time_grid,
     )
     floor = 1e-12 * (1.0 + base_norm)
 
     rows = []
     for e in eps:
-        perturbed = solve_state(init, base_u + e * h, cfg, params, nl, pot)
+        perturbed = solve_state(init, base_u + e * h, ops.cfg, ops.params,
+                                ops.nl, ops.pot)
         remainder = y_norm(
-            perturbed.field_array("theta") - base_traj.field_array("theta")
+            perturbed.field_array("theta") - base.field_array("theta")
             - e * lin.field_array("zeta"),
-            perturbed.field_array("phi") - base_traj.field_array("phi")
+            perturbed.field_array("phi") - base.field_array("phi")
             - e * lin.field_array("xi"),
-            perturbed.field_array("mu") - base_traj.field_array("mu")
+            perturbed.field_array("mu") - base.field_array("mu")
             - e * lin.field_array("eta"),
-            perturbed.field_array("sigma") - base_traj.field_array("sigma")
+            perturbed.field_array("sigma") - base.field_array("sigma")
             - e * lin.field_array("rho"),
             grid, time_grid,
         )

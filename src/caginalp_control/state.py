@@ -52,7 +52,7 @@ from .grid import (
     Trajectory,
     inner_product,
     integrate,
-    l2q_norm,
+    laplacian_apply,
     laplacian_matrix,
     quadrature_weights,
 )
@@ -68,8 +68,6 @@ __all__ = [
     "ch_energy",
     "y_norm",
     "trajectory_distance_y",
-    "LipschitzReport",
-    "lipschitz_probe",
 ]
 
 
@@ -271,8 +269,6 @@ def initial_mu(init, params, pot):
 
 def ch_energy(phi, pot):
     """Discrete Cahn-Hilliard free energy 0.5*<-Lap(phi), phi> + int F_hat."""
-    from .grid import laplacian_apply
-
     interface = 0.5 * inner_product(-1.0 * laplacian_apply(phi), phi)
     bulk = integrate(Field(phi.grid,
                            np.asarray(pot.F_hat(phi.values), dtype=float)))
@@ -353,7 +349,7 @@ def solve_state(init, u, cfg, params, nl, pot):
 
 
 def y_norm(theta, phi, mu, sigma, grid, time_grid):
-    """Trajectory norm used by the Taylor remainder and the Lipschitz probe.
+    """Trajectory norm used by the Taylor remainder and the Lipschitz suite.
 
     Discrete surrogate of the solution-space norm: for the theta and sigma
     components the max-in-time weighted l2 plus the l2-in-time full H1 norm;
@@ -400,37 +396,4 @@ def trajectory_distance_y(a, b):
         a.field_array("mu") - b.field_array("mu"),
         a.field_array("sigma") - b.field_array("sigma"),
         a.grid, a.time_grid,
-    )
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    """Outcome of one continuous-dependence probe."""
-
-    ratio: float
-    state_distance: float
-    control_distance: float
-
-
-def lipschitz_probe(u1, u2, init, cfg, params, nl, pot):
-    """Ratio of state distance to control distance for two controls.
-
-    Empirical probe of the continuous-dependence estimate: the returned ratio
-    is ||S(u1) - S(u2)||_Y / ||u1 - u2||_{L2(Q)}.
-
-    Raises:
-        ConfigurationError: If the controls coincide (degenerate denominator).
-    """
-    control_distance = l2q_norm(u1 - u2)
-    if control_distance == 0.0:
-        raise ConfigurationError(
-            "lipschitz probe needs distinct controls, denominator is zero"
-        )
-    traj1 = solve_state(init, u1, cfg, params, nl, pot)
-    traj2 = solve_state(init, u2, cfg, params, nl, pot)
-    state_distance = trajectory_distance_y(traj1, traj2)
-    return LipschitzReport(
-        ratio=state_distance / control_distance,
-        state_distance=state_distance,
-        control_distance=control_distance,
     )

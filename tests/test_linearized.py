@@ -203,11 +203,11 @@ def test_taylor_slopes_near_two():
     # Scale the direction well above the roundoff floor so the quadratic
     # remainder dominates across all three epsilons.
     h = (64.0 / l2q_norm(h)) * h
-    report = taylor_test(u, h, (1e-2, 1e-3, 1e-4), init, cfg, params,
-                         nl, pot)
+    base = solve_state(init, u, cfg, params, nl, pot)
+    report = taylor_test(base, u, h, (1e-2, 1e-3, 1e-4), init)
     assert len(report.rows) == 3
     assert report.slopes, "all rows hit the roundoff floor"
-    assert 1.9 <= report.min_slope() <= report.max_slope() <= 2.1
+    assert 1.9 <= min(report.slopes) <= max(report.slopes) <= 2.1
     remainders = [row.remainder for row in report.rows]
     assert remainders == sorted(remainders, reverse=True)
 
@@ -224,9 +224,9 @@ def test_taylor_floor_flags_in_linear_regime():
     init = InitialData(theta0=zero, phi0=zero, sigma0=zero)
     u = SpaceTimeField.zeros(time_grid, grid)
     h = _random_control(time_grid, grid, rng, 0.5)
-    report = taylor_test(u, h, (1e-2, 1e-3, 1e-4), init, SolverConfig(),
-                         params, default_nonlinearities(),
-                         zero_potential())
+    base = solve_state(init, u, SolverConfig(), params,
+                       default_nonlinearities(), zero_potential())
+    report = taylor_test(base, u, h, (1e-2, 1e-3, 1e-4), init)
     assert all(row.floor_flagged for row in report.rows)
     assert report.slopes == ()
     assert report.floor > 0.0
@@ -239,13 +239,16 @@ def test_taylor_test_input_validation():
     init = _smooth_init(grid, rng)
     u = SpaceTimeField.zeros(time_grid, grid)
     h = _random_control(time_grid, grid, rng)
-    args = (init, SolverConfig(), _desk_params(),
-            default_nonlinearities(), default_potential())
+    base = solve_state(init, u, SolverConfig(), _desk_params(),
+                       default_nonlinearities(), default_potential())
     with pytest.raises(ConfigurationError, match="three"):
-        taylor_test(u, h, (1e-2, 1e-3), *args)
+        taylor_test(base, u, h, (1e-2, 1e-3), init)
     with pytest.raises(ConfigurationError, match="decreasing"):
-        taylor_test(u, h, (1e-3, 1e-2, 1e-4), *args)
+        taylor_test(base, u, h, (1e-3, 1e-2, 1e-4), init)
     with pytest.raises(ConfigurationError, match="positive"):
-        taylor_test(u, h, (1e-2, 1e-3, 0.0), *args)
+        taylor_test(base, u, h, (1e-2, 1e-3, 0.0), init)
     with pytest.raises(ConfigurationError, match="nonzero"):
-        taylor_test(u, u, (1e-2, 1e-3, 1e-4), *args)
+        taylor_test(base, u, u, (1e-2, 1e-3, 1e-4), init)
+    lin = solve_linearized(base, h)
+    with pytest.raises(ConfigurationError, match="operators"):
+        taylor_test(lin, u, h, (1e-2, 1e-3, 1e-4), init)

@@ -22,7 +22,7 @@ from caginalp_control import (
     default_potential,
     initial_mu,
     integrate,
-    lipschitz_probe,
+    l2q_norm,
     load_config,
     quadrature_weights,
     solve_state,
@@ -132,9 +132,8 @@ def test_per_step_combined_mass_law():
         sigma0=_smooth_field(grid, rng, 0.2) + 0.5,
     )
     x = grid.coords(0)
-    u = SpaceTimeField.from_time_function(
-        time_grid, grid,
-        lambda t: Field(grid, 0.3 * np.cos(np.pi * x / 2.0) * np.cos(t)))
+    u = SpaceTimeField(time_grid, grid, np.stack(
+        [0.3 * np.cos(np.pi * x / 2.0) * np.cos(t) for t in time_grid.times]))
     traj = solve_state(init, u, SolverConfig(), params,
                        default_nonlinearities(), default_potential())
     dt = time_grid.dt
@@ -368,16 +367,6 @@ def test_space_time_sigma_b_matches_dense_oracle(sigma_b_steps):
         assert np.max(np.abs(ours - theirs)) / scale <= 1e-10, name
 
 
-def test_lipschitz_probe_rejects_identical_controls():
-    grid = Grid(9, 1.0)
-    time_grid = TimeGrid(0.1, 5)
-    init = _constant_init(grid, 0.0, 0.5, 0.5)
-    u = SpaceTimeField.zeros(time_grid, grid)
-    with pytest.raises(ConfigurationError, match="distinct"):
-        lipschitz_probe(u, u, init, SolverConfig(), ModelParams(),
-                        default_nonlinearities(), default_potential())
-
-
 def test_lipschitz_ratio_stable_across_scales():
     rng = np.random.default_rng(41)
     grid = Grid(17, 2.0)
@@ -395,13 +384,15 @@ def test_lipschitz_ratio_stable_across_scales():
     bump[-1] = 0.0
     nl = default_nonlinearities()
     pot = default_potential()
+    base_traj = solve_state(init, base, SolverConfig(), params, nl, pot)
     ratios = []
     for eps in (1e-1, 1e-2, 1e-3):
         other = SpaceTimeField(time_grid, grid, eps * bump)
-        report = lipschitz_probe(base, other, init, SolverConfig(),
-                                 params, nl, pot)
-        assert report.control_distance > 0.0
-        ratios.append(report.ratio)
+        traj = solve_state(init, other, SolverConfig(), params, nl, pot)
+        control_distance = l2q_norm(base - other)
+        assert control_distance > 0.0
+        ratios.append(trajectory_distance_y(base_traj, traj)
+                      / control_distance)
     ratios = np.asarray(ratios)
     assert np.max(ratios) / np.min(ratios) <= 1.05
 
@@ -419,12 +410,13 @@ def test_lipschitz_ratio_constant_in_fully_linear_regime():
     bump[-1] = 0.0
     pot = zero_potential()
     nl = default_nonlinearities()
+    base_traj = solve_state(init, base, SolverConfig(), params, nl, pot)
     ratios = []
     for eps in (1e-1, 1e-2, 1e-3):
         other = SpaceTimeField(time_grid, grid, eps * bump)
-        report = lipschitz_probe(base, other, init, SolverConfig(),
-                                 params, nl, pot)
-        ratios.append(report.ratio)
+        traj = solve_state(init, other, SolverConfig(), params, nl, pot)
+        ratios.append(trajectory_distance_y(base_traj, traj)
+                      / l2q_norm(base - other))
     assert np.max(ratios) - np.min(ratios) <= 1e-8 * ratios[0]
 
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 import os
+import sys
 
 import numpy as np
 import pytest
 from conftest import CONFIGS
 
+import caginalp_control
 from caginalp_control import (
     ConfigurationError,
     Field,
@@ -18,6 +20,7 @@ from caginalp_control import (
     run_suite,
     solve_state,
 )
+from caginalp_control import adjoint, state
 
 
 def test_default_battery_passes(desk_report):
@@ -133,6 +136,62 @@ def test_suite_exception_is_contained(desk_problem):
     assert "ConfigurationError" in crashed.detail
     assert np.isnan(crashed.measured)
     assert by_name["equilibrium_fixed_point"].passed
+
+
+def _replace_everywhere(monkeypatch, original, replacement):
+    """Point every package-module attribute holding ``original`` at
+    ``replacement``, since ``from .x import y`` copies it."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not name.startswith(caginalp_control.__name__):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def test_battery_solves_base_state_and_its_cost_adjoint_once(
+        monkeypatch, desk_problem):
+    # The taylor, adjoint, gradient and lipschitz suites share one
+    # S(base_control) of the problem's model and one cost adjoint around it.
+    base_states = []
+    adjoint_bases = []
+    real_solve_state = state.solve_state
+    real_solve_adjoint = adjoint.solve_adjoint
+
+    def counting_solve_state(init, u, cfg, params, nl, pot):
+        traj = real_solve_state(init, u, cfg, params, nl, pot)
+        if u is desk_problem.base_control and params is desk_problem.params:
+            base_states.append(traj)
+        return traj
+
+    def counting_solve_adjoint(base, cost):
+        adjoint_bases.append(base)
+        return real_solve_adjoint(base, cost)
+
+    _replace_everywhere(monkeypatch, real_solve_state, counting_solve_state)
+    _replace_everywhere(monkeypatch, real_solve_adjoint,
+                        counting_solve_adjoint)
+    report = run_suite(VerifySuiteConfig(), desk_problem)
+    assert report.all_passed
+    assert len(base_states) == 1
+    assert sum(any(b is s for s in base_states) for b in adjoint_bases) == 1
+
+
+def test_failed_base_sweep_fails_every_suite_that_needs_it(desk_problem):
+    # A raising base sweep is not kept: each dependent suite solves it
+    # again and records its own failure, and other suites are unaffected.
+    broken = dataclasses.replace(desk_problem, params=dataclasses.replace(
+        desk_problem.params, lambda_p=1e300))
+    dependent = ("taylor", "adjoint", "gradient", "lipschitz")
+    cfg = VerifySuiteConfig(suites=("equilibrium",) + dependent)
+    with np.errstate(over="ignore"):
+        report = run_suite(cfg, broken)
+    names = [r.name for r in report.results]
+    assert names == ["equilibrium_fixed_point", *dependent]
+    assert report.results[0].passed
+    for row in report.results[1:]:
+        assert not row.passed
+        assert row.detail.startswith("SolverError"), row.detail
 
 
 def test_desk_problem_targets_come_from_reference_run(desk_problem):
