@@ -38,8 +38,6 @@ EXIT_SOLVER = 3
 EXIT_OPTIMIZER = 4
 EXIT_VERIFY = 5
 
-_FMT = "{:.17g}"
-
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -90,28 +88,20 @@ def _build_parser():
     return parser
 
 
-def _format_cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _FMT.format(value)
-    return str(value)
-
-
 def _write_csv(path, header, rows, seed=None):
     """Write one delimited report; a seed is recorded as a comment line."""
-    lines = []
-    if seed is not None:
-        lines.append(f"# seed={seed}")
+    from .grid import _FMT
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return _FMT.format(value)
+        return str(value)
+
+    lines = [] if seed is None else [f"# seed={seed}"]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
-    _write_lines(path, lines)
-
-
-def _write_lines(path, lines):
+    lines.extend(",".join(map(cell, row)) for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -144,30 +134,15 @@ def _write_effective_config(cfg):
         handle.write(cfg.effective_config())
 
 
-# One template per slice row: the node indices, then every float in _FMT.
-_SLICE_ROW_1D = "{}," + ",".join([_FMT] * 5)
-_SLICE_ROW_2D = "{},{}," + ",".join([_FMT] * 6)
+_STATE_FIELDS = ("theta", "phi", "mu", "sigma")
 
 
-def _state_slice_lines(trajectory, level):
-    """Header and rows of one state slice CSV, one format call per row."""
-    theta, phi, mu, sigma = (trajectory.field_array(name)[level].tolist()
-                             for name in ("theta", "phi", "mu", "sigma"))
-    grid = trajectory.grid
-    if grid.dim == 1:
-        header = "index_x,x,theta,phi,mu,sigma"
-        rows = map(_SLICE_ROW_1D.format, range(grid.n[0]),
-                   grid.coords(0).tolist(), theta, phi, mu, sigma)
-    else:
-        import numpy as np
+def _write_state_slice(path, trajectory, level):
+    """Write one time level of the state as a node table."""
+    from .grid import _write_node_table
 
-        header = "index_x,index_y,x,y,theta,phi,mu,sigma"
-        # Row-major flattening: node (i, j) sits at i * ny + j.
-        i, j = np.divmod(np.arange(grid.num_nodes), grid.n[1])
-        rows = map(_SLICE_ROW_2D.format, i.tolist(), j.tolist(),
-                   grid.coords(0)[i].tolist(), grid.coords(1)[j].tolist(),
-                   theta, phi, mu, sigma)
-    return [header, *rows]
+    _write_node_table(path, trajectory.grid, _STATE_FIELDS, [[
+        trajectory.field_array(name)[level] for name in _STATE_FIELDS]])
 
 
 def _cmd_simulate(config_path):
@@ -188,8 +163,8 @@ def _cmd_simulate(config_path):
     _write_csv(os.path.join(out_dir, "diagnostics.csv"), header, rows)
 
     for level in cfg.output_slices:
-        _write_lines(os.path.join(out_dir, f"state_{level:06d}.csv"),
-                     _state_slice_lines(trajectory, level))
+        _write_state_slice(os.path.join(out_dir, f"state_{level:06d}.csv"),
+                           trajectory, level)
 
     _write_effective_config(cfg)
     print(f"simulate: {cfg.time_grid.nt} steps,"

@@ -46,6 +46,7 @@ from .grid import (
     Grid,
     SpaceTimeField,
     TimeGrid,
+    _cosine_profile,
     read_field_csv,
     read_space_time_csv,
 )
@@ -418,14 +419,6 @@ class RunConfig:
 
     # -- field sources ------------------------------------------------------
 
-    def _cosine_values(self, amplitude, mode, offset):
-        axes = [np.cos(mode * np.pi * self.grid.coords(axis)
-                       / self.grid.length[axis])
-                for axis in range(self.grid.dim)]
-        profile = axes[0] if self.grid.dim == 1 else np.multiply.outer(
-            axes[0], axes[1])
-        return offset + amplitude * profile
-
     def _parse_cosine(self, section, key, body):
         parts = [p.strip() for p in body.split(",")]
         if len(parts) not in (2, 3):
@@ -439,7 +432,8 @@ class RunConfig:
         canonical = f"cosine:{_float_str(amplitude)},{mode}"
         if offset != 0.0:
             canonical += f",{_float_str(offset)}"
-        return self._cosine_values(amplitude, mode, offset), canonical
+        return (offset + amplitude * _cosine_profile(self.grid, mode),
+                canonical)
 
     def _source(self, section, key, raw, space_time=False,
                 allow_reference=False):

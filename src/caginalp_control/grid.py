@@ -3,7 +3,9 @@
 This module carries the spatial discretization used everywhere else: 1D or 2D
 uniform node-centered grids, a homogeneous-Neumann (no-flux) Laplacian with
 mirror boundary closure, trapezoid quadrature matched to that closure, and the
-norms and CSV plumbing built on top.
+node-table CSV codec that every field file of the package uses: one row per
+node with its indices, its coordinates and its values, floats at 17
+significant digits so that values round-trip exactly.
 
 The mirror closure and the trapezoid weights are chosen together so that two
 identities hold exactly in floating point, not just asymptotically:
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -432,31 +434,36 @@ def _laplacian_1d_matrix(count, h):
 def laplacian_matrix(grid):
     """Sparse CSR form of :func:`laplacian_apply` in flat C ordering.
 
-    In 2D the operator is the Kronecker sum of the per-axis 1D operators.
-    Rows sum to zero exactly and W @ L is symmetric for the weights of
-    :func:`quadrature_weights`.
+    The operator is the Kronecker sum of the per-axis 1D operators, folded
+    axis by axis. Rows sum to zero exactly and W @ L is symmetric for the
+    weights of :func:`quadrature_weights`.
     """
-    parts = [
+    def kron_sum(lap, part):
+        return (sp.kron(lap, sp.identity(part.shape[0], format="csr"))
+                + sp.kron(sp.identity(lap.shape[0], format="csr"), part))
+
+    return reduce(kron_sum, [
         _laplacian_1d_matrix(count, h)
         for count, h in zip(grid.n, grid.spacing)
-    ]
-    if grid.dim == 1:
-        return parts[0]
-    ix = sp.identity(grid.n[0], format="csr")
-    iy = sp.identity(grid.n[1], format="csr")
-    return (sp.kron(parts[0], iy) + sp.kron(ix, parts[1])).tocsr()
+    ]).tocsr()
 
 
 @lru_cache(maxsize=None)
 def quadrature_weights(grid):
     """Flat trapezoid weights: boundary nodes halved, 2D corners quartered."""
-    axes = grid._axis_weights()
-    if grid.dim == 1:
-        w = axes[0]
-    else:
-        w = np.multiply.outer(axes[0], axes[1]).reshape(-1)
+    w = reduce(np.multiply.outer, grid._axis_weights()).reshape(-1)
     w.setflags(write=False)
     return w
+
+
+def _cosine_profile(grid, mode=1):
+    """Product over the axes of cos(mode * pi * x / L) at the nodes.
+
+    For an integer mode it satisfies the no-flux boundary conditions exactly.
+    """
+    return reduce(np.multiply.outer, [
+        np.cos(mode * np.pi * grid.coords(axis) / grid.length[axis])
+        for axis in range(grid.dim)])
 
 
 def inner_product(f, g):
@@ -500,51 +507,67 @@ def l2q_norm(u):
 _FMT = "{:.17g}"
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_node_table(path, grid, names, levels, times=None):
+    """Write a node table: the CSV layout of every field file.
+
+    A row holds the node's indices along each axis, then its coordinates,
+    then one cell per column in ``names``. ``levels`` holds, per time level,
+    one flat array per name. With ``times``, each level's rows lead with
+    its t_index and t. Nodes run in flat C order and every float is written
+    at 17 significant digits, so values round-trip exactly.
+    """
+    axes = "xy"[:grid.dim]
+    index = np.indices(grid.shape).reshape(grid.dim, -1)
+    nodes = [*index.tolist(),
+             *(grid.coords(a)[i].tolist() for a, i in enumerate(index))]
+    header = [f"index_{a}" for a in axes] + list(axes) + list(names)
+    row = ",".join(["{}"] * grid.dim + [_FMT] * (grid.dim + len(names)))
+    if times is not None:
+        header = ["t_index", "t"] + header
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        for k, columns in enumerate(levels):
+            lead = "" if times is None else f"{k},{_FMT.format(times[k])},"
+            handle.writelines(map((lead + row + "\n").format, *nodes,
+                                  *(c.tolist() for c in columns)))
 
 
-def _field_rows(field, prefix=()):
-    grid = field.grid
-    flat = field.flat
-    if grid.dim == 1:
-        x = grid.coords(0)
-        for i in range(grid.n[0]):
-            yield prefix + (i, _FMT.format(x[i]), _FMT.format(flat[i]))
-    else:
-        x = grid.coords(0)
-        y = grid.coords(1)
-        nx, ny = grid.n
-        for i in range(nx):
-            for j in range(ny):
-                yield prefix + (
-                    i,
-                    j,
-                    _FMT.format(x[i]),
-                    _FMT.format(y[j]),
-                    _FMT.format(flat[i * ny + j]),
-                )
+def _read_node_table(path, lead):
+    """Node counts, extents and values of a node table with one value column.
+
+    ``lead`` is 1 when each row leads with t_index and t, which then count
+    as the first axis. An axis's extent is the coordinate of its last node.
+
+    Raises:
+        OSError: If the file cannot be opened.
+        ValueError: If it has no rows, a row is not as wide as the header,
+            or a cell does not parse.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        rows = list(reader)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"line {line} has {len(row)} cells,"
+                             f" the header has {len(header)}")
+    if not rows:
+        raise ValueError("no rows under the header")
+    cols = list(zip(*rows))
+    dim = (len(header) - 1) // 2
+    index = np.array(cols[:lead] + cols[2 * lead:lead + dim], dtype=int)
+    coords = np.array(cols[lead:2 * lead] + cols[lead + dim:2 * dim],
+                      dtype=float)
+    n = index.max(axis=1) + 1
+    extent = [float(c[i == m - 1][0]) for i, c, m in zip(index, coords, n)]
+    values = np.full(tuple(n), np.nan)
+    values[tuple(index)] = np.array(cols[-1], dtype=float)
+    return tuple(n.tolist()), tuple(extent), values
 
 
 def write_field_csv(field, path):
     """Dump a field as CSV: index_x[,index_y],x[,y],value at 17 digits."""
-    if field.grid.dim == 1:
-        header = ("index_x", "x", "value")
-    else:
-        header = ("index_x", "index_y", "x", "y", "value")
-    _write_rows(path, header, _field_rows(field))
-
-
-def _grid_from_nodes(idx_arrays, coord_arrays):
-    n = tuple(int(idx.max()) + 1 for idx in idx_arrays)
-    length = []
-    for axis, (idx, coord) in enumerate(zip(idx_arrays, coord_arrays)):
-        last = coord[idx == n[axis] - 1]
-        length.append(float(last[0]))
-    return Grid(n=n, length=tuple(length))
+    _write_node_table(path, field.grid, ("value",), [(field.flat,)])
 
 
 def read_field_csv(path):
@@ -554,72 +577,18 @@ def read_field_csv(path):
     coordinate columns (node coordinates end at the axis length, so the
     extent is recovered without metadata).
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = list(reader)
-    dim = 1 if len(header) == 3 else 2
-    if dim == 1:
-        idx = np.array([int(r[0]) for r in rows])
-        x = np.array([float(r[1]) for r in rows])
-        vals = np.array([float(r[2]) for r in rows])
-        grid = _grid_from_nodes([idx], [x])
-        out = np.empty(grid.shape)
-        out[idx] = vals
-    else:
-        ix = np.array([int(r[0]) for r in rows])
-        iy = np.array([int(r[1]) for r in rows])
-        x = np.array([float(r[2]) for r in rows])
-        y = np.array([float(r[3]) for r in rows])
-        vals = np.array([float(r[4]) for r in rows])
-        grid = _grid_from_nodes([ix, iy], [x, y])
-        out = np.empty(grid.shape)
-        out[ix, iy] = vals
-    return Field(grid, out)
+    n, extent, values = _read_node_table(path, 0)
+    return Field(Grid(n, extent), values)
 
 
 def write_space_time_csv(stf, path):
     """Dump a space-time field as CSV with leading t_index,t columns."""
-    if stf.grid.dim == 1:
-        header = ("t_index", "t", "index_x", "x", "value")
-    else:
-        header = ("t_index", "t", "index_x", "index_y", "x", "y", "value")
-    times = stf.time_grid.times
-
-    def rows():
-        for k in range(stf.num_slices):
-            prefix = (k, _FMT.format(times[k]))
-            yield from _field_rows(stf.slice(k), prefix)
-
-    _write_rows(path, header, rows())
+    _write_node_table(path, stf.grid, ("value",),
+                      stf.flat_slices[:, None], stf.time_grid.times)
 
 
 def read_space_time_csv(path):
     """Rebuild a space-time field written by :func:`write_space_time_csv`."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = list(reader)
-    dim = 1 if len(header) == 5 else 2
-    t_idx = np.array([int(r[0]) for r in rows])
-    nt = int(t_idx.max())
-    t_vals = np.array([float(r[1]) for r in rows])
-    t_final = float(t_vals[t_idx == nt][0])
-    time_grid = TimeGrid(t_final=t_final, nt=nt)
-    if dim == 1:
-        idx = np.array([int(r[2]) for r in rows])
-        x = np.array([float(r[3]) for r in rows])
-        vals = np.array([float(r[4]) for r in rows])
-        grid = _grid_from_nodes([idx], [x])
-        out = np.empty((nt + 1,) + grid.shape)
-        out[t_idx, idx] = vals
-    else:
-        ix = np.array([int(r[2]) for r in rows])
-        iy = np.array([int(r[3]) for r in rows])
-        x = np.array([float(r[4]) for r in rows])
-        y = np.array([float(r[5]) for r in rows])
-        vals = np.array([float(r[6]) for r in rows])
-        grid = _grid_from_nodes([ix, iy], [x, y])
-        out = np.empty((nt + 1,) + grid.shape)
-        out[t_idx, ix, iy] = vals
-    return SpaceTimeField(time_grid, grid, out)
+    n, extent, values = _read_node_table(path, 1)
+    return SpaceTimeField(TimeGrid(t_final=extent[0], nt=n[0] - 1),
+                          Grid(n[1:], extent[1:]), values)

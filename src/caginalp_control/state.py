@@ -141,9 +141,10 @@ class DiagnosticsRecord:
 class StepOperators:
     """Model data and factorizations of one forward sweep.
 
-    Holds the model (params, nl, pot), the sparse Laplacian, the potential
-    recovery operator (a*I - Lap), their products with a vector
-    (``apply_lap`` and ``apply_a_minus_lap``, see
+    Holds the model (params, nl, pot), the quadrature weights and their sum
+    ``wsum``, the sparse Laplacian, the potential recovery operator
+    (a*I - Lap), their products with a vector (``apply_lap`` and
+    ``apply_a_minus_lap``, see
     :class:`~caginalp_control.linsolve.MatVec`), and three operators
     factorized once per forward sweep and reused by every linearized and
     adjoint sweep around its trajectory: the heat operator (I/dt - Lap), the
@@ -167,6 +168,7 @@ class StepOperators:
         self._terminal = None
         self.lap = laplacian_matrix(grid)
         self.weights = quadrature_weights(grid)
+        self.wsum = float(self.weights.sum())
         self.a = params.tau / self.dt + cfg.stabilization_s
         eye = sp.identity(grid.num_nodes, format="csr")
         self.a_minus_lap = (self.a * eye - self.lap).tocsr()
@@ -245,6 +247,12 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
 
     phi_next = ops.ch_schur.solve(rhs_phase - ops.apply_lap(rhs_potential),
                                   step=step, guess=phi_n)
+    # The Schur operator maps constants to constants / dt and w^T Lap = 0,
+    # so the exact phi_next has mass w.(phi_n + dt * source). The solve's
+    # rounding, of size u * |Schur operator| ~ h^-4, moves that mass; put
+    # the difference back as a constant.
+    w = ops.weights
+    phi_next += (w @ (phi_n + dt * source) - w @ phi_next) / ops.wsum
     mu_next = ops.apply_a_minus_lap(phi_next) - rhs_potential
 
     rhs_heat = (theta_n / dt - (params.ell / dt) * (phi_next - phi_n) + u_n)

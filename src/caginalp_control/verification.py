@@ -68,6 +68,7 @@ from .grid import (
     Grid,
     SpaceTimeField,
     TimeGrid,
+    _cosine_profile,
     l2q_inner,
     l2q_norm,
     quadrature_weights,
@@ -421,14 +422,6 @@ def _oracle_matrix():
                 yield grid, ModelParams(tau=tau, **kwargs)
 
 
-def _smooth_profile(grid):
-    axes = [np.cos(np.pi * grid.coords(axis) / grid.length[axis])
-            for axis in range(grid.dim)]
-    if grid.dim == 1:
-        return axes[0]
-    return np.multiply.outer(axes[0], axes[1])
-
-
 def _relative_array_gap(sparse, dense):
     return float(np.max(np.abs(sparse - dense))
                  / (1.0 + np.max(np.abs(dense))))
@@ -444,7 +437,7 @@ def _suite_oracle(problem, cfg, base):
     worst = {"state": 0.0, "linearized": 0.0, "adjoint": 0.0}
     for idx, (grid, params) in enumerate(_oracle_matrix()):
         rng = _child_rng(cfg.seed, 3, idx)
-        profile = _smooth_profile(grid)
+        profile = _cosine_profile(grid)
         init = InitialData(
             theta0=Field(grid, 0.1 * profile),
             phi0=Field(grid, 0.3 + 0.4 * profile),
@@ -663,7 +656,7 @@ def _suite_energy(problem, cfg, base):
         lambda_d=0.0)
     time_grid = TimeGrid(ENERGY_TEST_STEPS * ENERGY_TEST_DT,
                          ENERGY_TEST_STEPS)
-    profile = 0.1 + 0.6 * _smooth_profile(grid)
+    profile = 0.1 + 0.6 * _cosine_profile(grid)
     init = InitialData(
         theta0=Field.zeros(grid),
         phi0=Field(grid, profile),

@@ -4,13 +4,25 @@ import contextlib
 import io
 import os
 import shutil
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 from conftest import CONFIGS
 
-from caginalp_control import ConfigurationError, Grid, TimeGrid, Trajectory
+import caginalp_control
+from caginalp_control import (
+    ConfigurationError,
+    Field,
+    Grid,
+    SpaceTimeField,
+    TimeGrid,
+    Trajectory,
+    write_field_csv,
+    write_space_time_csv,
+)
 from caginalp_control.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -18,7 +30,7 @@ from caginalp_control.cli import (
     EXIT_SOLVER,
     EXIT_VERIFY,
     _apply_thread_limit,
-    _state_slice_lines,
+    _write_state_slice,
     main,
 )
 
@@ -89,27 +101,50 @@ def test_simulate_writes_reports(tmp_path, capsys):
         os.path.join(str(tmp_path), "sim_out", "effective_config"))
 
 
+@pytest.mark.parametrize("writer", ["state_slice", "field", "space_time"])
 @pytest.mark.parametrize("n, length", [((9,), (1.0,)),
                                        ((5, 4), (1.0, 0.75))])
-def test_state_slice_lines_match_per_cell_formatting(n, length):
-    # Each slice row is formatted by one template; the reference formats
+def test_state_slice_lines_match_per_cell_formatting(tmp_path, n, length,
+                                                     writer):
+    # Each node-table row is formatted by one template; the reference formats
     # every cell on its own, with node (i, j) at flat index i * ny + j.
     grid = Grid(n, length)
     time_grid = TimeGrid(0.2, 2)
     rng = np.random.default_rng(11)
-    names = ("theta", "phi", "mu", "sigma")
-    traj = Trajectory(time_grid, grid, {
-        name: rng.normal(size=(3, grid.num_nodes)) for name in names})
-    columns = [traj.field_array(name)[1] for name in names]
+    path = str(tmp_path / "table.csv")
+    times = None
+    if writer == "state_slice":
+        names = ("theta", "phi", "mu", "sigma")
+        traj = Trajectory(time_grid, grid, {
+            name: rng.normal(size=(3, grid.num_nodes)) for name in names})
+        levels = [[traj.field_array(name)[1] for name in names]]
+        _write_state_slice(path, traj, 1)
+    elif writer == "field":
+        names = ("value",)
+        field = Field(grid, rng.normal(size=grid.shape))
+        levels = [[field.values.reshape(-1)]]
+        write_field_csv(field, path)
+    else:
+        names = ("value",)
+        stf = SpaceTimeField(time_grid, grid,
+                             rng.normal(size=(3,) + grid.shape))
+        levels = [[level.reshape(-1)] for level in stf.values]
+        times = time_grid.times
+        write_space_time_csv(stf, path)
     coords = [grid.coords(axis) for axis in range(grid.dim)]
-    expected = [("index_x,x," if grid.dim == 1 else
-                 "index_x,index_y,x,y,") + ",".join(names)]
-    for flat, index in enumerate(np.ndindex(*grid.n)):
-        cells = [str(i) for i in index]
-        cells += ["{:.17g}".format(c[i]) for c, i in zip(coords, index)]
-        cells += ["{:.17g}".format(col[flat]) for col in columns]
-        expected.append(",".join(cells))
-    assert _state_slice_lines(traj, 1) == expected
+    header = ("index_x,x," if grid.dim == 1 else "index_x,index_y,x,y,")
+    expected = [("" if times is None else "t_index,t,") + header
+                + ",".join(names)]
+    for k, columns in enumerate(levels):
+        for flat, index in enumerate(np.ndindex(*grid.n)):
+            cells = [] if times is None else [str(k),
+                                              "{:.17g}".format(times[k])]
+            cells += [str(i) for i in index]
+            cells += ["{:.17g}".format(c[i]) for c, i in zip(coords, index)]
+            cells += ["{:.17g}".format(col[flat]) for col in columns]
+            expected.append(",".join(cells))
+    with open(path, "rb") as handle:
+        assert handle.read() == ("\n".join(expected) + "\n").encode()
 
 
 def test_simulate_constant_data_has_constant_diagnostics(tmp_path):
@@ -304,6 +339,20 @@ def test_thread_limit_parsing():
         _apply_thread_limit({"CAGINALP_THREADS": "abc"})
     with pytest.raises(ConfigurationError, match="non-negative integer"):
         _apply_thread_limit({"CAGINALP_THREADS": "-2"})
+
+
+def test_importing_the_cli_loads_no_array_library():
+    # CAGINALP_THREADS caps the BLAS pools only if it is applied before the
+    # first numpy import, so the package and its CLI defer every array
+    # library import to the command handlers.
+    src = os.path.dirname(os.path.dirname(caginalp_control.__file__))
+    code = ("import sys, caginalp_control, caginalp_control.cli;"
+            " print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_thread_limit_error_surfaces_as_exit_2(tmp_path, capsys,

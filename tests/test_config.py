@@ -174,6 +174,29 @@ def test_space_time_file_source_round_trips(tmp_path):
     assert np.array_equal(cfg.control.values, control.values)
 
 
+@pytest.mark.parametrize("key, header", [
+    ("theta0", "index_x,x,value"),
+    ("control", "t_index,t,index_x,x,value"),
+])
+@pytest.mark.parametrize("body", ["", "{header}\n", "{header}\n{row}\n0,0\n",
+                                  "{header}\n{row}\n{bad}\n"],
+                         ids=["empty", "header_only", "short_row",
+                              "non_numeric"])
+def test_malformed_file_source_is_a_config_error(tmp_path, key, header,
+                                                  body):
+    row = ",".join(["0"] * header.count(","))
+    (tmp_path / "bad.csv").write_text(body.format(
+        header=header, row=row + ",1", bad=row + ",abc"))
+    if key == "theta0":
+        text = MINIMAL.replace("theta0 = zero", "theta0 = file:bad.csv")
+    else:
+        text = MINIMAL.replace("sigma0 = constant:1.0",
+                               "sigma0 = constant:1.0\ncontrol = file:bad.csv")
+    with pytest.raises(ConfigurationError,
+                       match=rf"\[solver\]\.{key}: could not read"):
+        load_config(_write(tmp_path, text))
+
+
 def test_unrecognized_source_is_rejected(tmp_path):
     text = MINIMAL.replace("theta0 = zero", "theta0 = gaussian:1.0")
     with pytest.raises(ConfigurationError, match="unrecognized"):

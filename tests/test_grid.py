@@ -325,6 +325,19 @@ def test_space_time_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, stf.values)
 
 
+def test_space_time_csv_round_trip_2d(tmp_path):
+    rng = np.random.default_rng(47)
+    grid = Grid((4, 3), (1.5, 0.6))
+    tg = TimeGrid(0.4, 2)
+    stf = SpaceTimeField(tg, grid, rng.standard_normal((3, 4, 3)))
+    path = tmp_path / "stf2d.csv"
+    write_space_time_csv(stf, path)
+    back = read_space_time_csv(path)
+    assert back.grid == grid
+    assert back.time_grid == tg
+    assert np.array_equal(back.values, stf.values)
+
+
 def test_read_field_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
         read_field_csv(tmp_path / "nope.csv")
