@@ -541,7 +541,7 @@ def _read_node_table(path, lead):
     Raises:
         OSError: If the file cannot be opened.
         ValueError: If it has no rows, a row is not as wide as the header,
-            or a cell does not parse.
+            a cell does not parse, or a node has no row or more than one.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -558,11 +558,14 @@ def _read_node_table(path, lead):
     index = np.array(cols[:lead] + cols[2 * lead:lead + dim], dtype=int)
     coords = np.array(cols[lead:2 * lead] + cols[lead + dim:2 * dim],
                       dtype=float)
-    n = index.max(axis=1) + 1
+    n = tuple((index.max(axis=1) + 1).tolist())
+    flat = np.ravel_multi_index(index, n)
+    if len(rows) != np.prod(n) or np.unique(flat).size != len(rows):
+        raise ValueError("every node needs exactly one row")
     extent = [float(c[i == m - 1][0]) for i, c, m in zip(index, coords, n)]
-    values = np.full(tuple(n), np.nan)
-    values[tuple(index)] = np.array(cols[-1], dtype=float)
-    return tuple(n.tolist()), tuple(extent), values
+    values = np.empty(len(rows))
+    values[flat] = np.array(cols[-1], dtype=float)
+    return n, tuple(extent), values.reshape(n)
 
 
 def write_field_csv(field, path):

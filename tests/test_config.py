@@ -177,13 +177,15 @@ def test_space_time_file_source_round_trips(tmp_path):
 @pytest.mark.parametrize("key, header", [
     ("theta0", "index_x,x,value"),
     ("control", "t_index,t,index_x,x,value"),
-])
+], ids=["theta0", "control"])
 @pytest.mark.parametrize("body", ["", "{header}\n", "{header}\n{row}\n0,0\n",
                                   "{header}\n{row}\n{bad}\n"],
                          ids=["empty", "header_only", "short_row",
                               "non_numeric"])
 def test_malformed_file_source_is_a_config_error(tmp_path, key, header,
                                                   body):
+    # zip(*rows) stops at the shortest row, so a reader that transposes the
+    # rows into columns has to check each row's width itself.
     row = ",".join(["0"] * header.count(","))
     (tmp_path / "bad.csv").write_text(body.format(
         header=header, row=row + ",1", bad=row + ",abc"))

@@ -338,6 +338,18 @@ def test_space_time_csv_round_trip_2d(tmp_path):
     assert np.array_equal(back.values, stf.values)
 
 
+@pytest.mark.parametrize("edit", [("4,", "3,"), ("4,", "-1,")],
+                         ids=["repeated_node", "negative_index"])
+def test_read_rejects_a_node_without_exactly_one_row(tmp_path, edit):
+    path = tmp_path / "field.csv"
+    write_field_csv(Field.zeros(Grid(9, 1.0)), path)
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].replace(*edit, 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        read_field_csv(path)
+
+
 def test_read_field_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
         read_field_csv(tmp_path / "nope.csv")
