@@ -250,9 +250,11 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
     # The Schur operator maps constants to constants / dt and w^T Lap = 0,
     # so the exact phi_next has mass w.(phi_n + dt * source). The solve's
     # rounding, of size u * |Schur operator| ~ h^-4, moves that mass; put
-    # the difference back as a constant.
+    # the difference back as a constant. Not in place: a guess the solve
+    # accepts as it is comes back as phi_n itself.
     w = ops.weights
-    phi_next += (w @ (phi_n + dt * source) - w @ phi_next) / ops.wsum
+    phi_next = phi_next + (w @ (phi_n + dt * source)
+                           - w @ phi_next) / ops.wsum
     mu_next = ops.apply_a_minus_lap(phi_next) - rhs_potential
 
     rhs_heat = (theta_n / dt - (params.ell / dt) * (phi_next - phi_n) + u_n)
