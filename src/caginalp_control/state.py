@@ -20,9 +20,13 @@ linearized and adjoint modules differentiate and transpose exactly this map.
 
 The phase, heat and nutrient operators are each factorized once per forward
 sweep (see :class:`StepOperators`) and reused by every linearized and
-adjoint sweep around that trajectory; the nutrient decay changes every step
-and enters each nutrient solve as a diagonal shift of a factorization made
-at a reference decay.
+adjoint sweep around that trajectory. On a 1D grid every operator is banded
+and gets a LAPACK band LU; on a 2D grid, whose band is about sqrt(N) wide,
+a sparse LU (see :mod:`~caginalp_control.linsolve`). The nutrient decay
+changes every step and enters each nutrient solve as a diagonal shift of
+the operator at a reference decay: in 1D the step factors its own shifted
+band, in 2D it runs conjugate gradients preconditioned by the reference
+factor.
 
 The Cahn-Hilliard pair is solved through its Schur complement in phi
 (eliminating mu by the potential equation), so the potential relation
@@ -149,12 +153,17 @@ class StepOperators:
     factorized once per forward sweep and reused by every linearized and
     adjoint sweep around its trajectory: the heat operator (I/dt - Lap), the
     Cahn-Hilliard Schur complement (I/dt - a*Lap + Lap^2) and the nutrient
-    operator at a reference decay (I/dt - Lap + decay_ref*I). The nutrient
-    decay changes every step; each step solves with its own decay through
-    :meth:`solve_nutrient`. The reference decay is the midpoint of the
-    declared range [lambda_B, lambda_B + lambda_C*h_star + lambda_D*k_star],
-    taken from the model alone, so that every sweep of a problem factorizes
-    the same matrix. Every solve ticks ``counter``.
+    operator at a reference decay (I/dt - Lap + decay_ref*I). Each operator
+    picks its factorization from its own matrix: a LAPACK band LU in 1D,
+    where heat and nutrient are tridiagonal and the Schur complement is
+    pentadiagonal, and a sparse LU in 2D. The nutrient decay changes every
+    step; each step solves with its own decay through
+    :meth:`solve_nutrient`, by a band factor of its own in 1D and by
+    conjugate gradients preconditioned by the reference factor in 2D. The
+    reference decay is the midpoint of the declared range
+    [lambda_B, lambda_B + lambda_C*h_star + lambda_D*k_star], taken from the
+    model alone, so that every sweep of a problem factorizes the same
+    matrix. Every solve ticks ``counter``.
     """
 
     def __init__(self, grid, dt, cfg, params, nl, pot):
@@ -184,8 +193,8 @@ class StepOperators:
                                         "nutrient")
 
     def solve_nutrient(self, rhs, decay, step=None, guess=None):
-        """Solve (I/dt - Lap + diag(decay)) x = rhs against the reference
-        factorization."""
+        """Solve (I/dt - Lap + diag(decay)) x = rhs as a diagonal shift of
+        the nutrient operator at the reference decay."""
         return self.nutrient.solve(rhs, step=step, guess=guess,
                                    shift=decay - self.decay_ref)
 

@@ -1,6 +1,6 @@
 """Shared fixtures: the shipped desk problem, found from this file's path,
-one run of the full verification battery on it, and a factorization
-counter."""
+one run of the full verification battery on it, and counters of
+factorizations and of sparse LU calls."""
 
 import os
 
@@ -27,8 +27,25 @@ def desk_report(desk_problem):
 
 
 @pytest.fixture
+def factorizations(monkeypatch):
+    """Shapes of the matrices factorized while the test runs, by either
+    backend: one entry per FactorizedOperator built. The band factors a
+    shifted 1D solve makes inside ``solve`` are not counted."""
+    calls = []
+    real_init = linsolve.FactorizedOperator.__init__
+
+    def counting_init(self, matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        real_init(self, matrix, *args, **kwargs)
+
+    monkeypatch.setattr(linsolve.FactorizedOperator, "__init__",
+                        counting_init)
+    return calls
+
+
+@pytest.fixture
 def splu_calls(monkeypatch):
-    """Shapes of the matrices factorized while the test runs."""
+    """Shapes of the matrices given to the sparse LU while the test runs."""
     calls = []
     real_splu = linsolve.splu
 

@@ -361,7 +361,7 @@ def test_gradient_result_reports_cost_of_the_sweep():
 
 
 @pytest.mark.parametrize("tau, extra", [(0.5, 1), (0.0, 0)])
-def test_adjoint_sweep_counts_terminal_solve(splu_calls, tau, extra):
+def test_adjoint_sweep_counts_terminal_solve(factorizations, tau, extra):
     # With tau > 0 the terminal data needs one (I - tau*Lap) solve on top of
     # the three block solves of every step, and it goes into the tally. The
     # terminal operator is factorized by the first adjoint sweep around a
@@ -373,14 +373,14 @@ def test_adjoint_sweep_counts_terminal_solve(splu_calls, tau, extra):
     _, time_grid, base = _base_setup(
         9, 5, rng, params=replace(_desk_params(), tau=tau))
     assert base.operators.params.tau == tau
-    assert len(splu_calls) == 3
+    assert len(factorizations) == 3
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
     first = solve_adjoint(base, cost)
     assert first.linear_solve_count == 3 * time_grid.nt + extra
-    assert len(splu_calls) == 3 + extra
+    assert len(factorizations) == 3 + extra
     second = solve_adjoint(base, cost)
     assert second.linear_solve_count == 3 * time_grid.nt + extra
-    assert len(splu_calls) == 3 + extra
+    assert len(factorizations) == 3 + extra
     for name in ("z", "p", "q", "r"):
         assert np.array_equal(second.field_array(name),
                               first.field_array(name)), name

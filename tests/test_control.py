@@ -426,7 +426,7 @@ def desk_descent(desk_problem):
         p.potential)
 
 
-def test_desk_descent_stops_at_the_cost_resolution(desk_descent):
+def test_desk_descent_matches_its_recorded_iterates(desk_descent):
     # With the phase step mass-exact, the desk cost is resolved finely
     # enough that descent reaches stationarity_tol = 1e-8 at iterate 16
     # before any trial's predicted decrease falls under the cost's

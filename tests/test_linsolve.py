@@ -1,5 +1,6 @@
-"""Inner solves: the shifted nutrient solve, factorization counts, failures,
-and the sparse products of every sweep."""
+"""Inner solves: the shifted nutrient solve, the band or sparse factor each
+operator gets, factorization counts, failures, and the sparse products of
+every sweep."""
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from caginalp_control import (
     solve_linearized,
     solve_state,
 )
+from caginalp_control.linsolve import FactorizedOperator
 from caginalp_control.state import StepOperators
 
 
@@ -82,6 +84,17 @@ def test_shifted_nutrient_solve_converges_when_decay_is_stiff():
     assert _relative_error(x, reference) <= 1e-10
 
 
+def test_shifted_sparse_solve_converges_when_decay_is_stiff():
+    # The same stiff decay on a 2D grid, where the shifted solve runs
+    # conjugate gradients preconditioned by the reference factor.
+    params = _desk_params(lambda_c=40.0, lambda_d=20.0)
+    grid = Grid((17, 17), (2.0, 2.0))
+    ops, decay, rhs, reference = _nutrient_case(grid, 0.5, params, seed=13)
+    assert ops.nutrient._band is None
+    x = ops.solve_nutrient(rhs, decay)
+    assert _relative_error(x, reference) <= 1e-10
+
+
 def test_decay_reference_is_midpoint_of_declared_range():
     params = _desk_params()
     ops = StepOperators(Grid(9, 1.0), 0.1, SolverConfig(), params,
@@ -107,20 +120,20 @@ def _desk_base(nt, **overrides):
 
 
 @pytest.mark.parametrize("nt", [2, 9])
-def test_forward_sweep_factorizes_three_times(splu_calls, nt):
+def test_forward_sweep_factorizes_three_times(factorizations, nt):
     traj = _desk_base(nt)
-    assert len(splu_calls) == 3
+    assert len(factorizations) == 3
     assert traj.linear_solve_count == 3 * nt
 
 
 @pytest.mark.parametrize("tau", [0.5, 0.0])
-def test_sweeps_around_a_base_reuse_its_factorizations(splu_calls, tau):
+def test_sweeps_around_a_base_reuse_its_factorizations(factorizations, tau):
     # Linearized and adjoint sweeps solve on the operators of their base;
     # only the adjoint's terminal operator I - tau*Lap is new, factorized
     # once per base when tau > 0.
     nt = 4
     base = _desk_base(nt, tau=tau)
-    assert len(splu_calls) == 3
+    assert len(factorizations) == 3
     grid, time_grid = base.grid, base.time_grid
     h = SpaceTimeField.constant(time_grid, grid, 0.3)
     sources = AdjointSources(time_grid, grid,
@@ -130,7 +143,78 @@ def test_sweeps_around_a_base_reuse_its_factorizations(splu_calls, tau):
         adj = solve_adjoint_with_sources(base, sources)
         assert lin.linear_solve_count == 3 * nt
         assert adj.linear_solve_count == 3 * nt + (tau > 0.0)
-    assert len(splu_calls) == 3 + (tau > 0.0)
+    assert len(factorizations) == 3 + (tau > 0.0)
+
+
+def _constant_init(grid):
+    return InitialData(theta0=Field.constant(grid, 0.05),
+                       phi0=Field.constant(grid, 0.2),
+                       sigma0=Field.constant(grid, 0.8))
+
+
+@pytest.mark.parametrize("grid, sparse_lus", [
+    (Grid(33, 2.0), 0),
+    (Grid((33, 33), (2.0, 2.0)), 3),
+], ids=["1d-33", "2d-33x33"])
+def test_only_operators_too_wide_for_a_band_use_splu(splu_calls, grid,
+                                                     sparse_lus):
+    # Every 1D operator is banded (heat and nutrient tridiagonal, the
+    # Schur operator pentadiagonal); a 2D band is about sqrt(N) wide.
+    time_grid = TimeGrid(0.02, 2)
+    solve_state(_constant_init(grid), SpaceTimeField.zeros(time_grid, grid),
+                SolverConfig(), _desk_params(), default_nonlinearities(),
+                default_potential())
+    assert len(splu_calls) == sparse_lus
+
+
+def _split_tridiagonal():
+    """A tridiagonal matrix whose leading 2x2 block is singular."""
+    return sp.csr_array(np.array([[1.0, 1.0, 0.0, 0.0],
+                                  [1.0, 1.0, 0.0, 0.0],
+                                  [0.0, 0.0, 2.0, 1.0],
+                                  [0.0, 0.0, 1.0, 2.0]]))
+
+
+def test_singular_band_factor_raises_solver_error():
+    with pytest.raises(SolverError) as excinfo:
+        FactorizedOperator(_split_tridiagonal(), 1e-12, 5, label="heat")
+    error = excinfo.value
+    assert error.block == "heat"
+    assert error.step is None
+    assert "singular" in str(error)
+
+
+def test_singular_shifted_band_factor_names_block_and_step():
+    matrix = _split_tridiagonal() + sp.identity(4, format="csr")
+    operator = FactorizedOperator(matrix, 1e-12, 5, label="nutrient")
+    with pytest.raises(SolverError) as excinfo:
+        operator.solve(np.ones(4), step=7, shift=np.array([-1.0, -1.0, 0.0,
+                                                           0.0]))
+    error = excinfo.value
+    assert error.block == "nutrient"
+    assert error.step == 7
+    assert str(error).startswith("nutrient solve at step 7")
+    assert "singular" in str(error)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("magnitude", [1e155, 1e-170])
+@pytest.mark.parametrize("grid", [Grid(33, 2.0), Grid((9, 9), (2.0, 2.0))],
+                         ids=["1d-33", "2d-9x9"])
+def test_acceptance_holds_for_right_hand_sides_of_any_magnitude(grid,
+                                                                magnitude):
+    # ||b||_2 of a finite b can overflow or underflow although every entry
+    # is representable; neither may make a 1%-off guess look converged,
+    # nor a nonzero b look like zero.
+    matrix = (sp.identity(grid.num_nodes) / 0.01
+              - laplacian_matrix(grid)).tocsc()
+    operator = FactorizedOperator(matrix, 1e-12, 5)
+    rhs = np.full(grid.num_nodes, magnitude)
+    reference = spsolve(matrix, np.ones(grid.num_nodes)) * magnitude
+    for guess in (None, reference * (1.0 + 1e-2)):
+        x = operator.solve(rhs, guess=guess)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(
+            np.abs(reference))
 
 
 def test_forward_stall_names_block_and_step():

@@ -68,12 +68,16 @@ def test_report_tables_have_expected_shapes(desk_report):
     assert all(b <= a for a, b in zip(costs, costs[1:]))
 
 
-def test_other_seed_also_passes(desk_problem):
+# Seed 312 draws a dot-product pairing that nearly cancels, <h, z> = 3.5e-7
+# against about 1e-3 elsewhere, so its relative gap is the most sensitive
+# to rounding in the sweeps.
+@pytest.mark.parametrize("seed", [7, 312])
+def test_other_seed_also_passes(desk_problem, seed):
     report = run_suite(VerifySuiteConfig(
-        seed=7, suites=("taylor", "adjoint", "gradient")), desk_problem)
+        seed=seed, suites=("taylor", "adjoint", "gradient")), desk_problem)
     assert report.all_passed
-    assert report.seed == 7
-    assert all(r.seed == 7 for r in report.results)
+    assert report.seed == seed
+    assert all(r.seed == seed for r in report.results)
 
 
 def test_fault_injection_fails_adjoint_and_gradient_only(desk_problem):
