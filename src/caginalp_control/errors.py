@@ -9,13 +9,14 @@ class ConfigurationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised when a linear solve fails to reach the requested residual.
+    """Raised when a linear solve fails to reach the requested residual or
+    its matrix has an exactly singular factor.
 
     Attributes:
         step: Time-step index at which the failure occurred, or None when the
             failure is not tied to a particular step.
         residual: Relative residual achieved before giving up, or NaN when a
-            non-finite value was detected.
+            non-finite value or a singular factor was detected.
         block: Label of the failing operator (phase, heat, nutrient or
             terminal), or None when no operator was involved.
     """

@@ -27,7 +27,7 @@ step. A solve that meets neither test, a factor that is exactly singular, or
 a solve that produces non-finite values raises ``SolverError`` carrying the
 block label, the step index and the achieved residual.
 
-A right-hand side whose entries lie outside [2**-480, 2**480] is scaled by
+A right-hand side whose entries lie outside [2**-400, 2**400] is scaled by
 a power of two before the solve and the solution scaled back, so the norms
 of the acceptance tests can neither overflow nor underflow; a power of two
 scales exactly, so the scaled solve rounds as the unscaled one would.
@@ -62,10 +62,11 @@ __all__ = ["SolveCounter", "FactorizedOperator", "MatVec"]
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 # Right-hand sides whose largest entry lies outside this range are scaled
-# by a power of two first. Inside it, N * max|b|^2 neither overflows nor
-# underflows for any N below 2**60.
-_SMALLEST = 2.0 ** -480
-_LARGEST = 2.0 ** 480
+# by a power of two first. Inside it, the sums of squares in the norms stay
+# far from overflow, and a residual 1e-30 times the right-hand side still
+# has a nonzero norm.
+_SMALLEST = 2.0 ** -400
+_LARGEST = 2.0 ** 400
 
 
 def _at_rounding(residual, x, matrix_norm, rhs_inf):

@@ -175,9 +175,19 @@ def _split_tridiagonal():
                                   [0.0, 0.0, 1.0, 2.0]]))
 
 
-def test_singular_band_factor_raises_solver_error():
+def _split_corners():
+    """A singular matrix coupling its first and last rows, so its band is
+    too wide for band storage."""
+    dense = np.eye(6)
+    dense[np.ix_([0, 5], [0, 5])] = 1.0
+    return sp.csr_array(dense)
+
+
+@pytest.mark.parametrize("matrix", [_split_tridiagonal(), _split_corners()],
+                         ids=["band", "sparse"])
+def test_singular_factor_raises_solver_error(matrix):
     with pytest.raises(SolverError) as excinfo:
-        FactorizedOperator(_split_tridiagonal(), 1e-12, 5, label="heat")
+        FactorizedOperator(matrix, 1e-12, 5, label="heat")
     error = excinfo.value
     assert error.block == "heat"
     assert error.step is None
