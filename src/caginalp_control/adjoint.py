@@ -52,10 +52,6 @@ def _target_slice(target, level, grid, nt):
         if target.grid != grid or target.time_grid.nt != nt:
             raise ConfigurationError("tracking target grids do not match")
         return target.flat_slices[level]
-    if isinstance(target, Field):
-        if target.grid != grid:
-            raise ConfigurationError("tracking target grid does not match")
-        return target.flat
     raise ConfigurationError(
         f"unsupported tracking target type {type(target).__name__}"
     )

@@ -5,7 +5,7 @@ parsed by the standard library with interpolation disabled. Unknown sections
 and unknown keys are rejected, every diagnostic names the offending
 ``[section].key``, and all paths resolve relative to the config file.
 
-The scalar keys of a section are the float, int and bool fields of its
+The scalar keys of a section are the float and int fields of its
 dataclass: ModelParams for ``[model]``, SolverConfig, CostSpec,
 AdmissibleSet, OptimizerConfig and VerifySuiteConfig for ``[solver]``,
 ``[cost]``, ``[admissible]``, ``[optimizer]`` and ``[verify]``. Each field
@@ -63,9 +63,6 @@ __all__ = ["RunConfig", "load_config", "EFFECTIVE_CONFIG_NAME"]
 
 EFFECTIVE_CONFIG_NAME = "effective_config"
 
-_TRUE = {"true", "1", "yes", "on"}
-_FALSE = {"false", "0", "no", "off"}
-
 _READ_ERRORS = (OSError, ValueError, IndexError, KeyError, StopIteration)
 
 def _fail(section, key, message):
@@ -89,15 +86,6 @@ def _parse_int(section, key, raw):
         _fail(section, key, f"expected an integer, got {raw!r}")
 
 
-def _parse_bool(section, key, raw):
-    lowered = raw.strip().lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    _fail(section, key, f"expected true/false, got {raw!r}")
-
-
 def _parse_axis_values(section, key, raw, caster):
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) not in (1, 2):
@@ -114,13 +102,12 @@ def _float_str(value):
     return repr(float(value))
 
 
-_PARSERS = {float: _parse_float, int: _parse_int, bool: _parse_bool}
-_FORMATS = {float: _float_str, int: str,
-            bool: lambda value: "true" if value else "false"}
+_PARSERS = {float: _parse_float, int: _parse_int}
+_FORMATS = {float: _float_str, int: str}
 
 
 def _scalar_fields(cls):
-    """Name and type of each float, int or bool field of a dataclass."""
+    """Name and type of each float or int field of a dataclass."""
     hints = typing.get_type_hints(cls)
     return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls)
                  if hints[f.name] in _PARSERS)
@@ -135,11 +122,11 @@ _SECTIONS = {
     "grid": (None, ("n", "length")),
     "time": (None, ("t_final",)),
     "model": (ModelParams, ("sigma_b", "nonlinearity")),
-    "solver": (SolverConfig, ("nt", "dt", "control") + _INITIAL_KEYS),
+    "solver": (SolverConfig, ("nt", "control") + _INITIAL_KEYS),
     "cost": (CostSpec, _TARGET_KEYS),
     "admissible": (AdmissibleSet, ()),
     "optimizer": (OptimizerConfig, ()),
-    "verify": (VerifySuiteConfig, ("suites",)),
+    "verify": (VerifySuiteConfig, ()),
     "output": (None, ("dir", "slices")),
 }
 
@@ -153,7 +140,7 @@ _REQUIRED_KEYS = {
     "grid": ("n", "length"),
     "time": ("t_final",),
     "model": ("ell", "lambda_big", "chi"),
-    "solver": _INITIAL_KEYS,
+    "solver": ("nt",) + _INITIAL_KEYS,
     "admissible": ("u_min", "u_max"),
 }
 
@@ -248,7 +235,7 @@ class RunConfig:
         self.admissible = (self._dataclass("admissible")
                            if "admissible" in self._raw else None)
         self.optimizer = self._dataclass("optimizer")
-        self._build_verify()
+        self.verify = self._dataclass("verify")
         self._build_output()
         del self._references
 
@@ -289,23 +276,7 @@ class RunConfig:
             _fail("time", "t_final", f"must be positive, got {t_final}")
         self.t_final = t_final
 
-        nt_raw = self._get("solver", "nt")
-        dt_raw = self._get("solver", "dt")
-        if (nt_raw is None) == (dt_raw is None):
-            raise ConfigurationError(
-                "[solver]: exactly one of nt and dt must be set"
-            )
-        if nt_raw is not None:
-            nt = _parse_int("solver", "nt", nt_raw)
-        else:
-            dt = _parse_float("solver", "dt", dt_raw)
-            if dt <= 0.0:
-                _fail("solver", "dt", f"must be positive, got {dt}")
-            steps = t_final / dt
-            nt = int(round(steps))
-            if nt < 1 or abs(steps - nt) > 1e-9 * max(1.0, steps):
-                _fail("solver", "dt",
-                      f"dt={dt} does not divide t_final={t_final}")
+        nt = _parse_int("solver", "nt", self._get("solver", "nt"))
         if nt < 1:
             _fail("solver", "nt", f"must be at least 1, got {nt}")
         try:
@@ -390,15 +361,6 @@ class RunConfig:
                 "cost", key, raw, space_time=key.endswith("_q"),
                 allow_reference=True))
         self.cost = self._dataclass("cost", **targets)
-
-    def _build_verify(self):
-        suites_raw = self._get("verify", "suites", "all")
-        if suites_raw.strip() == "all":
-            suites = None
-        else:
-            suites = tuple(part.strip() for part in suites_raw.split(",")
-                           if part.strip())
-        self.verify = self._dataclass("verify", suites=suites)
 
     def _build_output(self):
         self.output_dir = self._resolve(self._get("output", "dir", "out"))
@@ -530,8 +492,8 @@ class RunConfig:
         """Round-trip config text with defaults resolved.
 
         Numbers are emitted in round-trip precision, file paths absolute,
-        the time discretization pinned through nt, and every defaulted key
-        made explicit, so loading the emitted text reproduces this run.
+        and every defaulted key made explicit, so loading the emitted text
+        reproduces this run.
         """
         lines = []
 
@@ -563,9 +525,7 @@ class RunConfig:
         if self.admissible is not None:
             emit("admissible", _field_pairs(self.admissible))
         emit("optimizer", _field_pairs(self.optimizer))
-        emit("verify", _field_pairs(
-            self.verify, suites="all" if self.verify.suites is None
-            else ",".join(self.verify.suites)))
+        emit("verify", _field_pairs(self.verify))
 
         emit("output", [
             ("dir", self.output_dir),

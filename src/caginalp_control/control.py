@@ -12,8 +12,10 @@ the projection arc, using the sufficient-decrease test
 
     J(P(u - alpha g)) <= J(u) - (c / alpha) * ||P(u - alpha g) - u||^2
 
-in the control-space norm, and a trial is accepted only if it also lowers
-the cost strictly. The stationarity measure is ||u - P(u - g)|| at unit
+in the control-space norm, with c = ARMIJO_C. Each iterate tries alpha =
+INITIAL_STEP first and multiplies alpha by BACKTRACK_FACTOR after every
+rejected trial; a trial is accepted only if it also lowers the cost
+strictly. The stationarity measure is ||u - P(u - g)|| at unit
 trial step; for a box the fixed points of the projection arc are the same
 for every positive step, so a nonstationary iterate always moves and the
 line search cannot stall at a fixed point.
@@ -23,7 +25,7 @@ resolved to about linear_tol * |J| and no smaller. Once a rejected trial's
 first-order predicted decrease <g, u - P(u - alpha g)> is at or below that
 resolution, its rejection was decided by rounding, and so would be that of
 every shorter step along the arc: the search ends there, reported as
-"resolution", instead of halving alpha down to min_step. The first trial of
+"resolution", instead of halving alpha down to MIN_STEP. The first trial of
 every iterate is always tried.
 
 The report carries the gradient at the final control, so the variational
@@ -165,37 +167,31 @@ def evaluate_cost(traj, u, cost):
     return float(dt * running + terminal)
 
 
+# Line-search constants of projected gradient descent: the Armijo constant
+# c, the factor a rejected trial's step is multiplied by, the first trial
+# step of every iterate, and the step below which the search gives up.
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+INITIAL_STEP = 1.0
+MIN_STEP = 1e-14
+# Random admissible controls at which stationarity_check samples the
+# variational inequality.
+VI_SAMPLES = 100
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Projected gradient descent knobs."""
+    """When projected gradient descent stops: after max_iters iterates, or
+    once the stationarity measure is at or below stationarity_tol."""
 
     max_iters: int = 100
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     stationarity_tol: float = 1e-8
-    min_step: float = 1e-14
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be nonnegative")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ConfigurationError(
-                f"armijo_c must lie in (0, 1), got {self.armijo_c}"
-            )
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ConfigurationError(
-                f"backtrack_factor must lie in (0, 1),"
-                f" got {self.backtrack_factor}"
-            )
-        if self.initial_step <= 0.0:
-            raise ConfigurationError("initial_step must be positive")
         if self.stationarity_tol < 0.0:
             raise ConfigurationError("stationarity_tol must be nonnegative")
-        if not 0.0 < self.min_step <= self.initial_step:
-            raise ConfigurationError(
-                "min_step must lie in (0, initial_step]"
-            )
 
 
 @dataclass(frozen=True)
@@ -218,7 +214,7 @@ class OptimizationReport:
     "min_step"; none of them is raised. "resolution" means the line search
     ended because a rejected trial's predicted decrease was at or below the
     cost's resolution linear_tol * |J|. "min_step" means the step fell below
-    min_step, or the step no longer moved the control.
+    MIN_STEP, or the step no longer moved the control.
 
     final_gradient and final_adjoint are the reduced gradient and the
     adjoint trajectory at final_control.
@@ -303,7 +299,7 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
 
         # Decreases at or below this are rounding of the inner sweeps.
         resolution = solver_cfg.linear_tol * abs(current_cost)
-        alpha = opt_cfg.initial_step
+        alpha = INITIAL_STEP
         backtracks = 0
         accepted = None
         search_end = "min_step"
@@ -319,12 +315,12 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
             # the rounding of the cost from passing without any decrease.
             if (trial_cost < current_cost
                     and trial_cost <= current_cost
-                    - (opt_cfg.armijo_c / alpha) * movement * movement):
+                    - (ARMIJO_C / alpha) * movement * movement):
                 accepted = trial
                 break
-            alpha *= opt_cfg.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
             backtracks += 1
-            if alpha < opt_cfg.min_step:
+            if alpha < MIN_STEP:
                 break
             if l2q_inner(grad, u - trial) <= resolution:
                 search_end = "resolution"
@@ -359,11 +355,11 @@ class StationarityReport:
     vi_samples: tuple
 
 
-def stationarity_check(u, grad, adm, num_samples=100, seed=0):
+def stationarity_check(u, grad, adm, seed=0):
     """Measure stationarity and sample the variational inequality.
 
     Computes the projected-gradient residual ||u - P(u - g)|| and, for
-    num_samples random admissible controls v, the pairing <g, v - u> in the
+    VI_SAMPLES random admissible controls v, the pairing <g, v - u> in the
     control-space inner product, which is nonnegative at a minimizer.
 
     Args:
@@ -372,7 +368,6 @@ def stationarity_check(u, grad, adm, num_samples=100, seed=0):
             ``OptimizationReport.final_gradient`` or the ``gradient`` of
             :func:`reduced_gradient`.
         adm: AdmissibleSet.
-        num_samples: Number of random admissible comparison controls.
         seed: Seed material for the sample generator.
 
     Returns:
@@ -383,7 +378,7 @@ def stationarity_check(u, grad, adm, num_samples=100, seed=0):
     rng = np.random.default_rng(seed)
     samples = []
     shape = u.values.shape
-    for _ in range(num_samples):
+    for _ in range(VI_SAMPLES):
         v = SpaceTimeField(
             u.time_grid, u.grid,
             rng.uniform(adm.u_min, adm.u_max, size=shape))

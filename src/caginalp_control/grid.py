@@ -227,23 +227,11 @@ class Field:
     def __add__(self, other):
         return self._binary(other, np.add)
 
-    def __radd__(self, other):
-        return self._binary(other, np.add)
-
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
-    def __rsub__(self, other):
-        return Field(self.grid, float(other) - self._values)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
     def __rmul__(self, other):
         return self._binary(other, np.multiply)
-
-    def __neg__(self):
-        return Field(self.grid, -self._values)
 
     def __repr__(self):
         return f"Field(grid={self.grid!r}, min={self._values.min():g}, max={self._values.max():g})"
@@ -321,14 +309,8 @@ class SpaceTimeField:
     def __sub__(self, other):
         return self._binary(other, np.subtract)
 
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
     def __rmul__(self, other):
         return self._binary(other, np.multiply)
-
-    def __neg__(self):
-        return SpaceTimeField(self.time_grid, self.grid, -self._values)
 
 
 class Trajectory:

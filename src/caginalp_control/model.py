@@ -16,7 +16,7 @@ enforced immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -254,23 +254,31 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _fd_consistency(fn, derivative, sample, step, tol):
-    """Central-difference check |fd - d| <= tol * (1 + |d|).
+# validate samples the gates and the potential at VALIDATION_SAMPLES points
+# spread uniformly over [-VALIDATION_BOUND, VALIDATION_BOUND], and checks
+# each derivative against central differences of step FD_STEP.
+VALIDATION_SAMPLES = 10001
+VALIDATION_BOUND = 50.0
+FD_STEP = 1e-5
+FD_TOL = 1e-6
+
+
+def _fd_consistency(fn, derivative, sample):
+    """Central-difference check |fd - d| <= FD_TOL * (1 + |d|).
 
     The mixed absolute/relative criterion matters: the tanh gates saturate on
     the validation interval, where the true derivative underflows far below
     the finite-difference cancellation noise and a purely relative test would
     measure nothing but roundoff.
     """
-    fd = (fn(sample + step) - fn(sample - step)) / (2.0 * step)
+    fd = (fn(sample + FD_STEP) - fn(sample - FD_STEP)) / (2.0 * FD_STEP)
     d = derivative(sample)
-    err = np.abs(fd - d) - tol * (1.0 + np.abs(d))
+    err = np.abs(fd - d) - FD_TOL * (1.0 + np.abs(d))
     worst = int(np.argmax(err))
     return bool(err[worst] <= 0.0), sample[worst], float(np.abs(fd - d)[worst])
 
 
-def validate(params, nl, pot, num_samples=10001, sample_bound=50.0,
-             fd_step=1e-5, fd_tol=1e-6):
+def validate(params, nl, pot):
     """Check the standing hypotheses and report each verdict.
 
     Every check runs regardless of earlier failures; a check that raises is
@@ -282,15 +290,12 @@ def validate(params, nl, pot, num_samples=10001, sample_bound=50.0,
         params: Model constants.
         nl: Gate functions with derivatives.
         pot: Potential with derivative chain.
-        num_samples: Size of the uniform validation sample.
-        sample_bound: Sample covers [-sample_bound, sample_bound].
-        fd_step: Central-difference step for derivative consistency.
-        fd_tol: Tolerance of the mixed derivative-consistency criterion.
 
     Returns:
         ValidationReport listing one ValidationCheck per condition.
     """
-    sample = np.linspace(-sample_bound, sample_bound, num_samples)
+    sample = np.linspace(-VALIDATION_BOUND, VALIDATION_BOUND,
+                         VALIDATION_SAMPLES)
     checks = []
 
     def run(hypothesis, description, body):
@@ -345,8 +350,7 @@ def validate(params, nl, pot, num_samples=10001, sample_bound=50.0,
 
     def fd_check(fn, derivative, label):
         def body():
-            ok, at, gap = _fd_consistency(fn, derivative, sample, fd_step,
-                                          fd_tol)
+            ok, at, gap = _fd_consistency(fn, derivative, sample)
             return ok, f"{label} at s={at:g}, |fd-d|={gap:g}"
         return body
 

@@ -9,7 +9,8 @@ the adjoint is its literal matrix transpose. Solves go through
 
 None of the sparse stencil/factorization machinery of the solver modules is
 used here; the only shared ingredients are the data carriers (grids, fields,
-parameter records) and the nonlinearity/potential callables themselves. That
+parameter records), the nonlinearity/potential callables themselves and the
+scheme's stabilization constant ``state.STABILIZATION_S``. That
 independence is the point: agreement between this path and the fast path is
 what the verification suite certifies on the pinned tiny configurations.
 
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .state import STABILIZATION_S
 
 __all__ = [
     "MAX_NODES_PER_AXIS",
@@ -121,14 +123,13 @@ class OracleTrajectory:
     sigma: np.ndarray
 
 
-def _step_blocks(lap, prev, sigma_b_slice, dt, params, nl, pot,
-                 stabilization_s):
+def _step_blocks(lap, prev, sigma_b_slice, dt, params, nl, pot):
     """Dense one-step system: equations [heat, phase, potential, nutrient]
     in the unknowns [theta, phi, mu, sigma] at the new level."""
     total = lap.shape[0]
     eye = np.eye(total)
     theta_p, phi_p, sigma_p = prev
-    a = params.tau / dt + stabilization_s
+    a = params.tau / dt + STABILIZATION_S
     gate = np.asarray(nl.H_gate(phi_p), dtype=float)
     decay = (params.lambda_c * gate + params.lambda_b
              + params.lambda_d * np.asarray(nl.K_temp(theta_p), dtype=float))
@@ -160,15 +161,13 @@ def _step_blocks(lap, prev, sigma_b_slice, dt, params, nl, pot,
     return matrix, rhs, th
 
 
-def dense_oracle_solve(theta0, phi0, sigma0, u, params, nl, pot,
-                       stabilization_s=2.0):
+def dense_oracle_solve(theta0, phi0, sigma0, u, params, nl, pot):
     """March the forward system densely, one direct solve per step.
 
     Args:
         theta0, phi0, sigma0: Initial fields.
         u: Control as a SpaceTimeField (slice nt unused).
         params, nl, pot: Model data, shared with the fast path as data only.
-        stabilization_s: Explicit-potential stabilization constant.
 
     Returns:
         OracleTrajectory of dense arrays.
@@ -199,8 +198,7 @@ def dense_oracle_solve(theta0, phi0, sigma0, u, params, nl, pot,
     for step in range(nt):
         prev = (theta[step], phi[step], sigma[step])
         sb = params.sigma_b_at(times[step], dt, grid)
-        matrix, rhs, th = _step_blocks(lap, prev, sb, dt, params, nl, pot,
-                                       stabilization_s)
+        matrix, rhs, th = _step_blocks(lap, prev, sb, dt, params, nl, pot)
         rhs[th] += controls[step]
         sol = np.linalg.solve(matrix, rhs)
         theta[step + 1] = sol[0 * total:1 * total]
@@ -210,8 +208,7 @@ def dense_oracle_solve(theta0, phi0, sigma0, u, params, nl, pot,
     return OracleTrajectory(theta=theta, phi=phi, mu=mu, sigma=sigma)
 
 
-def oracle_space_time_system(base, grid, time_grid, params, nl, pot,
-                             stabilization_s=2.0):
+def oracle_space_time_system(base, grid, time_grid, params, nl, pot):
     """Assemble the space-time Jacobian of the discrete stepping map.
 
     The unknown vector stacks [theta, phi, mu, sigma] at levels 1..nt; the
@@ -231,7 +228,7 @@ def oracle_space_time_system(base, grid, time_grid, params, nl, pot,
     eye = np.eye(total)
     nt = time_grid.nt
     dt = time_grid.dt
-    a = params.tau / dt + stabilization_s
+    a = params.tau / dt + STABILIZATION_S
     block = 4 * total
 
     big = np.zeros((block * nt, block * nt))
@@ -290,8 +287,7 @@ def oracle_space_time_system(base, grid, time_grid, params, nl, pot,
     return big, ctrl
 
 
-def oracle_linearized(base, grid, time_grid, params, nl, pot, h,
-                      stabilization_s=2.0):
+def oracle_linearized(base, grid, time_grid, params, nl, pot, h):
     """Linearized trajectory as the dense Jacobian applied to a direction.
 
     Args:
@@ -301,7 +297,7 @@ def oracle_linearized(base, grid, time_grid, params, nl, pot, h,
         Dict of arrays zeta/xi/eta/rho with shape (nt + 1, N); level 0 zero.
     """
     big, ctrl = oracle_space_time_system(base, grid, time_grid, params, nl,
-                                         pot, stabilization_s)
+                                         pot)
     total = grid.num_nodes
     nt = time_grid.nt
     stacked = np.linalg.solve(big, ctrl @ h.flat_slices[:-1].reshape(-1))
@@ -316,8 +312,7 @@ def oracle_linearized(base, grid, time_grid, params, nl, pot, h,
     return out
 
 
-def oracle_adjoint(base, grid, time_grid, params, nl, pot, sources,
-                   stabilization_s=2.0):
+def oracle_adjoint(base, grid, time_grid, params, nl, pot, sources):
     """Adjoint multipliers as the explicit transpose solve.
 
     The functional being differentiated is
@@ -338,8 +333,7 @@ def oracle_adjoint(base, grid, time_grid, params, nl, pot, sources,
         of shape (nt, N): the density whose L2(Q) pairing with a control
         perturbation equals G.
     """
-    big, _ = oracle_space_time_system(base, grid, time_grid, params, nl, pot,
-                                      stabilization_s)
+    big, _ = oracle_space_time_system(base, grid, time_grid, params, nl, pot)
     total = grid.num_nodes
     nt = time_grid.nt
     dt = time_grid.dt

@@ -31,7 +31,7 @@ factor.
 The Cahn-Hilliard pair is solved through its Schur complement in phi
 (eliminating mu by the potential equation), so the potential relation
 mu = (a I - Lap) phi_new - rhs holds to machine precision by construction,
-with a = tau/dt + S.
+with a = tau/dt + S and S = STABILIZATION_S.
 
 The chemical potential at t=0 is defined algebraically from the potential
 equation with a zero phase rate, mu0 = -Lap(phi0) + f(phi0) - chi*sigma0
@@ -75,36 +75,31 @@ __all__ = [
 ]
 
 
+# Stabilization constant S of the explicit-potential splitting, so that
+# a = tau/dt + S; the dense oracle reads the same value.
+STABILIZATION_S = 2.0
+# Cap on the corrections of one inner solve, each one back-substitution.
+MAX_LINEAR_ITERS = 50
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Inner-solver knobs shared by the forward, linearized and adjoint sweeps.
+    """Inner-solve tolerance shared by the forward, linearized and adjoint
+    sweeps.
 
     Attributes:
-        stabilization_s: Nonnegative constant S multiplying the implicit
-            stabilization term of the explicit-potential splitting.
         linear_tol: Relative residual at which an inner solve is
             accepted, in (0, 1e-6]. A solve is also accepted once its
             normwise backward error is at rounding level, which is what
             a fine grid's solves reach before this target.
-        max_linear_iters: Refinement cap per solve.
     """
 
-    stabilization_s: float = 2.0
     linear_tol: float = 1e-12
-    max_linear_iters: int = 50
 
     def __post_init__(self):
         if not (0.0 < self.linear_tol <= 1e-6):
             raise ConfigurationError(
                 f"linear_tol must lie in (0, 1e-6], got {self.linear_tol}"
-            )
-        if self.stabilization_s < 0.0 or not np.isfinite(self.stabilization_s):
-            raise ConfigurationError(
-                f"stabilization_s must be nonnegative, got {self.stabilization_s}"
-            )
-        if self.max_linear_iters < 0:
-            raise ConfigurationError(
-                f"max_linear_iters must be nonnegative, got {self.max_linear_iters}"
             )
 
 
@@ -178,7 +173,7 @@ class StepOperators:
         self.lap = laplacian_matrix(grid)
         self.weights = quadrature_weights(grid)
         self.wsum = float(self.weights.sum())
-        self.a = params.tau / self.dt + cfg.stabilization_s
+        self.a = params.tau / self.dt + STABILIZATION_S
         eye = sp.identity(grid.num_nodes, format="csr")
         self.a_minus_lap = (self.a * eye - self.lap).tocsr()
         self.apply_lap = MatVec(self.lap)
@@ -208,7 +203,7 @@ class StepOperators:
 
     def _factorize(self, matrix, label):
         return FactorizedOperator(matrix, self.cfg.linear_tol,
-                                  self.cfg.max_linear_iters, self.counter,
+                                  MAX_LINEAR_ITERS, self.counter,
                                   weights=self.weights, label=label)
 
 

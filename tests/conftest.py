@@ -1,17 +1,61 @@
-"""Shared fixtures: the shipped desk problem, found from this file's path,
-one run of the full verification battery on it, and counters of
-factorizations and of sparse LU calls."""
+"""Shared fixtures and helpers: the shipped desk problem, found from this
+file's path, its model constants, smooth random initial data, one run of
+the full verification battery, counters of factorizations and of sparse LU
+calls, and a fault that flips the sign of every adjoint density."""
 
+import configparser
+import functools
 import os
 
+import numpy as np
 import pytest
 
+import caginalp_control.adjoint as adjoint
 import caginalp_control.linsolve as linsolve
-from caginalp_control import VerifySuiteConfig, load_config, run_suite
+import caginalp_control.verification as verification
+from caginalp_control import (
+    Field,
+    InitialData,
+    ModelParams,
+    Trajectory,
+    VerifySuiteConfig,
+    load_config,
+    run_suite,
+)
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "configs")
 DESK_CFG = os.path.join(CONFIGS, "desk.cfg")
+
+
+@functools.cache
+def _desk_model_section():
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read(DESK_CFG, encoding="utf-8")
+    return {key: float(value) for key, value in parser["model"].items()}
+
+
+def desk_params(**overrides):
+    """ModelParams of the ``[model]`` section of ``configs/desk.cfg``, with
+    any field replaced by ``overrides``."""
+    return ModelParams(**{**_desk_model_section(), **overrides})
+
+
+def smooth_init(grid, rng):
+    """Initial data on a 1D grid: each field a random sum of the first
+    three cosine modes, which satisfy the no-flux conditions exactly."""
+    x = grid.coords(0)
+
+    def bumps(amplitude, offset=0.0):
+        values = np.full(grid.shape, offset)
+        for mode in range(1, 4):
+            values += (rng.normal() * amplitude / mode**2
+                       * np.cos(mode * np.pi * x / grid.length[0]))
+        return Field(grid, values)
+
+    return InitialData(theta0=bumps(0.1), phi0=bumps(0.4),
+                       sigma0=bumps(0.2, offset=0.6))
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +99,23 @@ def splu_calls(monkeypatch):
 
     monkeypatch.setattr(linsolve, "splu", counting_splu)
     return calls
+
+
+@pytest.fixture
+def flipped_adjoint(monkeypatch):
+    """Fault injection: every adjoint sweep returns its density z negated,
+    so the reduced gradient becomes -z + b5*u. The dot-product, duality and
+    gradient checks must then fail, and checks that run no adjoint sweep
+    must still pass."""
+    real_sweep = adjoint.solve_adjoint_with_sources
+
+    def flipped_sweep(base, sources):
+        sweep = real_sweep(base, sources)
+        arrays = {name: sweep.field_array(name) for name in "zpqr"}
+        arrays["z"] = -arrays["z"]
+        return Trajectory(sweep.time_grid, sweep.grid, arrays,
+                          linear_solve_count=sweep.linear_solve_count)
+
+    monkeypatch.setattr(adjoint, "solve_adjoint_with_sources", flipped_sweep)
+    monkeypatch.setattr(verification, "solve_adjoint_with_sources",
+                        flipped_sweep)

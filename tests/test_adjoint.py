@@ -4,13 +4,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import desk_params, smooth_init
 
 from caginalp_control import (
     AdjointSources,
     CostSpec,
-    Field,
     Grid,
-    InitialData,
     ModelParams,
     SolverConfig,
     SpaceTimeField,
@@ -29,25 +28,6 @@ from caginalp_control import (
 from caginalp_control.oracle import oracle_adjoint
 
 
-def _desk_params():
-    return ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
-                       lambda_p=0.6, lambda_a=0.2, lambda_e=0.3,
-                       lambda_c=0.4, lambda_b=0.3, lambda_d=0.2)
-
-
-def _smooth_init(grid, rng):
-    def bumps(amplitude, offset=0.0):
-        values = np.full(grid.shape, offset)
-        x = grid.coords(0)
-        for mode in range(1, 4):
-            values += (rng.normal() * amplitude / mode**2
-                       * np.cos(mode * np.pi * x / grid.length[0]))
-        return Field(grid, values)
-
-    return InitialData(theta0=bumps(0.1), phi0=bumps(0.4),
-                       sigma0=bumps(0.2, offset=0.6))
-
-
 def _random_control(time_grid, grid, rng, scale=1.0):
     values = rng.normal(size=(time_grid.nt + 1,) + grid.shape) * scale
     values[-1] = 0.0
@@ -58,9 +38,9 @@ def _base_setup(n, nt, rng, t_final=0.2, params=None):
     """Grids and the state trajectory of a random smooth problem."""
     grid = Grid(n, 1.0)
     time_grid = TimeGrid(t_final, nt)
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.2)
-    base = solve_state(init, u, SolverConfig(), params or _desk_params(),
+    base = solve_state(init, u, SolverConfig(), params or desk_params(),
                        default_nonlinearities(), default_potential())
     return grid, time_grid, base
 
@@ -88,7 +68,7 @@ def _terminal_data(cost, params, grid=None, rng=None):
     rng = rng if rng is not None else np.random.default_rng(3)
     grid = grid if grid is not None else Grid(9, 1.0)
     time_grid = TimeGrid(0.05, 2)
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.2)
     base = solve_state(init, u, SolverConfig(), params,
                        default_nonlinearities(), default_potential())
@@ -101,13 +81,13 @@ def _terminal_data(cost, params, grid=None, rng=None):
 
 def test_final_conditions_zero_weights_vanish():
     cost = CostSpec(b1=1.0, b2=0.0, b3=1.0, b4=0.0, b5=1.0)
-    adj_t, _, _ = _terminal_data(cost, _desk_params())
+    adj_t, _, _ = _terminal_data(cost, desk_params())
     for name in ("z", "p", "q", "r"):
         assert np.all(adj_t[name] == 0.0), name
 
 
 def test_final_conditions_perfect_tracking_vanish():
-    params = _desk_params()
+    params = desk_params()
     _, theta_t, phi_t = _terminal_data(CostSpec(), params)
     cost = CostSpec(b1=0.0, b2=1.0, b3=0.0, b4=1.0, b5=1.0,
                     theta_omega=theta_t, phi_omega=phi_t)
@@ -291,11 +271,11 @@ def test_gradient_is_control_for_pure_regularization():
     rng = np.random.default_rng(31)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 8)
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.4)
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     result = reduced_gradient(u, init, cost, SolverConfig(),
-                              _desk_params(), default_nonlinearities(),
+                              desk_params(), default_nonlinearities(),
                               default_potential())
     assert np.array_equal(result.gradient.values, u.values)
 
@@ -304,11 +284,11 @@ def test_gradient_scales_with_regularization_weight():
     rng = np.random.default_rng(37)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 8)
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.4)
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=2.5)
     result = reduced_gradient(u, init, cost, SolverConfig(),
-                              _desk_params(), default_nonlinearities(),
+                              desk_params(), default_nonlinearities(),
                               default_potential())
     assert np.allclose(result.gradient.values, 2.5 * u.values,
                        rtol=0.0, atol=1e-15)
@@ -318,9 +298,9 @@ def test_gradient_matches_central_difference():
     rng = np.random.default_rng(41)
     grid = Grid(17, 2.0)
     time_grid = TimeGrid(0.3, 15)
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.2)
-    params = _desk_params()
+    params = desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     cfg = SolverConfig()
@@ -349,9 +329,9 @@ def test_gradient_result_reports_cost_of_the_sweep():
     rng = np.random.default_rng(43)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 6)
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.3)
-    params = _desk_params()
+    params = desk_params()
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
     result = reduced_gradient(u, init, cost, SolverConfig(), params,
                               default_nonlinearities(),
@@ -371,7 +351,7 @@ def test_adjoint_sweep_counts_terminal_solve(factorizations, tau, extra):
 
     rng = np.random.default_rng(53)
     _, time_grid, base = _base_setup(
-        9, 5, rng, params=replace(_desk_params(), tau=tau))
+        9, 5, rng, params=replace(desk_params(), tau=tau))
     assert base.operators.params.tau == tau
     assert len(factorizations) == 3
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)

@@ -264,16 +264,22 @@ def test_verify_unknown_suite_exits_2(tmp_path, capsys):
     assert "conservation" in err
 
 
+def test_verify_negative_seed_exits_2(tmp_path, capsys):
+    # numpy's generators take no negative seed material, so a negative seed
+    # would fail every seeded suite as if its checks had failed (exit 5).
+    cfg = _write(tmp_path, BASE + COST_BOX + "\n[verify]\nseed = -1\n")
+    assert main(["verify", "all", cfg]) == EXIT_CONFIG
+    assert "[verify]: seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_verify_requires_cost_section(tmp_path, capsys):
     cfg = _write(tmp_path, BASE)
     assert main(["verify", "all", cfg]) == EXIT_CONFIG
     assert "[cost]" in capsys.readouterr().err
 
 
-def test_verify_fault_injection_exits_5(tmp_path, capsys):
-    text = (BASE + COST_BOX
-            + "\n[verify]\ndebug_flip_adjoint_sign = true\n"
-            + "\n[output]\ndir = flip_out\n")
+def test_verify_fault_injection_exits_5(tmp_path, capsys, flipped_adjoint):
+    text = BASE + COST_BOX + "\n[output]\ndir = flip_out\n"
     cfg = _write(tmp_path, text)
     assert main(["verify", "adjoint", cfg]) == EXIT_VERIFY
     out = capsys.readouterr().out

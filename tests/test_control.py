@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import desk_params, smooth_init
 
+import caginalp_control.control as control
 from caginalp_control import (
     AdmissibleSet,
     ConfigurationError,
@@ -30,25 +32,6 @@ from caginalp_control.grid import l2q_norm
 from caginalp_control.oracle import dense_oracle_solve, oracle_cost
 
 
-def _desk_params():
-    return ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
-                       lambda_p=0.6, lambda_a=0.2, lambda_e=0.3,
-                       lambda_c=0.4, lambda_b=0.3, lambda_d=0.2)
-
-
-def _smooth_init(grid, rng):
-    def bumps(amplitude, offset=0.0):
-        values = np.full(grid.shape, offset)
-        x = grid.coords(0)
-        for mode in range(1, 4):
-            values += (rng.normal() * amplitude / mode**2
-                       * np.cos(mode * np.pi * x / grid.length[0]))
-        return Field(grid, values)
-
-    return InitialData(theta0=bumps(0.1), phi0=bumps(0.4),
-                       sigma0=bumps(0.2, offset=0.6))
-
-
 def _constant_init(grid, theta, phi, sigma):
     return InitialData(
         theta0=Field(grid, np.full(grid.shape, theta)),
@@ -61,9 +44,9 @@ def test_cost_zero_when_trajectory_matches_targets():
     rng = np.random.default_rng(3)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 6)
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = SpaceTimeField.zeros(time_grid, grid)
-    params = _desk_params()
+    params = desk_params()
     traj = solve_state(init, u, SolverConfig(), params,
                        default_nonlinearities(), default_potential())
     theta = traj.field_array("theta")
@@ -96,7 +79,7 @@ def test_cost_matches_dense_oracle():
     rng = np.random.default_rng(7)
     grid = Grid(4, 1.0)
     time_grid = TimeGrid(0.3, 3)
-    params = _desk_params()
+    params = desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     init = InitialData(
@@ -177,10 +160,8 @@ def test_cost_spec_validation():
 def test_optimizer_config_validation():
     with pytest.raises(ConfigurationError, match="max_iters"):
         OptimizerConfig(max_iters=-1)
-    with pytest.raises(ConfigurationError, match="backtrack"):
-        OptimizerConfig(backtrack_factor=1.0)
-    with pytest.raises(ConfigurationError, match="armijo"):
-        OptimizerConfig(armijo_c=0.0)
+    with pytest.raises(ConfigurationError, match="stationarity_tol"):
+        OptimizerConfig(stationarity_tol=-1e-8)
 
 
 def test_descent_pure_regularization_reaches_zero():
@@ -219,7 +200,7 @@ def test_descent_respects_active_lower_bound():
     values = report.final_control.values[:-1]
     assert np.allclose(values, 0.2, atol=1e-9)
     check = stationarity_check(report.final_control, report.final_gradient,
-                               adm, num_samples=50, seed=5)
+                               adm, seed=5)
     assert check.measure <= 1e-8
     assert np.min(check.vi_samples) >= -1e-10
 
@@ -234,7 +215,7 @@ def test_stationarity_check_flags_nonminimizer():
     grad = reduced_gradient(u, init, cost, SolverConfig(), ModelParams(),
                             default_nonlinearities(),
                             default_potential()).gradient
-    check = stationarity_check(u, grad, adm, num_samples=50, seed=7)
+    check = stationarity_check(u, grad, adm, seed=7)
     assert check.measure > 0.1
     assert np.min(check.vi_samples) < 0.0
 
@@ -243,8 +224,8 @@ def test_descent_tracking_cost_decreases_monotonically():
     rng = np.random.default_rng(13)
     grid = Grid(17, 2.0)
     time_grid = TimeGrid(0.3, 15)
-    init = _smooth_init(grid, rng)
-    params = _desk_params()
+    init = smooth_init(grid, rng)
+    params = desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     target_u = SpaceTimeField.constant(time_grid, grid, 0.4)
@@ -305,9 +286,8 @@ def test_descent_stops_when_the_step_no_longer_moves_the_control(
     # such a null trial must end the search, not be accepted as a move.
     # (With J = 1 the resolution stop now ends the search first, after 37
     # backtracks; the zero-cost test below reaches the null trial.)
-    import caginalp_control.control as control
-
     monkeypatch.setattr(control, "evaluate_cost", lambda *args: 1.0)
+    monkeypatch.setattr(control, "MIN_STEP", 1e-300)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 4)
     init = _constant_init(grid, 0.0, 1.0, 0.5)
@@ -315,7 +295,7 @@ def test_descent_stops_when_the_step_no_longer_moves_the_control(
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
     report = projected_gradient_descent(
-        u0, init, adm, cost, OptimizerConfig(max_iters=5, min_step=1e-300),
+        u0, init, adm, cost, OptimizerConfig(max_iters=5),
         SolverConfig(), ModelParams(), default_nonlinearities(),
         default_potential())
     assert report.stop_reason == "resolution"
@@ -328,9 +308,8 @@ def test_descent_at_zero_cost_stops_when_the_step_no_longer_moves(
     # At J = 0 the cost's resolution linear_tol * |J| is zero, so every
     # rejected trial that moved the control predicts a decrease above it;
     # only the null trial at a step below rounding ends the search.
-    import caginalp_control.control as control
-
     monkeypatch.setattr(control, "evaluate_cost", lambda *args: 0.0)
+    monkeypatch.setattr(control, "MIN_STEP", 1e-300)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 4)
     init = _constant_init(grid, 0.0, 1.0, 0.5)
@@ -338,7 +317,7 @@ def test_descent_at_zero_cost_stops_when_the_step_no_longer_moves(
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
     report = projected_gradient_descent(
-        u0, init, adm, cost, OptimizerConfig(max_iters=5, min_step=1e-300),
+        u0, init, adm, cost, OptimizerConfig(max_iters=5),
         SolverConfig(), ModelParams(), default_nonlinearities(),
         default_potential())
     assert report.stop_reason == "min_step"
@@ -353,9 +332,10 @@ def test_descent_runs_one_forward_sweep_per_trial(monkeypatch):
     # The accepted trial's state is reused for the next gradient, so the
     # forward sweeps are the one at the start plus one per trial.
     import caginalp_control.adjoint as adjoint
-    import caginalp_control.control as control
     import caginalp_control.state as state
 
+    # A first trial step of 8 makes the first iterates backtrack.
+    monkeypatch.setattr(control, "INITIAL_STEP", 8.0)
     sweeps = []
     original = state.solve_state
 
@@ -370,8 +350,8 @@ def test_descent_runs_one_forward_sweep_per_trial(monkeypatch):
     rng = np.random.default_rng(17)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 6)
-    init = _smooth_init(grid, rng)
-    params = _desk_params()
+    init = smooth_init(grid, rng)
+    params = desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     reference = original(init, SpaceTimeField.constant(time_grid, grid, 0.4),
@@ -385,7 +365,7 @@ def test_descent_runs_one_forward_sweep_per_trial(monkeypatch):
     report = projected_gradient_descent(
         SpaceTimeField.zeros(time_grid, grid), init,
         AdmissibleSet(u_min=-1.0, u_max=1.0), cost,
-        OptimizerConfig(max_iters=4, initial_step=8.0), SolverConfig(),
+        OptimizerConfig(max_iters=4), SolverConfig(),
         params, nl, pot)
     assert report.stop_reason == "max_iters"
     trials = sum(rec.backtracks + 1 for rec in report.iterates[:-1])
@@ -463,9 +443,7 @@ def test_search_ends_once_a_rejection_is_below_the_cost_resolution(
     # the cost by about 8e-16, under the resolution linear_tol * J = 4e-15.
     # When the trial's cost reads high by noise under that resolution, the
     # rejection is noise, and the search must end after that one trial
-    # instead of halving alpha down to min_step.
-    import caginalp_control.control as control
-
+    # instead of halving alpha down to MIN_STEP.
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 6)
     init = _constant_init(grid, 0.0, 1.0, 0.5)

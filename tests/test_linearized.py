@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import desk_params, smooth_init
 
 from caginalp_control import (
     ConfigurationError,
@@ -25,25 +26,6 @@ from caginalp_control import (
 from caginalp_control.oracle import oracle_linearized
 
 
-def _desk_params():
-    return ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
-                       lambda_p=0.6, lambda_a=0.2, lambda_e=0.3,
-                       lambda_c=0.4, lambda_b=0.3, lambda_d=0.2)
-
-
-def _smooth_init(grid, rng):
-    def bumps(amplitude, offset=0.0):
-        values = np.full(grid.shape, offset)
-        for mode in range(1, 4):
-            x = grid.coords(0)
-            values += (rng.normal() * amplitude / mode**2
-                       * np.cos(mode * np.pi * x / grid.length[0]))
-        return Field(grid, values)
-
-    return InitialData(theta0=bumps(0.1), phi0=bumps(0.4),
-                       sigma0=bumps(0.2, offset=0.6))
-
-
 def _random_control(time_grid, grid, rng, scale=1.0):
     values = rng.normal(size=(time_grid.nt + 1,) + grid.shape) * scale
     values[-1] = 0.0
@@ -54,9 +36,9 @@ def test_zero_direction_gives_zero_trajectory():
     rng = np.random.default_rng(3)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 10)
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.2)
-    params = _desk_params()
+    params = desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     base = solve_state(init, u, SolverConfig(), params, nl, pot)
@@ -70,9 +52,9 @@ def test_linearized_map_is_linear():
     rng = np.random.default_rng(7)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 8)
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.2)
-    params = _desk_params()
+    params = desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     cfg = SolverConfig()
@@ -99,11 +81,11 @@ def test_two_step_sweep_matches_forward_difference():
     rng = np.random.default_rng(13)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.04, 2)
-    params = _desk_params()
+    params = desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     cfg = SolverConfig()
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.3)
     # The control reaches the nonlinearities only through the temperature;
     # a large direction lifts the first-order remainder above rounding.
@@ -134,7 +116,7 @@ def test_matches_dense_jacobian_on_tiny_grid():
     rng = np.random.default_rng(17)
     grid = Grid(4, 1.0)
     time_grid = TimeGrid(0.3, 3)
-    params = _desk_params()
+    params = desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     cfg = SolverConfig()
@@ -193,8 +175,8 @@ def test_taylor_slopes_near_two():
     rng = np.random.default_rng(101)
     grid = Grid(17, 2.0)
     time_grid = TimeGrid(0.3, 15)
-    init = _smooth_init(grid, rng)
-    params = _desk_params()
+    init = smooth_init(grid, rng)
+    params = desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     cfg = SolverConfig()
@@ -236,10 +218,10 @@ def test_taylor_test_input_validation():
     rng = np.random.default_rng(107)
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 5)
-    init = _smooth_init(grid, rng)
+    init = smooth_init(grid, rng)
     u = SpaceTimeField.zeros(time_grid, grid)
     h = _random_control(time_grid, grid, rng)
-    base = solve_state(init, u, SolverConfig(), _desk_params(),
+    base = solve_state(init, u, SolverConfig(), desk_params(),
                        default_nonlinearities(), default_potential())
     with pytest.raises(ConfigurationError, match="three"):
         taylor_test(base, u, h, (1e-2, 1e-3), init)

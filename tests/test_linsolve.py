@@ -7,7 +7,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse._base import _spbase
 from scipy.sparse.linalg import spsolve
+from conftest import desk_params
 
+import caginalp_control.state as state
 from caginalp_control import (
     AdjointSources,
     ConfigurationError,
@@ -15,7 +17,6 @@ from caginalp_control import (
     Field,
     Grid,
     InitialData,
-    ModelParams,
     SolverConfig,
     SolverError,
     SpaceTimeField,
@@ -30,14 +31,6 @@ from caginalp_control import (
 )
 from caginalp_control.linsolve import FactorizedOperator
 from caginalp_control.state import StepOperators
-
-
-def _desk_params(**overrides):
-    values = dict(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5, lambda_p=0.6,
-                  lambda_a=0.2, lambda_e=0.3, lambda_c=0.4, lambda_b=0.3,
-                  lambda_d=0.2)
-    values.update(overrides)
-    return ModelParams(**values)
 
 
 def _nutrient_case(grid, dt, params, seed):
@@ -65,7 +58,7 @@ def _relative_error(x, reference):
     Grid((33, 33), (2.0, 2.0)),
 ], ids=["1d-33", "1d-1025", "2d-33x33"])
 def test_shifted_nutrient_solve_matches_spsolve(grid):
-    ops, decay, rhs, reference = _nutrient_case(grid, 0.01, _desk_params(),
+    ops, decay, rhs, reference = _nutrient_case(grid, 0.01, desk_params(),
                                                 seed=11)
     cold = ops.solve_nutrient(rhs, decay)
     assert _relative_error(cold, reference) <= 1e-10
@@ -76,7 +69,7 @@ def test_shifted_nutrient_solve_matches_spsolve(grid):
 def test_shifted_nutrient_solve_converges_when_decay_is_stiff():
     # dt * (lambda_C + lambda_D) = 30: the decay dominates I/dt, so the
     # reference shift no longer makes the preconditioner nearly exact.
-    params = _desk_params(lambda_c=40.0, lambda_d=20.0)
+    params = desk_params(lambda_c=40.0, lambda_d=20.0)
     grid = Grid(129, 2.0)
     ops, decay, rhs, reference = _nutrient_case(grid, 0.5, params, seed=13)
     assert ops.dt * (params.lambda_c + params.lambda_d) >= 20.0
@@ -87,7 +80,7 @@ def test_shifted_nutrient_solve_converges_when_decay_is_stiff():
 def test_shifted_sparse_solve_converges_when_decay_is_stiff():
     # The same stiff decay on a 2D grid, where the shifted solve runs
     # conjugate gradients preconditioned by the reference factor.
-    params = _desk_params(lambda_c=40.0, lambda_d=20.0)
+    params = desk_params(lambda_c=40.0, lambda_d=20.0)
     grid = Grid((17, 17), (2.0, 2.0))
     ops, decay, rhs, reference = _nutrient_case(grid, 0.5, params, seed=13)
     assert ops.nutrient._band is None
@@ -96,7 +89,7 @@ def test_shifted_sparse_solve_converges_when_decay_is_stiff():
 
 
 def test_decay_reference_is_midpoint_of_declared_range():
-    params = _desk_params()
+    params = desk_params()
     ops = StepOperators(Grid(9, 1.0), 0.1, SolverConfig(), params,
                         default_nonlinearities(), default_potential())
     assert ops.decay_ref == pytest.approx(0.3 + 0.5 * (0.4 + 0.2))
@@ -115,7 +108,7 @@ def _desk_base(nt, **overrides):
     time_grid = TimeGrid(0.1 * nt, nt)
     u = SpaceTimeField.zeros(time_grid, grid)
     return solve_state(_desk_init(grid), u, SolverConfig(),
-                       _desk_params(**overrides), default_nonlinearities(),
+                       desk_params(**overrides), default_nonlinearities(),
                        default_potential())
 
 
@@ -162,7 +155,7 @@ def test_only_operators_too_wide_for_a_band_use_splu(splu_calls, grid,
     # Schur operator pentadiagonal); a 2D band is about sqrt(N) wide.
     time_grid = TimeGrid(0.02, 2)
     solve_state(_constant_init(grid), SpaceTimeField.zeros(time_grid, grid),
-                SolverConfig(), _desk_params(), default_nonlinearities(),
+                SolverConfig(), desk_params(), default_nonlinearities(),
                 default_potential())
     assert len(splu_calls) == sparse_lus
 
@@ -227,14 +220,15 @@ def test_acceptance_holds_for_right_hand_sides_of_any_magnitude(grid,
             np.abs(reference))
 
 
-def test_forward_stall_names_block_and_step():
+def test_forward_stall_names_block_and_step(monkeypatch):
     # No corrections allowed: the warm-started phase solve is the first
     # solve of step 0 and cannot meet the tolerance from the old level.
+    monkeypatch.setattr(state, "MAX_LINEAR_ITERS", 0)
     grid = Grid(17, 2.0)
     time_grid = TimeGrid(0.2, 2)
     with pytest.raises(SolverError) as excinfo:
         solve_state(_desk_init(grid), SpaceTimeField.zeros(time_grid, grid),
-                    SolverConfig(max_linear_iters=0), _desk_params(),
+                    SolverConfig(), desk_params(),
                     default_nonlinearities(), default_potential())
     error = excinfo.value
     assert error.block == "phase"
@@ -242,10 +236,11 @@ def test_forward_stall_names_block_and_step():
     assert "phase" in str(error) and "step 0" in str(error)
 
 
-def test_every_block_names_itself_when_it_stalls():
+def test_every_block_names_itself_when_it_stalls(monkeypatch):
+    monkeypatch.setattr(state, "MAX_LINEAR_ITERS", 0)
     grid = Grid(9, 1.0)
-    ops = StepOperators(grid, 0.1, SolverConfig(max_linear_iters=0),
-                        _desk_params(), default_nonlinearities(),
+    ops = StepOperators(grid, 0.1, SolverConfig(),
+                        desk_params(), default_nonlinearities(),
                         default_potential())
     rhs = np.ones(grid.num_nodes)
     guess = np.zeros(grid.num_nodes)
@@ -269,7 +264,7 @@ def test_every_block_names_itself_when_it_stalls():
     Grid((33, 33), (2.0, 2.0)),
 ], ids=["1d-33", "1d-1025", "2d-5x4", "2d-33x33"])
 def test_matvec_is_bit_equal_to_sparse_matmul(grid):
-    ops = StepOperators(grid, 0.01, SolverConfig(), _desk_params(),
+    ops = StepOperators(grid, 0.01, SolverConfig(), desk_params(),
                         default_nonlinearities(), default_potential())
     ops.solve_terminal(np.ones(grid.num_nodes))
     rng = np.random.default_rng(5)

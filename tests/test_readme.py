@@ -1,4 +1,5 @@
-"""README.md's Python examples run as written, from the checkout root."""
+"""README.md's Python examples run as written, from the checkout root, and
+its configuration table names every config key."""
 
 import os
 import re
@@ -9,8 +10,10 @@ from conftest import CONFIGS
 ROOT = os.path.dirname(CONFIGS)
 
 with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as _handle:
-    BLOCKS = re.findall(r"^```python\n(.*?)^```$", _handle.read(),
-                        flags=re.MULTILINE | re.DOTALL)
+    README = _handle.read()
+
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README,
+                    flags=re.MULTILINE | re.DOTALL)
 
 
 def test_readme_has_python_examples():
@@ -22,3 +25,14 @@ def test_readme_has_python_examples():
 def test_readme_python_example_runs(monkeypatch, index):
     monkeypatch.chdir(ROOT)
     exec(compile(BLOCKS[index], f"README.md block {index}", "exec"), {})
+
+
+def test_readme_config_table_names_every_key():
+    from caginalp_control.config import _KNOWN_KEYS
+
+    rows = dict(re.findall(r"^\| `\[(\w+)\]` \|(.*)\|$", README,
+                           flags=re.MULTILINE))
+    assert set(rows) == set(_KNOWN_KEYS)
+    for section, keys in _KNOWN_KEYS.items():
+        missing = [key for key in keys if f"`{key}`" not in rows[section]]
+        assert not missing, f"[{section}] row lacks {missing}"

@@ -80,10 +80,9 @@ def test_other_seed_also_passes(desk_problem, seed):
     assert all(r.seed == seed for r in report.results)
 
 
-def test_fault_injection_fails_adjoint_and_gradient_only(desk_problem):
-    cfg = VerifySuiteConfig(
-        suites=("conservation", "adjoint", "gradient"),
-        debug_flip_adjoint_sign=True)
+def test_fault_injection_fails_adjoint_and_gradient_only(desk_problem,
+                                                         flipped_adjoint):
+    cfg = VerifySuiteConfig(suites=("conservation", "adjoint", "gradient"))
     report = run_suite(cfg, desk_problem)
     verdicts = {r.name: r.passed for r in report.results}
     assert verdicts["conservation_theta_ell_phi"]
@@ -96,22 +95,6 @@ def test_fault_injection_fails_adjoint_and_gradient_only(desk_problem):
 def test_unknown_suite_name_lists_valid_names():
     with pytest.raises(ConfigurationError, match="valid names"):
         VerifySuiteConfig(suites=("conservation", "nonsense"))
-
-
-def test_unknown_tolerance_override_rejected():
-    with pytest.raises(ConfigurationError, match="tolerance override"):
-        VerifySuiteConfig(tolerances={"no_such_check": 1e-3})
-
-
-def test_tolerance_override_reaches_the_check(desk_problem):
-    cfg = VerifySuiteConfig(suites=("adjoint",),
-                            tolerances={"dot_product": 1e-300})
-    report = run_suite(cfg, desk_problem)
-    verdicts = {r.name: r.passed for r in report.results}
-    assert not verdicts["dot_product"]
-    assert verdicts["duality"]
-    failed = next(r for r in report.results if r.name == "dot_product")
-    assert failed.tolerance == 1e-300
 
 
 def test_suite_selection_runs_in_canonical_order(desk_problem):
