@@ -26,11 +26,8 @@ _EXPORTS = {
     "Field": "grid",
     "SpaceTimeField": "grid",
     "Trajectory": "grid",
-    "laplacian_apply": "grid",
     "laplacian_matrix": "grid",
     "quadrature_weights": "grid",
-    "inner_product": "grid",
-    "integrate": "grid",
     "l2q_inner": "grid",
     "l2q_norm": "grid",
     "write_field_csv": "grid",

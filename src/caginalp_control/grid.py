@@ -7,14 +7,15 @@ node-table CSV codec that every field file of the package uses: one row per
 node with its indices, its coordinates and its values, floats at 17
 significant digits so that values round-trip exactly.
 
-The mirror closure and the trapezoid weights are chosen together so that two
-identities hold exactly in floating point, not just asymptotically:
+The mirror closure of :func:`laplacian_matrix` L and the trapezoid weights
+w of :func:`quadrature_weights` are chosen together so that two identities
+hold exactly in floating point, not just asymptotically:
 
-* every row of the Laplacian sums to zero (exactly in 1D, to one rounding of
-  the merged diagonal in 2D), so constants are in its kernel and integrals of
-  Laplacians vanish at machine precision;
-* the weighted operator W @ L is symmetric, so the Laplacian is self-adjoint
-  under ``inner_product`` and ``inner_product(-lap(f), f) >= 0``.
+* every row of L sums to zero (exactly in 1D, to one rounding of the merged
+  diagonal in 2D), so constants are in its kernel and w @ (L @ f), the
+  integral of a Laplacian, vanishes at machine precision;
+* W @ L with W = diag(w) is symmetric, so L is self-adjoint in the weighted
+  pairing w @ (f * g) and w @ (-(L @ f) * f) >= 0.
 
 Both facts are what make the conservation laws and the transpose-based adjoint
 construction in the solver modules exact discrete statements.
@@ -40,11 +41,8 @@ __all__ = [
     "Field",
     "SpaceTimeField",
     "Trajectory",
-    "laplacian_apply",
     "laplacian_matrix",
     "quadrature_weights",
-    "inner_product",
-    "integrate",
     "l2q_inner",
     "l2q_norm",
     "write_field_csv",
@@ -370,38 +368,6 @@ class Trajectory:
                               self._arrays[name].reshape(shape))
 
 
-def _lap_1d_axis(values, h, axis):
-    """Second difference with mirror closure along one axis of an nd array."""
-    out = np.empty_like(values)
-    src = np.moveaxis(values, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[1:-1] = src[:-2] - 2.0 * src[1:-1] + src[2:]
-    dst[0] = 2.0 * (src[1] - src[0])
-    dst[-1] = 2.0 * (src[-2] - src[-1])
-    out /= h * h
-    return out
-
-
-def laplacian_apply(f):
-    """Apply the Neumann Laplacian to a field, matrix-free.
-
-    Interior nodes carry the second-order central stencil; boundary nodes use
-    the mirror (ghost reflection) closure, e.g. in 1D the first row reads
-    2*(f[1] - f[0]) / h^2.
-
-    Args:
-        f: Input field.
-
-    Returns:
-        Field holding the discrete Laplacian of ``f``.
-    """
-    grid = f.grid
-    result = np.zeros(grid.shape)
-    for axis, h in enumerate(grid.spacing):
-        result += _lap_1d_axis(f.values, h, axis)
-    return Field(grid, result)
-
-
 def _laplacian_1d_matrix(count, h):
     main = np.full(count, -2.0)
     upper = np.ones(count - 1)
@@ -414,11 +380,13 @@ def _laplacian_1d_matrix(count, h):
 
 @lru_cache(maxsize=None)
 def laplacian_matrix(grid):
-    """Sparse CSR form of :func:`laplacian_apply` in flat C ordering.
+    """The Neumann Laplacian as a sparse CSR matrix in flat C ordering.
 
-    The operator is the Kronecker sum of the per-axis 1D operators, folded
-    axis by axis. Rows sum to zero exactly and W @ L is symmetric for the
-    weights of :func:`quadrature_weights`.
+    Interior nodes carry the second-order central stencil; boundary nodes use
+    the mirror (ghost reflection) closure, e.g. in 1D the first row reads
+    2*(f[1] - f[0]) / h^2. The operator is the Kronecker sum of the per-axis
+    1D operators, folded axis by axis. Rows sum to zero exactly and W @ L is
+    symmetric for the weights of :func:`quadrature_weights`.
     """
     def kron_sum(lap, part):
         return (sp.kron(lap, sp.identity(part.shape[0], format="csr"))
@@ -446,24 +414,6 @@ def _cosine_profile(grid, mode=1):
     return reduce(np.multiply.outer, [
         np.cos(mode * np.pi * grid.coords(axis) / grid.length[axis])
         for axis in range(grid.dim)])
-
-
-def inner_product(f, g):
-    """Weighted l2 inner product, the discrete L2(Omega) pairing.
-
-    Raises:
-        ConfigurationError: If the fields live on different grids.
-    """
-    if f.grid != g.grid:
-        raise ConfigurationError("inner_product requires fields on one grid")
-    w = quadrature_weights(f.grid)
-    return float(np.dot(w, f.flat * g.flat))
-
-
-def integrate(f):
-    """Quadrature of ``f`` over the domain, inner_product(f, 1)."""
-    w = quadrature_weights(f.grid)
-    return float(np.dot(w, f.flat))
 
 
 def l2q_inner(u, v):

@@ -54,9 +54,6 @@ from .errors import ConfigurationError, SolverError
 from .grid import (
     Field,
     Trajectory,
-    inner_product,
-    integrate,
-    laplacian_apply,
     laplacian_matrix,
     quadrature_weights,
 )
@@ -281,12 +278,20 @@ def initial_mu(init, params, pot):
     return Field(init.grid, mu0.reshape(init.grid.shape))
 
 
-def ch_energy(phi, pot):
-    """Discrete Cahn-Hilliard free energy 0.5*<-Lap(phi), phi> + int F_hat."""
-    interface = 0.5 * inner_product(-1.0 * laplacian_apply(phi), phi)
-    bulk = integrate(Field(phi.grid,
-                           np.asarray(pot.F_hat(phi.values), dtype=float)))
-    return float(interface + bulk)
+def ch_energy(phi, grid, pot):
+    """Discrete Cahn-Hilliard free energy 0.5*<-Lap(phi), phi> + int F_hat
+    of every level of ``phi``, a (levels, N) array of flat levels.
+
+    Works one level at a time, so it allocates nothing the size of ``phi``.
+    """
+    apply_lap = MatVec(laplacian_matrix(grid))
+    w = quadrature_weights(grid)
+    energies = np.empty(len(phi))
+    for level, values in enumerate(phi):
+        interface = 0.5 * np.dot(w, -apply_lap(values) * values)
+        bulk = np.dot(w, np.asarray(pot.F_hat(values), dtype=float))
+        energies[level] = interface + bulk
+    return energies
 
 
 def solve_state(init, u, cfg, params, nl, pot):
@@ -337,21 +342,17 @@ def solve_state(init, u, cfg, params, nl, pot):
 
     def diagnostics():
         weights = ops.weights
-        rows = []
-        shape = grid.shape
-        for level in range(nt + 1):
-            phi_field = Field(grid, phi[level].reshape(shape))
-            rows.append(DiagnosticsRecord(
-                step=level,
-                time=float(times[level]),
-                mass_theta_ell_phi=float(
-                    np.dot(weights, theta[level] + params.ell * phi[level])),
-                mass_phi=float(np.dot(weights, phi[level])),
-                energy=ch_energy(phi_field, pot),
-                linf_theta=float(np.max(np.abs(theta[level]))),
-                linf_phi=float(np.max(np.abs(phi[level]))),
-            ))
-        return rows
+        energies = ch_energy(phi, grid, pot)
+        return [DiagnosticsRecord(
+            step=level,
+            time=float(times[level]),
+            mass_theta_ell_phi=float(
+                np.dot(weights, theta[level] + params.ell * phi[level])),
+            mass_phi=float(np.dot(weights, phi[level])),
+            energy=float(energies[level]),
+            linf_theta=float(np.max(np.abs(theta[level]))),
+            linf_phi=float(np.max(np.abs(phi[level]))),
+        ) for level in range(nt + 1)]
 
     return Trajectory(
         time_grid, grid,

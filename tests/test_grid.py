@@ -9,11 +9,8 @@ from caginalp_control import (
     Grid,
     SpaceTimeField,
     TimeGrid,
-    inner_product,
-    integrate,
     l2q_inner,
     l2q_norm,
-    laplacian_apply,
     laplacian_matrix,
     quadrature_weights,
     read_field_csv,
@@ -84,18 +81,27 @@ def test_space_time_field_slice_count():
     assert stf.slice(2).values[0] == 2.0
 
 
+def _pair(grid, f, g):
+    """Weighted l2 pairing w @ (f * g) of two flat arrays."""
+    return float(np.dot(quadrature_weights(grid), f * g))
+
+
 def test_laplacian_of_constant_is_zero():
-    for grid in (Grid(7, 1.3), Grid((3, 5), (1.0, 0.7))):
-        out = laplacian_apply(Field.constant(grid, 4.2))
-        assert np.all(out.values == 0.0)
+    # 1D rows cancel exactly; in 2D the merged diagonal leaves at most one
+    # rounding per row, as in test_laplacian_row_sums_vanish.
+    out = laplacian_matrix(Grid(7, 1.3)) @ np.full(7, 4.2)
+    assert np.all(out == 0.0)
+    mat = laplacian_matrix(Grid((3, 5), (1.0, 0.7)))
+    out = mat @ np.full(15, 4.2)
+    scale = 4.2 * np.max(np.abs(mat.diagonal()))
+    assert np.max(np.abs(out)) <= 4 * np.finfo(float).eps * scale
 
 
 def test_laplacian_hand_stencil_n3():
     # Mirror closure on 3 nodes with unit spacing, values (0, 1, 0):
     # row 0: 2*(1 - 0) = 2; row 1: 0 - 2 + 0 = -2; row 2: 2*(1 - 0) = 2.
-    grid = Grid(3, 2.0)
-    out = laplacian_apply(Field(grid, np.array([0.0, 1.0, 0.0])))
-    assert np.array_equal(out.values, np.array([2.0, -2.0, 2.0]))
+    out = laplacian_matrix(Grid(3, 2.0)) @ np.array([0.0, 1.0, 0.0])
+    assert np.array_equal(out, np.array([2.0, -2.0, 2.0]))
 
 
 def test_laplacian_matrix_rows_n3():
@@ -107,17 +113,6 @@ def test_laplacian_matrix_rows_n3():
                          [0.0, 2.0, -2.0]]) / (h * h)
     assert np.allclose(laplacian_matrix(grid).toarray(), expected,
                        rtol=0.0, atol=1e-15)
-
-
-def test_laplacian_matrix_matches_apply():
-    rng = np.random.default_rng(7)
-    for grid in (Grid(6, 1.1), Grid((4, 5), (0.9, 1.6))):
-        lap = laplacian_matrix(grid)
-        for _ in range(5):
-            f = Field(grid, rng.standard_normal(grid.shape))
-            via_matrix = (lap @ f.flat).reshape(grid.shape)
-            assert np.allclose(via_matrix, laplacian_apply(f).values,
-                               rtol=1e-14, atol=1e-14)
 
 
 def test_laplacian_matrix_agrees_with_dense_oracle():
@@ -155,27 +150,20 @@ def test_laplacian_mesh_refinement_order_two():
     for n in (65, 129):
         grid = Grid(n, length)
         x = grid.coords(0)
-        f = Field(grid, np.cos(np.pi * x / length))
+        f = np.cos(np.pi * x / length)
         exact = -((np.pi / length) ** 2) * np.cos(np.pi * x / length)
-        errors.append(np.max(np.abs(laplacian_apply(f).values - exact)))
+        errors.append(np.max(np.abs(laplacian_matrix(grid) @ f - exact)))
     ratio = errors[0] / errors[1]
     assert 3.6 <= ratio <= 4.4
-
-
-def test_inner_product_with_zero_field():
-    grid = Grid(6, 1.0)
-    rng = np.random.default_rng(3)
-    f = Field(grid, rng.standard_normal(grid.shape))
-    assert inner_product(f, Field.zeros(grid)) == 0.0
 
 
 def test_inner_product_constants_trapezoid():
     # n=3 on a length-2 interval (unit spacing): weights (0.5, 1, 0.5)
     # integrate the constant 1 over measure 2.
     grid = Grid(3, 2.0)
-    one = Field.constant(grid, 1.0)
-    assert inner_product(one, one) == 2.0
-    assert integrate(one) == 2.0
+    one = np.ones(3)
+    assert _pair(grid, one, one) == 2.0
+    assert np.dot(quadrature_weights(grid), one) == 2.0
 
 
 def test_quadrature_weights_2d_corners_quartered():
@@ -189,36 +177,41 @@ def test_quadrature_weights_2d_corners_quartered():
 def test_laplacian_integrates_to_zero():
     rng = np.random.default_rng(11)
     for grid in (Grid(8, 1.5), Grid((5, 4), (1.0, 1.3))):
+        lap = laplacian_matrix(grid)
         for _ in range(5):
-            f = Field(grid, rng.standard_normal(grid.shape))
-            scale = np.max(np.abs(f.values)) + 1.0
-            assert abs(integrate(laplacian_apply(f))) <= 1e-13 * scale
+            f = rng.standard_normal(grid.num_nodes)
+            scale = np.max(np.abs(f)) + 1.0
+            integral = np.dot(quadrature_weights(grid), lap @ f)
+            assert abs(integral) <= 1e-13 * scale
 
 
 def test_laplacian_is_self_adjoint():
     rng = np.random.default_rng(13)
     for grid in (Grid(8, 1.5), Grid((5, 4), (1.0, 1.3))):
+        lap = laplacian_matrix(grid)
         for _ in range(5):
-            f = Field(grid, rng.standard_normal(grid.shape))
-            g = Field(grid, rng.standard_normal(grid.shape))
-            lhs = inner_product(laplacian_apply(f), g)
-            rhs = inner_product(f, laplacian_apply(g))
+            f = rng.standard_normal(grid.num_nodes)
+            g = rng.standard_normal(grid.num_nodes)
+            lhs = _pair(grid, lap @ f, g)
+            rhs = _pair(grid, f, lap @ g)
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
 
 def test_negative_laplacian_is_positive_semidefinite():
     rng = np.random.default_rng(17)
     grid = Grid(9, 1.1)
+    lap = laplacian_matrix(grid)
     for _ in range(10):
-        f = Field(grid, rng.standard_normal(grid.shape))
-        assert inner_product(-1.0 * laplacian_apply(f), f) >= -1e-13
-    c = Field.constant(grid, 3.0)
-    assert abs(inner_product(-1.0 * laplacian_apply(c), c)) <= 1e-15
+        f = rng.standard_normal(grid.num_nodes)
+        assert _pair(grid, -(lap @ f), f) >= -1e-13
+    c = np.full(grid.num_nodes, 3.0)
+    assert abs(_pair(grid, -(lap @ c), c)) <= 1e-15
 
 
 def _h1_semi(f):
     """sqrt(<-lap f, f>), clamped at zero against roundoff."""
-    return np.sqrt(max(inner_product(-1.0 * laplacian_apply(f), f), 0.0))
+    lap = laplacian_matrix(f.grid)
+    return np.sqrt(max(_pair(f.grid, -(lap @ f.flat), f.flat), 0.0))
 
 
 def _h1_semi_oracle_1d(values, h):
@@ -274,13 +267,6 @@ def test_l2q_inner_ignores_final_slice():
     a_vals2[-1] = 99.0
     assert l2q_inner(SpaceTimeField(tg, grid, a_vals2),
                      SpaceTimeField(tg, grid, b_vals)) == base
-
-
-def test_inner_product_grid_mismatch():
-    f = Field.zeros(Grid(5, 1.0))
-    g = Field.zeros(Grid(6, 1.0))
-    with pytest.raises(ConfigurationError, match="one grid"):
-        inner_product(f, g)
 
 
 def test_field_csv_round_trip_1d(tmp_path):

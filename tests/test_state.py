@@ -21,7 +21,6 @@ from caginalp_control import (
     default_nonlinearities,
     default_potential,
     initial_mu,
-    integrate,
     l2q_norm,
     load_config,
     quadrature_weights,
@@ -30,7 +29,11 @@ from caginalp_control import (
     zero_potential,
 )
 from caginalp_control import state
-from caginalp_control.oracle import dense_oracle_solve
+from caginalp_control.oracle import (
+    dense_laplacian,
+    dense_oracle_solve,
+    dense_weights,
+)
 
 
 def _constant_init(grid, theta, phi, sigma):
@@ -137,13 +140,14 @@ def test_per_step_combined_mass_law():
     traj = solve_state(init, u, SolverConfig(), params,
                        default_nonlinearities(), default_potential())
     dt = time_grid.dt
+    w = quadrature_weights(grid)
+    combined = (traj.field_array("theta")
+                + params.ell * traj.field_array("phi")) @ w
     worst = 0.0
     for k in range(time_grid.nt):
-        before = integrate(traj.field("theta", k)
-                           + params.ell * traj.field("phi", k))
-        after = integrate(traj.field("theta", k + 1)
-                          + params.ell * traj.field("phi", k + 1))
-        source = dt * integrate(u.slice(k))
+        before = combined[k]
+        after = combined[k + 1]
+        source = dt * np.dot(w, u.flat_slices[k])
         scale = 1.0 + abs(before) + abs(source)
         worst = max(worst, abs(after - before - source) / scale)
     assert worst <= 1e-10
@@ -167,16 +171,17 @@ def test_phase_mass_matches_reaction_integral():
     traj = solve_state(init, u, SolverConfig(), params, nl,
                        default_potential())
     dt = time_grid.dt
+    w = quadrature_weights(grid)
+    phi = traj.field_array("phi")
     worst = 0.0
     for k in range(time_grid.nt):
-        phi = traj.field("phi", k)
-        gate = nl.H_gate(phi.values)
-        reaction = (params.lambda_p * traj.field("sigma", k).values
+        gate = nl.H_gate(phi[k])
+        reaction = (params.lambda_p * traj.field_array("sigma")[k]
                     - params.lambda_a
-                    - params.lambda_e * traj.field("theta", k).values) * gate
-        before = integrate(phi)
-        after = integrate(traj.field("phi", k + 1))
-        source = dt * integrate(Field(grid, reaction))
+                    - params.lambda_e * traj.field_array("theta")[k]) * gate
+        before = np.dot(w, phi[k])
+        after = np.dot(w, phi[k + 1])
+        source = dt * np.dot(w, reaction)
         scale = 1.0 + abs(before) + abs(source)
         worst = max(worst, abs(after - before - source) / scale)
     assert worst <= 1e-10
@@ -198,11 +203,26 @@ def test_energy_non_increasing_in_decoupled_phase_regime():
     u = SpaceTimeField.zeros(time_grid, grid)
     traj = solve_state(init, u, SolverConfig(), params,
                        default_nonlinearities(), pot)
-    energies = [ch_energy(traj.field("phi", k), pot)
-                for k in range(time_grid.nt + 1)]
+    energies = ch_energy(traj.field_array("phi"), grid, pot)
     increments = np.diff(energies)
     scale = 1.0 + abs(energies[0])
     assert np.max(increments) <= 1e-12 * scale
+
+
+def test_ch_energy_matches_dense_formula_on_2d_grid():
+    # Spacings that are not powers of two, so the CSR products round
+    # differently from the dense ones; energies agree to a few ulps.
+    rng = np.random.default_rng(43)
+    grid = Grid((5, 4), (1.3, 0.7))
+    pot = default_potential()
+    phi = rng.standard_normal((3, grid.num_nodes))
+    lap = dense_laplacian(grid.n, grid.spacing)
+    w = dense_weights(grid.n, grid.spacing)
+    expected = [0.5 * (w @ (-(lap @ level) * level)) + w @ pot.F_hat(level)
+                for level in phi]
+    energies = ch_energy(phi, grid, pot)
+    assert energies.shape == (3,)
+    assert np.allclose(energies, expected, rtol=1e-14, atol=0.0)
 
 
 def test_diagnostics_track_mass_and_energy():
@@ -215,9 +235,11 @@ def test_diagnostics_track_mass_and_energy():
     assert len(traj.diagnostics) == time_grid.nt + 1
     first = traj.diagnostics[0]
     assert first.step == 0
-    assert first.mass_phi == pytest.approx(integrate(init.phi0))
-    assert first.energy == pytest.approx(ch_energy(init.phi0,
-                                                   default_potential()))
+    w = quadrature_weights(grid)
+    phi0 = init.phi0.flat
+    assert first.mass_phi == pytest.approx(np.dot(w, phi0))
+    assert first.energy == pytest.approx(
+        ch_energy(phi0[None], grid, default_potential())[0])
     assert traj.diagnostics[-1].step == time_grid.nt
     assert traj.diagnostics[-1].time == pytest.approx(0.1)
 
@@ -227,9 +249,9 @@ def test_diagnostics_are_computed_on_first_read(desk_problem, monkeypatch):
     calls = []
     real_energy = state.ch_energy
 
-    def counting_energy(phi, pot):
+    def counting_energy(phi, grid, pot):
         calls.append(None)
-        return real_energy(phi, pot)
+        return real_energy(phi, grid, pot)
 
     monkeypatch.setattr(state, "ch_energy", counting_energy)
     traj = solve_state(problem.init, problem.base_control, problem.solver,
@@ -238,13 +260,15 @@ def test_diagnostics_are_computed_on_first_read(desk_problem, monkeypatch):
     assert len(calls) == 0
     rows = traj.diagnostics
     nt = problem.time_grid.nt
-    assert len(calls) == nt + 1
+    assert len(calls) == 1
     assert traj.diagnostics is rows
-    assert len(calls) == nt + 1
+    assert len(calls) == 1
 
     weights = quadrature_weights(problem.grid)
     ell = problem.params.ell
     times = problem.time_grid.times
+    energies = real_energy(traj.field_array("phi"), problem.grid,
+                           problem.potential)
     assert len(rows) == nt + 1
     for k, row in enumerate(rows):
         theta = traj.field_array("theta")[k]
@@ -254,8 +278,7 @@ def test_diagnostics_are_computed_on_first_read(desk_problem, monkeypatch):
         assert row.mass_theta_ell_phi == float(
             np.dot(weights, theta + ell * phi))
         assert row.mass_phi == float(np.dot(weights, phi))
-        assert row.energy == real_energy(traj.field("phi", k),
-                                         problem.potential)
+        assert row.energy == energies[k]
         assert row.linf_theta == float(np.max(np.abs(theta)))
         assert row.linf_phi == float(np.max(np.abs(phi)))
 
@@ -273,7 +296,7 @@ def test_linear_solve_count_three_per_step():
 
 def test_initial_mu_formula():
     rng = np.random.default_rng(37)
-    grid = Grid(7, 1.0)
+    grid = Grid(5, 1.0)  # the dense oracle's largest axis
     params = ModelParams(chi=0.3, lambda_big=0.7)
     pot = default_potential()
     init = InitialData(
@@ -281,14 +304,15 @@ def test_initial_mu_formula():
         phi0=Field(grid, rng.normal(size=grid.shape)),
         sigma0=Field(grid, rng.normal(size=grid.shape)),
     )
-    from caginalp_control import laplacian_apply
-
-    expected = (-laplacian_apply(init.phi0).values
-                + pot.f(init.phi0.values)
-                - 0.3 * init.sigma0.values
-                - 0.7 * init.theta0.values)
+    # Each row summed in column order, as a CSR product sums it; a BLAS
+    # product may group the terms otherwise and round one ulp apart.
+    lap = dense_laplacian(grid.n, grid.spacing)
+    expected = (-(lap * init.phi0.flat).sum(axis=1)
+                + pot.f(init.phi0.flat)
+                - 0.3 * init.sigma0.flat
+                - 0.7 * init.theta0.flat)
     mu0 = initial_mu(init, params, pot)
-    assert np.allclose(mu0.values, expected, rtol=0.0, atol=1e-14)
+    assert np.allclose(mu0.flat, expected, rtol=0.0, atol=1e-14)
 
 
 def test_solver_error_carries_step_index():
