@@ -9,9 +9,10 @@ reuses a forward factorization: the backward heat solve uses I - dt*L, the
 backward phase solve uses the same fourth-order Schur complement, and the
 backward nutrient solve uses the forward nutrient operator shifted by the
 decay coefficient one level below the step. An adjoint sweep takes those
-factorizations, and the model, from its base trajectory; only the terminal
-operator I - tau*L is new, factorized once per base by its first adjoint
-sweep.
+factorizations, and the model, from its base trajectory. It factorizes the
+terminal operator I - tau*L once per base, and in 1D each step's shifted
+nutrient band. It evaluates the coefficients it freezes at the base once,
+on all levels, so its steps call no model function.
 
 Indexing convention: the multiplier attached to the step that produces
 level k is stored at trajectory index k - 1, so index m of the adjoint
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .grid import Field, SpaceTimeField, Trajectory
-from .state import _base_operators, _decay_coefficient, solve_state
+from .state import _base_operators, _frozen_coefficients, solve_state
 
 __all__ = [
     "AdjointSources",
@@ -45,13 +46,14 @@ __all__ = [
 ]
 
 
-def _target_slice(target, level, grid, nt):
+def _running_target(target, grid, time_grid):
+    """Slices of a running target by level; a zero column if it is None."""
     if target is None:
-        return 0.0
+        return np.zeros((time_grid.nt + 1, 1))
     if isinstance(target, SpaceTimeField):
-        if target.grid != grid or target.time_grid.nt != nt:
+        if target.grid != grid or target.time_grid != time_grid:
             raise ConfigurationError("tracking target grids do not match")
-        return target.flat_slices[level]
+        return target.flat_slices
     raise ConfigurationError(
         f"unsupported tracking target type {type(target).__name__}"
     )
@@ -128,13 +130,13 @@ class AdjointSources:
         s_theta = np.zeros((nt + 1, grid.num_nodes))
         s_phi = np.zeros((nt + 1, grid.num_nodes))
         if cost.b1 != 0.0:
+            theta_q = _running_target(cost.theta_q, grid, time_grid)
             for k in range(1, nt):
-                s_theta[k] = cost.b1 * (
-                    theta[k] - _target_slice(cost.theta_q, k, grid, nt))
+                s_theta[k] = cost.b1 * (theta[k] - theta_q[k])
         if cost.b3 != 0.0:
+            phi_q = _running_target(cost.phi_q, grid, time_grid)
             for k in range(1, nt):
-                s_phi[k] = cost.b3 * (
-                    phi[k] - _target_slice(cost.phi_q, k, grid, nt))
+                s_phi[k] = cost.b3 * (phi[k] - phi_q[k])
         g_z = cost.b2 * (theta[nt] - _terminal_target(cost.theta_omega, grid))
         g_w = cost.b4 * (phi[nt] - _terminal_target(cost.phi_omega, grid))
         return cls(time_grid, grid, s_theta=s_theta, s_phi=s_phi,
@@ -158,25 +160,19 @@ def _terminal_from_vectors(ops, g_z, g_w, g_r):
     return z_t, p_t, q_t, np.asarray(g_r, dtype=float)
 
 
-def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
-                         r_next):
+def _adjoint_step_arrays(ops, frozen, sigma_b, sources, level, z_next,
+                         p_next, q_next, r_next):
     """One backward step on flat arrays, producing trajectory index level.
 
-    The step transposes the forward step level -> level + 1, so the decay
-    coefficient is evaluated at base level `level` while the frozen coupling
-    coefficients live at base level k = level + 1. The terminal step
-    (level = nt - 1) is seeded by the terminal data instead of later
-    multipliers.
+    The step transposes the forward step level -> level + 1, so it reads the
+    decay of the base's coefficients ``frozen`` at base level `level` and the
+    others at base level k = level + 1. The terminal step (level = nt - 1)
+    is seeded by the terminal data instead of later multipliers.
     """
-    dt, params, nl, pot = ops.dt, ops.params, ops.nl, ops.pot
-    nt = base.time_grid.nt
+    dt, params = ops.dt, ops.params
+    nt = len(sigma_b) - 1
     k = level + 1
-    theta_b = base.field_array("theta")
-    phi_b = base.field_array("phi")
-    sigma_b = base.field_array("sigma")
-    decay = _decay_coefficient(
-        theta_b[level], np.asarray(nl.H_gate(phi_b[level]), dtype=float),
-        params, nl)
+    decay = frozen["decay"][level]
     s_eta_k = sources.s_eta[k]
 
     if k == nt:
@@ -189,21 +185,13 @@ def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
                  - dt * params.chi * ops.apply_lap(r_new)
                  + dt * (ops.a * s_eta_k - ops.apply_lap(s_eta_k)))
     else:
-        theta_k = theta_b[k]
-        phi_k = phi_b[k]
+        gate = frozen["gate"][k]
         sigma_next_level = sigma_b[k + 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            gate = np.asarray(nl.H_gate(phi_k), dtype=float)
-            gate_prime = np.asarray(nl.H_gate_prime(phi_k), dtype=float)
-            source_prime = (params.lambda_p * sigma_b[k] - params.lambda_a
-                            - params.lambda_e * theta_k) * gate_prime
-            k_prime = np.asarray(nl.K_temp_prime(theta_k), dtype=float)
-            f_prime = np.asarray(pot.f_prime(phi_k), dtype=float)
 
         rhs_z = z_next + dt * (
             sources.s_theta[k] - params.lambda_e * gate * p_next
             + params.lambda_big * q_next
-            - params.lambda_d * k_prime * sigma_next_level * r_next)
+            - frozen["k_prime"][k] * sigma_next_level * r_next)
         z_new = ops.heat.solve(rhs_z / dt, step=level)
 
         rhs_r = r_next + dt * (
@@ -212,10 +200,9 @@ def _adjoint_step_arrays(ops, base, sources, level, z_next, p_next, q_next,
         r_new = ops.solve_nutrient(rhs_r / dt, decay, step=level)
 
         rhs_p = (p_next
-                 + dt * (source_prime * p_next + ops.a * q_next
-                         - f_prime * q_next
-                         - params.lambda_c * gate_prime * sigma_next_level
-                         * r_next
+                 + dt * (frozen["source_prime"][k] * p_next + ops.a * q_next
+                         - frozen["f_prime"][k] * q_next
+                         - frozen["h_prime"][k] * sigma_next_level * r_next
                          + sources.s_phi[k])
                  + params.ell * (z_next - z_new)
                  - dt * params.chi * ops.apply_lap(r_new)
@@ -246,21 +233,20 @@ def solve_adjoint_with_sources(base, sources):
     if sources.grid != grid or sources.time_grid != time_grid:
         raise ConfigurationError("source grids do not match base")
     nt = time_grid.nt
-    total = grid.num_nodes
 
     ops = _base_operators(base)
     start_count = ops.counter.count
 
-    z = np.zeros((nt + 1, total))
-    p = np.zeros((nt + 1, total))
-    q = np.zeros((nt + 1, total))
-    r = np.zeros((nt + 1, total))
+    z, p, q, r = np.zeros((4, nt + 1, grid.num_nodes))
     z[nt], p[nt], q[nt], r[nt] = _terminal_from_vectors(
         ops, sources.g_z, sources.g_w, sources.g_r)
 
+    frozen = _frozen_coefficients(ops, base)
+    sigma_b = base.field_array("sigma")
     for level in range(nt - 1, -1, -1):
-        out = _adjoint_step_arrays(ops, base, sources, level, z[level + 1],
-                                   p[level + 1], q[level + 1], r[level + 1])
+        out = _adjoint_step_arrays(ops, frozen, sigma_b, sources, level,
+                                   z[level + 1], p[level + 1], q[level + 1],
+                                   r[level + 1])
         z[level], p[level], q[level], r[level] = out
 
     return Trajectory(

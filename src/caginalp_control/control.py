@@ -43,7 +43,7 @@ import numpy as np
 # _gradient_from_state, and stationarity_check takes the gradient given.
 from .adjoint import (
     _gradient_from_state,
-    _target_slice,
+    _running_target,
     _terminal_target,
     reduced_gradient,
 )
@@ -148,13 +148,13 @@ def evaluate_cost(traj, u, cost):
 
     running = 0.0
     if cost.b1 != 0.0:
+        theta_q = _running_target(cost.theta_q, grid, time_grid)
         for n in range(nt):
-            diff = theta[n] - _target_slice(cost.theta_q, n, grid, nt)
-            running += 0.5 * cost.b1 * wnorm_sq(diff)
+            running += 0.5 * cost.b1 * wnorm_sq(theta[n] - theta_q[n])
     if cost.b3 != 0.0:
+        phi_q = _running_target(cost.phi_q, grid, time_grid)
         for n in range(nt):
-            diff = phi[n] - _target_slice(cost.phi_q, n, grid, nt)
-            running += 0.5 * cost.b3 * wnorm_sq(diff)
+            running += 0.5 * cost.b3 * wnorm_sq(phi[n] - phi_q[n])
     running += 0.5 * cost.b5 * float(np.sum(wnorm_sq(control[:nt])))
 
     terminal = 0.0

@@ -7,7 +7,8 @@ with the same matrices as the forward step, only the right-hand sides change.
 A linearized sweep takes those factorizations, and the model, from its base
 trajectory, so it costs no more than one forward sweep and stays consistent
 with the discrete map to rounding accuracy, which the Taylor test below
-verifies.
+verifies. It evaluates the coefficients it freezes at the base once, on all
+levels, so its steps call no model function.
 
 The linearized variables are (zeta, xi, eta, rho) for the perturbations of
 (theta, phi, mu, sigma). Initial data is unperturbed, so all four start at
@@ -29,7 +30,7 @@ from .errors import ConfigurationError
 from .grid import Trajectory, l2q_norm
 from .state import (
     _base_operators,
-    _decay_coefficient,
+    _frozen_coefficients,
     _require_finite,
     solve_state,
     y_norm,
@@ -43,26 +44,18 @@ __all__ = [
 ]
 
 
-def _lin_step_arrays(ops, base_theta_n, base_phi_n, base_sigma_n,
-                     base_sigma_next, zeta_n, xi_n, rho_n, h_n, step):
+def _lin_step_arrays(ops, frozen, base_sigma_next, zeta_n, xi_n, rho_n,
+                     h_n, step):
     """One linearized step on flat arrays; returns the four new levels."""
-    dt, params, nl, pot = ops.dt, ops.params, ops.nl, ops.pot
+    dt, params = ops.dt, ops.params
+    gate = frozen["gate"][step]
+    decay = frozen["decay"][step]
     with np.errstate(over="ignore", invalid="ignore"):
-        gate = np.asarray(nl.H_gate(base_phi_n), dtype=float)
-        gate_prime = np.asarray(nl.H_gate_prime(base_phi_n), dtype=float)
-        source_prime = (params.lambda_p * base_sigma_n - params.lambda_a
-                        - params.lambda_e * base_theta_n) * gate_prime
-        rhs_phase = (xi_n / dt + source_prime * xi_n
+        rhs_phase = (xi_n / dt + frozen["source_prime"][step] * xi_n
                      + params.lambda_p * gate * rho_n
                      - params.lambda_e * gate * zeta_n)
-        rhs_potential = (ops.a * xi_n
-                         - np.asarray(pot.f_prime(base_phi_n), dtype=float)
-                         * xi_n
+        rhs_potential = (ops.a * xi_n - frozen["f_prime"][step] * xi_n
                          + params.chi * rho_n + params.lambda_big * zeta_n)
-        decay = _decay_coefficient(base_theta_n, gate, params, nl)
-        gate_prime_phi = params.lambda_c * gate_prime
-        k_prime = params.lambda_d * np.asarray(
-            nl.K_temp_prime(base_theta_n), dtype=float)
     _require_finite(rhs_phase, step)
     _require_finite(rhs_potential, step)
     _require_finite(decay, step)
@@ -75,8 +68,8 @@ def _lin_step_arrays(ops, base_theta_n, base_phi_n, base_sigma_n,
     zeta_next = ops.heat.solve(rhs_heat, step=step)
 
     rhs_nutrient = (rho_n / dt - params.chi * ops.apply_lap(xi_next)
-                    - base_sigma_next * (gate_prime_phi * xi_n
-                                         + k_prime * zeta_n))
+                    - base_sigma_next * (frozen["h_prime"][step] * xi_n
+                                         + frozen["k_prime"][step] * zeta_n))
     rho_next = ops.solve_nutrient(rhs_nutrient, decay, step=step)
     return zeta_next, xi_next, eta_next, rho_next
 
@@ -102,24 +95,19 @@ def solve_linearized(base, h):
     if h.grid != grid or h.time_grid != time_grid:
         raise ConfigurationError("direction grids do not match base")
     nt = time_grid.nt
-    total = grid.num_nodes
 
     ops = _base_operators(base)
     start_count = ops.counter.count
 
-    zeta = np.zeros((nt + 1, total))
-    xi = np.zeros((nt + 1, total))
-    eta = np.zeros((nt + 1, total))
-    rho = np.zeros((nt + 1, total))
+    zeta, xi, eta, rho = np.zeros((4, nt + 1, grid.num_nodes))
 
-    theta_b = base.field_array("theta")
-    phi_b = base.field_array("phi")
+    frozen = _frozen_coefficients(ops, base)
     sigma_b = base.field_array("sigma")
     directions = h.flat_slices
     for step in range(nt):
-        out = _lin_step_arrays(ops, theta_b[step], phi_b[step], sigma_b[step],
-                               sigma_b[step + 1], zeta[step], xi[step],
-                               rho[step], directions[step], step=step)
+        out = _lin_step_arrays(ops, frozen, sigma_b[step + 1], zeta[step],
+                               xi[step], rho[step], directions[step],
+                               step=step)
         zeta[step + 1], xi[step + 1], eta[step + 1], rho[step + 1] = out
 
     return Trajectory(

@@ -225,6 +225,31 @@ def _decay_coefficient(theta_flat, gate, params, nl):
             + params.lambda_d * np.asarray(nl.K_temp(theta_flat), dtype=float))
 
 
+def _frozen_coefficients(ops, base):
+    """The coefficients the linearized and adjoint steps freeze at base
+    levels 0..nt-1, as (nt, N) arrays: ``gate`` H(phi), ``source_prime``,
+    ``f_prime``, ``decay``, ``h_prime`` lambda_c H'(phi) and ``k_prime``
+    lambda_d K'(theta); each model function runs once, on a flat 1-D view."""
+    params, nl = ops.params, ops.nl
+    theta, phi, sigma = (base.field_array(name)[:-1].reshape(-1)
+                         for name in ("theta", "phi", "sigma"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gate = np.asarray(nl.H_gate(phi), dtype=float)
+        gate_prime = np.asarray(nl.H_gate_prime(phi), dtype=float)
+        table = {
+            "gate": gate,
+            "source_prime": (params.lambda_p * sigma - params.lambda_a
+                             - params.lambda_e * theta) * gate_prime,
+            "f_prime": np.asarray(ops.pot.f_prime(phi), dtype=float),
+            "decay": _decay_coefficient(theta, gate, params, nl),
+            "h_prime": params.lambda_c * gate_prime,
+            "k_prime": params.lambda_d * np.asarray(nl.K_temp_prime(theta),
+                                                    dtype=float),
+        }
+    return {name: values.reshape(base.time_grid.nt, -1)
+            for name, values in table.items()}
+
+
 def _require_finite(arr, step):
     if not np.isfinite(arr).all():
         raise SolverError("non-finite values while assembling a step",

@@ -1,5 +1,7 @@
 """Backward sweep: terminal data, transpose identity, reduced gradient."""
 
+from collections import Counter
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +10,7 @@ from conftest import desk_params, smooth_init
 
 from caginalp_control import (
     AdjointSources,
+    ConfigurationError,
     CostSpec,
     Grid,
     ModelParams,
@@ -347,8 +350,6 @@ def test_adjoint_sweep_counts_terminal_solve(factorizations, tau, extra):
     # terminal operator is factorized by the first adjoint sweep around a
     # base and kept, so a second sweep tallies the same solves and
     # factorizes nothing.
-    from dataclasses import replace
-
     rng = np.random.default_rng(53)
     _, time_grid, base = _base_setup(
         9, 5, rng, params=replace(desk_params(), tau=tau))
@@ -364,3 +365,81 @@ def test_adjoint_sweep_counts_terminal_solve(factorizations, tau, extra):
     for name in ("z", "p", "q", "r"):
         assert np.array_equal(second.field_array(name),
                               first.field_array(name)), name
+
+
+def test_running_target_on_another_horizon_is_rejected(desk_problem):
+    # Same grid and step count as the desk run, but five times its horizon.
+    p = desk_problem
+    base = solve_state(p.init, p.base_control, p.solver, p.params,
+                       p.nonlinearities, p.potential)
+    assert base.time_grid == TimeGrid(0.5, 50)
+    target = SpaceTimeField.zeros(TimeGrid(2.5, 50), p.grid)
+    cost = CostSpec(b1=1.0, theta_q=target)
+    with pytest.raises(ConfigurationError, match="tracking target"):
+        evaluate_cost(base, p.base_control, cost)
+    with pytest.raises(ConfigurationError, match="tracking target"):
+        AdjointSources.from_cost(base, cost)
+
+
+def _desk_base(problem, nt, wrap):
+    """Forward sweep of the desk problem over nt steps at the desk time
+    step, with every callable of its gates and potential replaced by
+    ``wrap(name, fn)``."""
+    def wrapped(instance):
+        return replace(instance, **{
+            f.name: wrap(f.name, getattr(instance, f.name))
+            for f in fields(instance) if callable(getattr(instance, f.name))})
+    time_grid = TimeGrid(problem.time_grid.dt * nt, nt)
+    return solve_state(problem.init,
+                       SpaceTimeField.constant(time_grid, problem.grid, 0.3),
+                       problem.solver, problem.params,
+                       wrapped(problem.nonlinearities),
+                       wrapped(problem.potential))
+
+
+def _sweeps_around(base):
+    """One linearized and one adjoint sweep around ``base``."""
+    grid, time_grid = base.grid, base.time_grid
+    lin = solve_linearized(base, SpaceTimeField.constant(time_grid, grid, 0.1))
+    adj = solve_adjoint_with_sources(base, AdjointSources(
+        time_grid, grid, s_theta=np.ones((time_grid.nt + 1, grid.num_nodes)),
+        g_w=np.ones(grid.num_nodes)))
+    return lin, adj
+
+
+def test_sweeps_evaluate_the_model_once_per_sweep(desk_problem):
+    # The base's coefficients are evaluated once per sweep on all its
+    # levels, so the number of model calls does not grow with nt.
+    def model_calls(nt):
+        calls = Counter()
+
+        def counted(name, fn):
+            def count(s):
+                calls[name] += 1
+                return fn(s)
+            return count
+
+        base = _desk_base(desk_problem, nt, counted)
+        calls.clear()
+        _sweeps_around(base)
+        return calls
+
+    first = model_calls(5)
+    assert first and first == model_calls(10)
+
+
+def test_sweeps_give_the_model_flat_arrays(desk_problem):
+    # Custom model functions see 1-D arrays, as in validate and the
+    # forward step, even though the sweeps evaluate all levels at once.
+    def flat_only(name, fn):
+        def check(s):
+            if np.ndim(s) != 1:
+                raise ValueError(f"{name} got shape {np.shape(s)}")
+            return fn(s)
+        return check
+
+    lin, adj = _sweeps_around(_desk_base(desk_problem, 5, flat_only))
+    for sweep, names in ((lin, ("zeta", "xi", "eta", "rho")),
+                         (adj, ("z", "p", "q", "r"))):
+        for name in names:
+            assert np.isfinite(sweep.field_array(name)).all(), name
