@@ -49,9 +49,7 @@ _EXPORTS = {
     "MAX_TIME_STEPS": "oracle",
     "dense_laplacian": "oracle",
     "dense_weights": "oracle",
-    "OracleTrajectory": "oracle",
     "dense_oracle_solve": "oracle",
-    "oracle_space_time_system": "oracle",
     "oracle_linearized": "oracle",
     "oracle_adjoint": "oracle",
     "oracle_terminal_conditions": "oracle",

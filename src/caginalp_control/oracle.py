@@ -9,10 +9,12 @@ the adjoint is its literal matrix transpose. Solves go through
 
 None of the sparse stencil/factorization machinery of the solver modules is
 used here; the only shared ingredients are the data carriers (grids, fields,
-parameter records), the nonlinearity/potential callables themselves and the
-scheme's stabilization constant ``state.STABILIZATION_S``. That
-independence is the point: agreement between this path and the fast path is
-what the verification suite certifies on the pinned tiny configurations.
+``InitialData``, the ``Trajectory`` every function reads or returns, the
+``AdjointSources`` the transpose solve takes, parameter records), the
+nonlinearity/potential callables themselves and the scheme's stabilization
+constant ``state.STABILIZATION_S``. That independence is the point:
+agreement between this path and the fast path is what the verification
+suite certifies on the pinned tiny configurations.
 
 Hard size caps (at most 5 nodes per axis, at most 3 time steps) keep the
 dense space-time matrices small and guard against accidental misuse.
@@ -20,11 +22,10 @@ dense space-time matrices small and guard against accidental misuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
+from .grid import Trajectory
 from .state import STABILIZATION_S
 
 __all__ = [
@@ -32,9 +33,7 @@ __all__ = [
     "MAX_TIME_STEPS",
     "dense_laplacian",
     "dense_weights",
-    "OracleTrajectory",
     "dense_oracle_solve",
-    "oracle_space_time_system",
     "oracle_linearized",
     "oracle_adjoint",
     "oracle_terminal_conditions",
@@ -113,16 +112,6 @@ def dense_weights(n, spacing):
     return w
 
 
-@dataclass
-class OracleTrajectory:
-    """Reference trajectory as plain arrays of shape (nt + 1, N)."""
-
-    theta: np.ndarray
-    phi: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-
-
 def _step_blocks(lap, prev, sigma_b_slice, dt, params, nl, pot):
     """Dense one-step system: equations [heat, phase, potential, nutrient]
     in the unknowns [theta, phi, mu, sigma] at the new level."""
@@ -161,21 +150,32 @@ def _step_blocks(lap, prev, sigma_b_slice, dt, params, nl, pot):
     return matrix, rhs, th
 
 
-def dense_oracle_solve(theta0, phi0, sigma0, u, params, nl, pot):
+def _grids(base, other, what):
+    """Grid and time grid of ``base``, which ``other`` must share."""
+    if other.grid != base.grid or other.time_grid != base.time_grid:
+        raise ConfigurationError(f"{what} grids do not match base")
+    _check_sizes(base.grid.n, base.time_grid.nt)
+    return base.grid, base.time_grid
+
+
+def dense_oracle_solve(init, u, params, nl, pot):
     """March the forward system densely, one direct solve per step.
 
     Args:
-        theta0, phi0, sigma0: Initial fields.
+        init: InitialData.
         u: Control as a SpaceTimeField (slice nt unused).
         params, nl, pot: Model data, shared with the fast path as data only.
 
     Returns:
-        OracleTrajectory of dense arrays.
+        Trajectory of (theta, phi, mu, sigma) at levels 0..nt.
 
     Raises:
-        ConfigurationError: If any axis exceeds 5 nodes or nt exceeds 3.
+        ConfigurationError: If the control lives on another grid than the
+            initial data, an axis exceeds 5 nodes or nt exceeds 3.
     """
-    grid = theta0.grid
+    grid = init.grid
+    if u.grid != grid:
+        raise ConfigurationError("control grid does not match initial data")
     time_grid = u.time_grid
     _check_sizes(grid.n, time_grid.nt)
     lap = dense_laplacian(grid.n, grid.spacing)
@@ -183,13 +183,10 @@ def dense_oracle_solve(theta0, phi0, sigma0, u, params, nl, pot):
     dt = time_grid.dt
     total = grid.num_nodes
 
-    theta = np.zeros((nt + 1, total))
-    phi = np.zeros((nt + 1, total))
-    mu = np.zeros((nt + 1, total))
-    sigma = np.zeros((nt + 1, total))
-    theta[0] = theta0.flat
-    phi[0] = phi0.flat
-    sigma[0] = sigma0.flat
+    theta, phi, mu, sigma = np.zeros((4, nt + 1, total))
+    theta[0] = init.theta0.flat
+    phi[0] = init.phi0.flat
+    sigma[0] = init.sigma0.flat
     mu[0] = (-lap @ phi[0] + np.asarray(pot.f(phi[0]), dtype=float)
              - params.chi * sigma[0] - params.lambda_big * theta[0])
 
@@ -205,10 +202,11 @@ def dense_oracle_solve(theta0, phi0, sigma0, u, params, nl, pot):
         phi[step + 1] = sol[1 * total:2 * total]
         mu[step + 1] = sol[2 * total:3 * total]
         sigma[step + 1] = sol[3 * total:4 * total]
-    return OracleTrajectory(theta=theta, phi=phi, mu=mu, sigma=sigma)
+    return Trajectory(time_grid, grid, {"theta": theta, "phi": phi, "mu": mu,
+                                        "sigma": sigma})
 
 
-def oracle_space_time_system(base, grid, time_grid, params, nl, pot):
+def _space_time_system(base, params, nl, pot):
     """Assemble the space-time Jacobian of the discrete stepping map.
 
     The unknown vector stacks [theta, phi, mu, sigma] at levels 1..nt; the
@@ -217,12 +215,12 @@ def oracle_space_time_system(base, grid, time_grid, params, nl, pot):
     trajectory Y_lin and stacked control perturbation H (slices 0..nt-1).
 
     Args:
-        base: OracleTrajectory (or anything with .theta/.phi/.sigma arrays).
+        base: State Trajectory the Jacobian is taken around.
 
     Returns:
         (A, B) dense arrays.
     """
-    _check_sizes(grid.n, time_grid.nt)
+    grid, time_grid = base.grid, base.time_grid
     lap = dense_laplacian(grid.n, grid.spacing)
     total = grid.num_nodes
     eye = np.eye(total)
@@ -230,15 +228,17 @@ def oracle_space_time_system(base, grid, time_grid, params, nl, pot):
     dt = time_grid.dt
     a = params.tau / dt + STABILIZATION_S
     block = 4 * total
+    theta, phi, sigma = (base.field_array(name)
+                         for name in ("theta", "phi", "sigma"))
 
     big = np.zeros((block * nt, block * nt))
     ctrl = np.zeros((block * nt, total * nt))
 
     for k in range(1, nt + 1):
-        theta_p = base.theta[k - 1]
-        phi_p = base.phi[k - 1]
-        sigma_p = base.sigma[k - 1]
-        sigma_k = base.sigma[k]
+        theta_p = theta[k - 1]
+        phi_p = phi[k - 1]
+        sigma_p = sigma[k - 1]
+        sigma_k = sigma[k]
         gate = np.asarray(nl.H_gate(phi_p), dtype=float)
         gate_d = np.asarray(nl.H_gate_prime(phi_p), dtype=float)
         temp_d = np.asarray(nl.K_temp_prime(theta_p), dtype=float)
@@ -287,32 +287,41 @@ def oracle_space_time_system(base, grid, time_grid, params, nl, pot):
     return big, ctrl
 
 
-def oracle_linearized(base, grid, time_grid, params, nl, pot, h):
+def oracle_linearized(base, params, nl, pot, h):
     """Linearized trajectory as the dense Jacobian applied to a direction.
 
     Args:
-        h: Control perturbation, SpaceTimeField (slice nt unused).
+        base: State Trajectory the linearization is taken around.
+        h: Control perturbation, SpaceTimeField on the grids of ``base``
+            (slice nt unused).
 
     Returns:
-        Dict of arrays zeta/xi/eta/rho with shape (nt + 1, N); level 0 zero.
+        Trajectory of (zeta, xi, eta, rho); level 0 is zero.
+
+    Raises:
+        ConfigurationError: If ``h`` lives on other grids than ``base``.
     """
-    big, ctrl = oracle_space_time_system(base, grid, time_grid, params, nl,
-                                         pot)
+    grid, time_grid = _grids(base, h, "direction")
+    big, ctrl = _space_time_system(base, params, nl, pot)
     total = grid.num_nodes
     nt = time_grid.nt
     stacked = np.linalg.solve(big, ctrl @ h.flat_slices[:-1].reshape(-1))
-    out = {name: np.zeros((nt + 1, total))
-           for name in ("zeta", "xi", "eta", "rho")}
-    for k in range(1, nt + 1):
-        chunk = stacked[(k - 1) * 4 * total:k * 4 * total]
-        out["zeta"][k] = chunk[0 * total:1 * total]
-        out["xi"][k] = chunk[1 * total:2 * total]
-        out["eta"][k] = chunk[2 * total:3 * total]
-        out["rho"][k] = chunk[3 * total:4 * total]
-    return out
+    levels = np.zeros((nt + 1, 4, total))
+    levels[1:] = stacked.reshape(nt, 4, total)
+    return Trajectory(time_grid, grid, dict(zip(
+        ("zeta", "xi", "eta", "rho"), levels.transpose(1, 0, 2))))
 
 
-def oracle_adjoint(base, grid, time_grid, params, nl, pot, sources):
+def _terminal_split(grid, params, g_z, g_w, g_r):
+    """Terminal adjoint data (z, p, q, r) by dense elimination: z = g_z,
+    p solves (I - tau*Lap) p = g_w - ell*z densely, q = -Lap p and r = g_r."""
+    lap = dense_laplacian(grid.n, grid.spacing)
+    p = np.linalg.solve(np.eye(grid.num_nodes) - params.tau * lap,
+                        g_w - params.ell * g_z)
+    return g_z, p, -lap @ p, g_r
+
+
+def oracle_adjoint(base, params, nl, pot, sources):
     """Adjoint multipliers as the explicit transpose solve.
 
     The functional being differentiated is
@@ -324,94 +333,94 @@ def oracle_adjoint(base, grid, time_grid, params, nl, pot, sources):
     with weighted inner products; running sources live at levels 1..nt.
 
     Args:
-        sources: Dict with optional keys s_theta/s_phi/s_eta/s_sigma (arrays
-            of shape (nt + 1, N), level 0 ignored) and g_z/g_w/g_r ((N,)).
+        base: State Trajectory the Jacobian is taken around.
+        sources: AdjointSources on the grids of ``base``.
 
     Returns:
-        Dict with arrays z/p/q/r of shape (nt + 1, N) holding the multiplier
-        of step k at index k (index 0 unused, left zero), plus ``gradient``
-        of shape (nt, N): the density whose L2(Q) pairing with a control
-        perturbation equals G.
+        Trajectory of (z, p, q, r), indexed as
+        :func:`~caginalp_control.adjoint.solve_adjoint_with_sources` indexes
+        it: index m < nt holds the multiplier of the step m -> m + 1, and
+        index nt the terminal data split from (g_z, g_w, g_r).
+
+    Raises:
+        ConfigurationError: If ``sources`` lives on other grids than
+            ``base``.
     """
-    big, _ = oracle_space_time_system(base, grid, time_grid, params, nl, pot)
+    grid, time_grid = _grids(base, sources, "source")
+    big, _ = _space_time_system(base, params, nl, pot)
     total = grid.num_nodes
     nt = time_grid.nt
     dt = time_grid.dt
     w = dense_weights(grid.n, grid.spacing)
 
-    cost_grad = np.zeros(4 * total * nt)
-    for k in range(1, nt + 1):
-        row = (k - 1) * 4 * total
-        for offset, key in enumerate(("s_theta", "s_phi", "s_eta", "s_sigma")):
-            arr = sources.get(key)
-            if arr is not None:
-                cost_grad[row + offset * total:
-                          row + (offset + 1) * total] += dt * w * arr[k]
-    row = (nt - 1) * 4 * total
-    for offset, key in enumerate(("g_z", "g_w", None, "g_r")):
-        if key is None:
-            continue
-        vec = sources.get(key)
-        if vec is not None:
-            cost_grad[row + offset * total:
-                      row + (offset + 1) * total] += w * vec
+    running = np.stack([sources.s_theta, sources.s_phi, sources.s_eta,
+                        sources.s_sigma], axis=1)
+    cost_grad = dt * w * running[1:]
+    cost_grad[-1, [0, 1, 3]] += w * np.stack(
+        [sources.g_z, sources.g_w, sources.g_r])
+    lam = np.linalg.solve(big.T, cost_grad.reshape(-1))
 
-    lam = np.linalg.solve(big.T, cost_grad)
+    levels = np.empty((nt + 1, 4, total))
+    levels[:nt] = lam.reshape(nt, 4, total) / (dt * w)
+    levels[nt] = _terminal_split(grid, params, sources.g_z, sources.g_w,
+                                 sources.g_r)
+    return Trajectory(time_grid, grid, dict(zip(
+        ("z", "p", "q", "r"), levels.transpose(1, 0, 2))))
 
-    out = {name: np.zeros((nt + 1, total)) for name in ("z", "p", "q", "r")}
-    for k in range(1, nt + 1):
-        chunk = lam[(k - 1) * 4 * total:k * 4 * total]
-        out["z"][k] = chunk[0 * total:1 * total] / (dt * w)
-        out["p"][k] = chunk[1 * total:2 * total] / (dt * w)
-        out["q"][k] = chunk[2 * total:3 * total] / (dt * w)
-        out["r"][k] = chunk[3 * total:4 * total] / (dt * w)
-    out["gradient"] = out["z"][1:].copy()
-    return out
+
+def _running_target(target, nt):
+    """Flat slices of a running target; a zero column if it is None."""
+    return np.zeros((nt + 1, 1)) if target is None else target.flat_slices
+
+
+def _terminal_target(target):
+    """Flat values of a terminal target; zero if it is None."""
+    return 0.0 if target is None else target.flat
 
 
 def oracle_terminal_conditions(theta_T, phi_T, cost, params, grid):
-    """Terminal adjoint data by dense elimination.
+    """Terminal adjoint data of a cost by dense elimination.
 
-    Returns the stored split (z, p, q, r) at the final level: z and the
-    combination v = b4*(phi_T - phi_Omega) - ell*z are cost data, p solves
-    (I - tau*Lap) p = v densely, q = -Lap p, and r vanishes.
+    Returns the stored split (z, p, q, r) at the final level for the cost
+    gradients g_z = b2*(theta_T - theta_Omega), g_w = b4*(phi_T - phi_Omega)
+    and g_r = 0; a target that is None counts as zero.
     """
     _check_sizes(grid.n)
-    lap = dense_laplacian(grid.n, grid.spacing)
-    z = cost.b2 * (theta_T - cost.theta_omega.flat)
-    v = cost.b4 * (phi_T - cost.phi_omega.flat) - params.ell * z
-    p = np.linalg.solve(np.eye(grid.num_nodes) - params.tau * lap, v)
-    q = -lap @ p
-    return z, p, q, np.zeros_like(z)
+    g_z = cost.b2 * (theta_T - _terminal_target(cost.theta_omega))
+    g_w = cost.b4 * (phi_T - _terminal_target(cost.phi_omega))
+    return _terminal_split(grid, params, g_z, g_w, np.zeros_like(g_z))
 
 
-def oracle_cost(traj, u, cost, grid, time_grid):
+def oracle_cost(traj, u, cost):
     """Cost functional by explicit left-endpoint summation.
 
     Args:
-        traj: OracleTrajectory (or arrays with .theta/.phi).
-        u: Control SpaceTimeField.
-        cost: CostSpec-like record with b1..b5 and target fields.
+        traj: State Trajectory.
+        u: Control SpaceTimeField on the grids of ``traj``.
+        cost: CostSpec-like record with b1..b5 and target fields; a target
+            that is None counts as zero.
 
     Returns:
         The value of the tracking functional.
     """
-    _check_sizes(grid.n, time_grid.nt)
+    grid, time_grid = _grids(traj, u, "control")
     w = dense_weights(grid.n, grid.spacing)
     dt = time_grid.dt
     nt = time_grid.nt
-    theta_q = cost.theta_q.flat_slices
-    phi_q = cost.phi_q.flat_slices
+    theta = traj.field_array("theta")
+    phi = traj.field_array("phi")
+    theta_q = _running_target(cost.theta_q, nt)
+    phi_q = _running_target(cost.phi_q, nt)
     controls = u.flat_slices
     value = 0.0
     for step in range(nt):
-        d_theta = traj.theta[step] - theta_q[step]
-        d_phi = traj.phi[step] - phi_q[step]
+        d_theta = theta[step] - theta_q[step]
+        d_phi = phi[step] - phi_q[step]
         value += dt * 0.5 * (cost.b1 * np.dot(w, d_theta * d_theta)
                              + cost.b3 * np.dot(w, d_phi * d_phi)
                              + cost.b5 * np.dot(w, controls[step] ** 2))
-    d_theta = traj.theta[nt] - cost.theta_omega.flat
-    d_phi = traj.phi[nt] - cost.phi_omega.flat
+    d_theta = theta[nt] - _terminal_target(cost.theta_omega)
+    d_phi = phi[nt] - _terminal_target(cost.phi_omega)
     value += 0.5 * (cost.b2 * np.dot(w, d_theta * d_theta)
                     + cost.b4 * np.dot(w, d_phi * d_phi))
     return float(value)

@@ -249,7 +249,7 @@ def _random_direction(rng, time_grid, grid):
 
 
 def _random_sources(rng, time_grid, grid):
-    """Standard normal adjoint source arrays, by AdjointSources keyword.
+    """AdjointSources of standard normal draws.
 
     Running sources are zero at the unused level 0. The four running arrays
     are drawn before the three terminal vectors, each in keyword order.
@@ -263,7 +263,7 @@ def _random_sources(rng, time_grid, grid):
         arrays[key] = arr
     for key in ("g_z", "g_w", "g_r"):
         arrays[key] = rng.standard_normal(total)
-    return arrays
+    return AdjointSources(time_grid, grid, **arrays)
 
 
 def _row(cfg, name, measured, detail):
@@ -435,31 +435,22 @@ def _suite_oracle(problem, cfg, base):
         u = SpaceTimeField(time_grid, grid, u_vals)
 
         traj = solve_state(init, u, solver, params, nl, pot)
-        dense = dense_oracle_solve(
-            init.theta0, init.phi0, init.sigma0, u, params, nl, pot)
-        for name in ("theta", "phi", "mu", "sigma"):
-            worst["state"] = max(worst["state"], _relative_array_gap(
-                traj.field_array(name), getattr(dense, name)))
-
+        dense = dense_oracle_solve(init, u, params, nl, pot)
         h = _random_direction(rng, time_grid, grid)
-        lin = solve_linearized(traj, h)
-        dense_lin = oracle_linearized(
-            dense, grid, time_grid, params, nl, pot, h)
-        for name in ("zeta", "xi", "eta", "rho"):
-            worst["linearized"] = max(
-                worst["linearized"],
-                _relative_array_gap(lin.field_array(name), dense_lin[name]))
-
-        source_arrays = _random_sources(rng, time_grid, grid)
-        adj = solve_adjoint_with_sources(
-            traj, AdjointSources(time_grid, grid, **source_arrays))
-        dense_adj = oracle_adjoint(
-            dense, grid, time_grid, params, nl, pot, source_arrays)
-        for name in ("z", "p", "q", "r"):
-            worst["adjoint"] = max(
-                worst["adjoint"],
-                _relative_array_gap(adj.field_array(name)[:nt],
-                                    dense_adj[name][1:]))
+        sources = _random_sources(rng, time_grid, grid)
+        runs = (
+            ("state", ("theta", "phi", "mu", "sigma"), traj, dense),
+            ("linearized", ("zeta", "xi", "eta", "rho"),
+             solve_linearized(traj, h),
+             oracle_linearized(dense, params, nl, pot, h)),
+            ("adjoint", ("z", "p", "q", "r"),
+             solve_adjoint_with_sources(traj, sources),
+             oracle_adjoint(dense, params, nl, pot, sources)),
+        )
+        for kind, names, fast, slow in runs:
+            for name in names:
+                worst[kind] = max(worst[kind], _relative_array_gap(
+                    fast.field_array(name), slow.field_array(name)))
 
     return [_row(cfg, f"oracle_{kind}", worst[kind],
                  "8 pinned tiny configurations")
@@ -520,8 +511,7 @@ def _suite_adjoint(problem, cfg, base):
     for trial in range(10):
         rng = _child_rng(cfg.seed, 5, trial)
         h = _random_direction(rng, time_grid, grid)
-        sources = AdjointSources(time_grid, grid,
-                                 **_random_sources(rng, time_grid, grid))
+        sources = _random_sources(rng, time_grid, grid)
 
         lin = solve_linearized(state, h)
         adj = solve_adjoint_with_sources(state, sources)

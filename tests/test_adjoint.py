@@ -2,7 +2,6 @@
 
 from collections import Counter
 from dataclasses import fields, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,24 +184,12 @@ def test_matches_dense_transpose_on_tiny_grid():
         g_r=rng.normal(size=total),
     )
     adj = solve_adjoint_with_sources(base, sources)
-    base_arrays = SimpleNamespace(theta=base.field_array("theta"),
-                                  phi=base.field_array("phi"),
-                                  sigma=base.field_array("sigma"))
     ops = base.operators
-    dense = oracle_adjoint(base_arrays, grid, time_grid, ops.params, ops.nl,
-                           ops.pot,
-                           {"s_theta": sources.s_theta,
-                            "s_phi": sources.s_phi,
-                            "s_eta": sources.s_eta,
-                            "s_sigma": sources.s_sigma,
-                            "g_z": sources.g_z,
-                            "g_w": sources.g_w,
-                            "g_r": sources.g_r})
-    # The sweep stores the multiplier of step m at index m; the oracle
-    # stores it at index m + 1.
+    dense = oracle_adjoint(base, ops.params, ops.nl, ops.pot, sources)
+    # Every level, the terminal data at index nt included.
     for name in ("z", "p", "q", "r"):
-        ours = adj.field_array(name)[:nt]
-        theirs = dense[name][1:]
+        ours = adj.field_array(name)
+        theirs = dense.field_array(name)
         scale = 1.0 + np.max(np.abs(theirs))
         assert np.max(np.abs(ours - theirs)) / scale <= 1e-10, name
 

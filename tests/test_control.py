@@ -97,10 +97,9 @@ def test_cost_matches_dense_oracle():
         phi_omega=Field(grid, np.full(grid.shape, 0.3)),
     )
     traj = solve_state(init, u, SolverConfig(), params, nl, pot)
-    dense_traj = dense_oracle_solve(init.theta0, init.phi0, init.sigma0,
-                                    u, params, nl, pot)
+    dense_traj = dense_oracle_solve(init, u, params, nl, pot)
     ours = evaluate_cost(traj, u, cost)
-    theirs = oracle_cost(dense_traj, u, cost, grid, time_grid)
+    theirs = oracle_cost(dense_traj, u, cost)
     assert ours == pytest.approx(theirs, rel=1e-12)
 
 

@@ -1,7 +1,5 @@
 """Exact linearization of the forward scheme and the Taylor remainder test."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from conftest import desk_params, smooth_init
@@ -131,14 +129,10 @@ def test_matches_dense_jacobian_on_tiny_grid():
     lin = solve_linearized(base, h)
     # Hand the dense oracle the same base trajectory so the comparison
     # isolates the Jacobian itself.
-    base_arrays = SimpleNamespace(theta=base.field_array("theta"),
-                                  phi=base.field_array("phi"),
-                                  sigma=base.field_array("sigma"))
-    dense = oracle_linearized(base_arrays, grid, time_grid, params, nl,
-                              pot, h)
+    dense = oracle_linearized(base, params, nl, pot, h)
     for name in ("zeta", "xi", "eta", "rho"):
         ours = lin.field_array(name)
-        theirs = dense[name]
+        theirs = dense.field_array(name)
         scale = 1.0 + np.max(np.abs(theirs))
         assert np.max(np.abs(ours - theirs)) / scale <= 1e-10, name
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from conftest import desk_params
 
 from caginalp_control import (
+    AdjointSources,
     ConfigurationError,
     CostSpec,
     Field,
@@ -15,6 +17,7 @@ from caginalp_control import (
     TimeGrid,
     default_nonlinearities,
     default_potential,
+    evaluate_cost,
     solve_adjoint,
     solve_state,
 )
@@ -22,6 +25,9 @@ from caginalp_control.oracle import (
     dense_laplacian,
     dense_oracle_solve,
     dense_weights,
+    oracle_adjoint,
+    oracle_cost,
+    oracle_linearized,
     oracle_terminal_conditions,
 )
 
@@ -30,20 +36,22 @@ def test_size_cap_on_axis_width():
     grid = Grid(6, 1.0)
     time_grid = TimeGrid(0.1, 2)
     zero = Field(grid, np.zeros(grid.shape))
+    init = InitialData(theta0=zero, phi0=zero, sigma0=zero)
     u = SpaceTimeField.zeros(time_grid, grid)
     with pytest.raises(ConfigurationError, match="refuses"):
-        dense_oracle_solve(zero, zero, zero, u, ModelParams(),
-                           default_nonlinearities(), default_potential())
+        dense_oracle_solve(init, u, ModelParams(), default_nonlinearities(),
+                           default_potential())
 
 
 def test_size_cap_on_step_count():
     grid = Grid(4, 1.0)
     time_grid = TimeGrid(0.4, 4)
     zero = Field(grid, np.zeros(grid.shape))
+    init = InitialData(theta0=zero, phi0=zero, sigma0=zero)
     u = SpaceTimeField.zeros(time_grid, grid)
     with pytest.raises(ConfigurationError, match="refuses"):
-        dense_oracle_solve(zero, zero, zero, u, ModelParams(),
-                           default_nonlinearities(), default_potential())
+        dense_oracle_solve(init, u, ModelParams(), default_nonlinearities(),
+                           default_potential())
 
 
 def test_dense_laplacian_hand_stencil():
@@ -98,17 +106,72 @@ def test_oracle_solve_conserves_combined_mass():
     rng = np.random.default_rng(7)
     grid = Grid(4, 1.0)
     time_grid = TimeGrid(0.3, 3)
-    params = ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
-                         lambda_c=0.4, lambda_b=0.3, lambda_d=0.2)
+    params = desk_params(lambda_p=0.0, lambda_a=0.0, lambda_e=0.0)
     init = InitialData(
         theta0=Field(grid, rng.normal(size=grid.shape) * 0.1),
         phi0=Field(grid, rng.uniform(-0.5, 0.5, size=grid.shape)),
         sigma0=Field(grid, rng.uniform(0.2, 0.8, size=grid.shape)),
     )
     u = SpaceTimeField.zeros(time_grid, grid)
-    traj = dense_oracle_solve(init.theta0, init.phi0, init.sigma0, u,
-                              params, default_nonlinearities(),
+    traj = dense_oracle_solve(init, u, params, default_nonlinearities(),
                               default_potential())
     w = dense_weights(grid.n, grid.spacing)
-    masses = (traj.theta + params.ell * traj.phi) @ w
+    masses = (traj.field_array("theta")
+              + params.ell * traj.field_array("phi")) @ w
     assert np.max(np.abs(masses - masses[0])) <= 1e-12 * (1.0 + abs(masses[0]))
+
+
+def _tiny_run(time_grid):
+    rng = np.random.default_rng(5)
+    grid = Grid(4, 1.0)
+    init = InitialData(
+        theta0=Field(grid, rng.normal(size=grid.shape) * 0.1),
+        phi0=Field(grid, rng.uniform(-0.5, 0.5, size=grid.shape)),
+        sigma0=Field(grid, rng.uniform(0.2, 0.8, size=grid.shape)),
+    )
+    u = SpaceTimeField(time_grid, grid,
+                       rng.normal(size=(time_grid.nt + 1,) + grid.shape))
+    params = desk_params()
+    nl = default_nonlinearities()
+    pot = default_potential()
+    return init, u, params, nl, pot
+
+
+def test_sweeps_reject_data_on_other_grids():
+    # Same nt, another horizon: a dt the base was not solved with.
+    time_grid = TimeGrid(0.3, 3)
+    init, u, params, nl, pot = _tiny_run(time_grid)
+    base = dense_oracle_solve(init, u, params, nl, pot)
+    longer = TimeGrid(0.6, 3)
+    with pytest.raises(ConfigurationError, match="direction grids"):
+        oracle_linearized(base, params, nl, pot,
+                          SpaceTimeField.zeros(longer, base.grid))
+    with pytest.raises(ConfigurationError, match="direction grids"):
+        oracle_linearized(base, params, nl, pot,
+                          SpaceTimeField.zeros(time_grid, Grid(4, 2.0)))
+    with pytest.raises(ConfigurationError, match="source grids"):
+        oracle_adjoint(base, params, nl, pot,
+                       AdjointSources(longer, base.grid))
+    with pytest.raises(ConfigurationError, match="control grids"):
+        oracle_cost(base, SpaceTimeField.zeros(longer, base.grid),
+                    CostSpec(b1=1.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0))
+
+
+def test_cost_without_targets_matches_fast_path():
+    # CostSpec allows every target to be None, which counts as zero.
+    time_grid = TimeGrid(0.3, 3)
+    init, u, params, nl, pot = _tiny_run(time_grid)
+    cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
+    traj = solve_state(init, u, SolverConfig(), params, nl, pot)
+    dense = dense_oracle_solve(init, u, params, nl, pot)
+    assert oracle_cost(dense, u, cost) == pytest.approx(
+        evaluate_cost(traj, u, cost), rel=1e-12)
+
+    adj = solve_adjoint(traj, cost)
+    split = oracle_terminal_conditions(
+        traj.field_array("theta")[-1], traj.field_array("phi")[-1], cost,
+        params, traj.grid)
+    for name, expected in zip(("z", "p", "q", "r"), split):
+        fast = adj.field_array(name)[-1]
+        scale = 1.0 + np.max(np.abs(expected))
+        assert np.max(np.abs(fast - expected)) / scale <= 1e-10, name

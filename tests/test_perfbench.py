@@ -37,7 +37,8 @@ def test_traced_battery_makes_the_same_calls_every_run(desk_problem):
     # equal call counts in each, so nothing a run solves may outlive it.
     tracing = _load_tracing()
     tracer = tracing.Tracer()
-    cfg = VerifySuiteConfig(suites=("taylor", "adjoint", "lipschitz"))
+    cfg = VerifySuiteConfig(
+        suites=("oracle", "taylor", "adjoint", "lipschitz"))
     runs = []
     tracer.install()
     try:

@@ -4,7 +4,7 @@ import configparser
 
 import numpy as np
 import pytest
-from conftest import DESK_CFG
+from conftest import DESK_CFG, desk_params
 
 from caginalp_control import (
     ConfigurationError,
@@ -98,9 +98,7 @@ def test_matches_dense_oracle_on_tiny_grid():
     rng = np.random.default_rng(11)
     grid = Grid(4, 1.0)
     time_grid = TimeGrid(0.3, 3)
-    params = ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
-                         lambda_p=0.6, lambda_a=0.2, lambda_e=0.3,
-                         lambda_c=0.4, lambda_b=0.3, lambda_d=0.2)
+    params = desk_params()
     nl = default_nonlinearities()
     pot = default_potential()
     init = InitialData(
@@ -111,11 +109,10 @@ def test_matches_dense_oracle_on_tiny_grid():
     u = SpaceTimeField(time_grid, grid,
                        rng.normal(size=(4, grid.num_nodes)) * 0.3)
     traj = solve_state(init, u, SolverConfig(), params, nl, pot)
-    oracle = dense_oracle_solve(init.theta0, init.phi0, init.sigma0, u,
-                                params, nl, pot)
+    oracle = dense_oracle_solve(init, u, params, nl, pot)
     for name in ("theta", "phi", "mu", "sigma"):
         ours = traj.field_array(name)
-        theirs = getattr(oracle, name)
+        theirs = oracle.field_array(name)
         scale = 1.0 + np.max(np.abs(theirs))
         assert np.max(np.abs(ours - theirs)) / scale <= 1e-10, name
 
@@ -126,9 +123,7 @@ def test_per_step_combined_mass_law():
     rng = np.random.default_rng(23)
     grid = Grid(33, 2.0)
     time_grid = TimeGrid(0.5, 50)
-    params = ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
-                         lambda_p=0.6, lambda_a=0.2, lambda_e=0.3,
-                         lambda_c=0.4, lambda_b=0.3, lambda_d=0.2)
+    params = desk_params()
     init = InitialData(
         theta0=_smooth_field(grid, rng, 0.1),
         phi0=_smooth_field(grid, rng, 0.5),
@@ -159,8 +154,7 @@ def test_phase_mass_matches_reaction_integral():
     rng = np.random.default_rng(29)
     grid = Grid(17, 1.5)
     time_grid = TimeGrid(0.2, 20)
-    params = ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
-                         lambda_p=0.6, lambda_a=0.2, lambda_e=0.3)
+    params = desk_params(lambda_c=0.0, lambda_b=0.0, lambda_d=0.0)
     nl = default_nonlinearities()
     init = InitialData(
         theta0=_smooth_field(grid, rng, 0.1),
@@ -360,10 +354,7 @@ def _sigma_b_case(sigma_b_steps):
     sigma_b = SpaceTimeField(
         supply_grid, grid,
         rng.uniform(0.5, 1.5, size=(sigma_b_steps + 1,) + grid.shape))
-    params = ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
-                         lambda_p=0.6, lambda_a=0.2, lambda_e=0.3,
-                         lambda_c=0.4, lambda_b=0.8, lambda_d=0.2,
-                         sigma_b=sigma_b)
+    params = desk_params(lambda_b=0.8, sigma_b=sigma_b)
     init = InitialData(
         theta0=Field(grid, rng.normal(size=grid.shape) * 0.1),
         phi0=Field(grid, rng.uniform(-0.5, 0.5, size=grid.shape)),
@@ -382,11 +373,10 @@ def test_space_time_sigma_b_matches_dense_oracle(sigma_b_steps):
     nl = default_nonlinearities()
     pot = default_potential()
     traj = solve_state(init, u, SolverConfig(), params, nl, pot)
-    oracle = dense_oracle_solve(init.theta0, init.phi0, init.sigma0, u,
-                                params, nl, pot)
+    oracle = dense_oracle_solve(init, u, params, nl, pot)
     for name in ("theta", "phi", "mu", "sigma"):
         ours = traj.field_array(name)
-        theirs = getattr(oracle, name)
+        theirs = oracle.field_array(name)
         scale = 1.0 + np.max(np.abs(theirs))
         assert np.max(np.abs(ours - theirs)) / scale <= 1e-10, name
 
@@ -395,9 +385,7 @@ def test_lipschitz_ratio_stable_across_scales():
     rng = np.random.default_rng(41)
     grid = Grid(17, 2.0)
     time_grid = TimeGrid(0.3, 15)
-    params = ModelParams(ell=0.5, lambda_big=0.7, chi=0.3, tau=0.5,
-                         lambda_p=0.6, lambda_a=0.2, lambda_e=0.3,
-                         lambda_c=0.4, lambda_b=0.3, lambda_d=0.2)
+    params = desk_params()
     init = InitialData(
         theta0=_smooth_field(grid, rng, 0.1),
         phi0=_smooth_field(grid, rng, 0.4),
