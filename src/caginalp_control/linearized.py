@@ -62,7 +62,7 @@ def _lin_step_arrays(ops, frozen, base_sigma_next, zeta_n, xi_n, rho_n,
 
     xi_next = ops.ch_schur.solve(rhs_phase - ops.apply_lap(rhs_potential),
                                  step=step)
-    eta_next = ops.apply_a_minus_lap(xi_next) - rhs_potential
+    eta_next = (ops.a * xi_next - ops.apply_lap(xi_next)) - rhs_potential
 
     rhs_heat = zeta_n / dt - (params.ell / dt) * (xi_next - xi_n) + h_n
     zeta_next = ops.heat.solve(rhs_heat, step=step)

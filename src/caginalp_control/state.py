@@ -29,9 +29,12 @@ band, in 2D it runs conjugate gradients preconditioned by the reference
 factor.
 
 The Cahn-Hilliard pair is solved through its Schur complement in phi
-(eliminating mu by the potential equation), so the potential relation
-mu = (a I - Lap) phi_new - rhs holds to machine precision by construction,
-with a = tau/dt + S and S = STABILIZATION_S.
+(eliminating mu by the potential equation), and mu is then recovered from
+the potential relation as mu = (a * phi_new - Lap phi_new) - rhs, with
+a = tau/dt + S and S = STABILIZATION_S. The two products are formed apart,
+not through the merged operator (a I - Lap): Lap of a constant is exactly
+zero, so a constant phi gives a constant mu, while the merged operator's
+diagonal a + 2/h^2 would round it at order 1/h^2.
 
 The chemical potential at t=0 is defined algebraically from the potential
 equation with a zero phase rate, mu0 = -Lap(phi0) + f(phi0) - chi*sigma0
@@ -138,10 +141,10 @@ class StepOperators:
     """Model data and factorizations of one forward sweep.
 
     Holds the model (params, nl, pot), the quadrature weights and their sum
-    ``wsum``, the sparse Laplacian, the potential recovery operator
-    (a*I - Lap), their products with a vector (``apply_lap`` and
-    ``apply_a_minus_lap``, see
-    :class:`~caginalp_control.linsolve.MatVec`), and three operators
+    ``wsum``, the sparse Laplacian and its product with a vector
+    (``apply_lap``, see :class:`~caginalp_control.linsolve.MatVec`), the
+    shift ``a`` of the potential relation mu = a*phi - Lap phi - rhs, whose
+    two products the steps form apart, and three operators
     factorized once per forward sweep and reused by every linearized and
     adjoint sweep around its trajectory: the heat operator (I/dt - Lap), the
     Cahn-Hilliard Schur complement (I/dt - a*Lap + Lap^2) and the nutrient
@@ -172,9 +175,7 @@ class StepOperators:
         self.wsum = float(self.weights.sum())
         self.a = params.tau / self.dt + STABILIZATION_S
         eye = sp.identity(grid.num_nodes, format="csr")
-        self.a_minus_lap = (self.a * eye - self.lap).tocsr()
         self.apply_lap = MatVec(self.lap)
-        self.apply_a_minus_lap = MatVec(self.a_minus_lap)
         self.decay_ref = params.lambda_b + 0.5 * (
             params.lambda_c * nl.h_star + params.lambda_d * nl.k_star)
         heat = eye / self.dt - self.lap
@@ -281,7 +282,7 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
     w = ops.weights
     phi_next = phi_next + (w @ (phi_n + dt * source)
                            - w @ phi_next) / ops.wsum
-    mu_next = ops.apply_a_minus_lap(phi_next) - rhs_potential
+    mu_next = (ops.a * phi_next - ops.apply_lap(phi_next)) - rhs_potential
 
     rhs_heat = (theta_n / dt - (params.ell / dt) * (phi_next - phi_n) + u_n)
     theta_next = ops.heat.solve(rhs_heat, step=step, guess=theta_n)

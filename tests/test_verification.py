@@ -202,3 +202,19 @@ def test_suite_names_are_pinned():
     assert SUITE_NAMES == ("conservation", "equilibrium", "oracle",
                            "taylor", "adjoint", "gradient", "optimizer",
                            "energy", "lipschitz")
+
+
+@pytest.mark.parametrize("n", [513, 1025])
+def test_equilibrium_holds_on_fine_rods(tmp_path, n):
+    # Desk data with only the node count changed. A constant state is a
+    # fixed point at every grid size; mu formed through the merged operator
+    # (a I - Lap), whose diagonal grows as 2/h^2, drifted 2.9e-12 at 513
+    # nodes and 1.2e-11 at 1025.
+    for name in ("desk.cfg", "desk_reference.cfg"):
+        with open(os.path.join(CONFIGS, name), encoding="utf-8") as handle:
+            text = handle.read()
+        (tmp_path / name).write_text(text.replace("n = 33\n", f"n = {n}\n"))
+    problem = load_config(str(tmp_path / "desk.cfg")).verify_problem()
+    assert problem.grid.n == (n,)
+    report = run_suite(VerifySuiteConfig(suites=("equilibrium",)), problem)
+    assert report.all_passed, report.results
