@@ -1,15 +1,16 @@
 """Factorized sparse solves with residual-checked iteration.
 
-Every inner linear system in the package goes through this wrapper: one
-factorization per matrix, made once per forward sweep and reused by every
-linearized and adjoint sweep around that trajectory, with each solve
-iterated until it is accepted. A solution is accepted once its relative
-residual ||r||_2 / ||b||_2 meets the requested tolerance, or once its
-normwise backward error ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf) is at
-rounding level, a few units of roundoff (Higham, Accuracy and Stability of
-Numerical Algorithms, section 7.1). The relative residual of a
-backward-stable solve grows with the condition number of A, which on fine
-grids keeps it above any fixed tolerance; the backward error does not.
+Every inner linear system in the package goes through this wrapper, each
+solve iterated until it is accepted. The forward operators are factorized
+once per forward sweep and reused by the sweeps around its trajectory, the
+adjoint's terminal operator once per base, and a 1D shifted nutrient band
+once per step. A solution is accepted once its relative residual
+||r||_2 / ||b||_2 meets the requested tolerance, or once its normwise
+backward error ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf) is at rounding
+level, a few units of roundoff (Higham, Accuracy and Stability of Numerical
+Algorithms, section 7.1). The relative residual of a backward-stable solve
+grows with the condition number of A, which on fine grids keeps it above
+any fixed tolerance; the backward error does not.
 
 The factorization is chosen once per matrix, from the matrix alone. A
 matrix whose band storage (2 kl + ku + 1) N is at most twice its nonzeros,

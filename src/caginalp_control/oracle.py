@@ -197,11 +197,8 @@ def dense_oracle_solve(init, u, params, nl, pot):
         sb = params.sigma_b_at(times[step], dt, grid)
         matrix, rhs, th = _step_blocks(lap, prev, sb, dt, params, nl, pot)
         rhs[th] += controls[step]
-        sol = np.linalg.solve(matrix, rhs)
-        theta[step + 1] = sol[0 * total:1 * total]
-        phi[step + 1] = sol[1 * total:2 * total]
-        mu[step + 1] = sol[2 * total:3 * total]
-        sigma[step + 1] = sol[3 * total:4 * total]
+        sol = np.linalg.solve(matrix, rhs).reshape(4, total)
+        theta[step + 1], phi[step + 1], mu[step + 1], sigma[step + 1] = sol
     return Trajectory(time_grid, grid, {"theta": theta, "phi": phi, "mu": mu,
                                         "sigma": sigma})
 
@@ -235,9 +232,7 @@ def _space_time_system(base, params, nl, pot):
     ctrl = np.zeros((block * nt, total * nt))
 
     for k in range(1, nt + 1):
-        theta_p = theta[k - 1]
-        phi_p = phi[k - 1]
-        sigma_p = sigma[k - 1]
+        theta_p, phi_p, sigma_p = theta[k - 1], phi[k - 1], sigma[k - 1]
         sigma_k = sigma[k]
         gate = np.asarray(nl.H_gate(phi_p), dtype=float)
         gate_d = np.asarray(nl.H_gate_prime(phi_p), dtype=float)
@@ -385,7 +380,6 @@ def oracle_terminal_conditions(theta_T, phi_T, cost, params, grid):
     gradients g_z = b2*(theta_T - theta_Omega), g_w = b4*(phi_T - phi_Omega)
     and g_r = 0; a target that is None counts as zero.
     """
-    _check_sizes(grid.n)
     g_z = cost.b2 * (theta_T - _terminal_target(cost.theta_omega))
     g_w = cost.b4 * (phi_T - _terminal_target(cost.phi_omega))
     return _terminal_split(grid, params, g_z, g_w, np.zeros_like(g_z))

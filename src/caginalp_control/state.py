@@ -29,12 +29,11 @@ band, in 2D it runs conjugate gradients preconditioned by the reference
 factor.
 
 The Cahn-Hilliard pair is solved through its Schur complement in phi
-(eliminating mu by the potential equation), and mu is then recovered from
-the potential relation as mu = (a * phi_new - Lap phi_new) - rhs, with
-a = tau/dt + S and S = STABILIZATION_S. The two products are formed apart,
-not through the merged operator (a I - Lap): Lap of a constant is exactly
-zero, so a constant phi gives a constant mu, while the merged operator's
-diagonal a + 2/h^2 would round it at order 1/h^2.
+(eliminating mu by the potential equation), and mu is then recovered as
+mu = (a * phi_new - Lap phi_new) - rhs, with a = tau/dt + S and
+S = STABILIZATION_S. The two products are formed apart because Lap of a
+constant is exactly zero, so a constant phi keeps mu constant; a merged
+(a I - Lap), with diagonal a + 2/h^2, rounds it at order 1/h^2.
 
 The chemical potential at t=0 is defined algebraically from the potential
 equation with a zero phase rate, mu0 = -Lap(phi0) + f(phi0) - chi*sigma0
