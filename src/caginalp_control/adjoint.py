@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, names_sweep
 from .grid import Field, SpaceTimeField, Trajectory
 from .state import _base_operators, _frozen_coefficients, solve_state
 
@@ -213,6 +213,7 @@ def _adjoint_step_arrays(ops, frozen, sigma_b, sources, level, z_next,
     return z_new, p_new, q_new, r_new
 
 
+@names_sweep("adjoint")
 def solve_adjoint_with_sources(base, sources):
     """Backward sweep driven by explicit sources and terminal vectors.
 
@@ -227,6 +228,8 @@ def solve_adjoint_with_sources(base, sources):
     Raises:
         ConfigurationError: If the grids differ or ``base`` carries no
             operators.
+        SolverError: Propagated from the failing step, with its index and
+            sweep "adjoint".
     """
     grid = base.grid
     time_grid = base.time_grid
@@ -291,14 +294,16 @@ def reduced_gradient(u, init, cost, cfg, params, nl, pot):
     return _gradient_from_state(state, u, cost)
 
 
-def _gradient_from_state(state, u, cost):
+def _gradient_from_state(state, u, cost, cost_value=None):
     """Reduced gradient at u from the state trajectory u produced.
 
-    Runs only the backward sweep; see :func:`reduced_gradient`.
+    Runs only the backward sweep; see :func:`reduced_gradient`. A caller
+    that has already costed ``state`` passes that value as ``cost_value``.
     """
     from .control import evaluate_cost
 
+    if cost_value is None:
+        cost_value = evaluate_cost(state, u, cost)
     adjoint = solve_adjoint(state, cost)
     return GradientResult(gradient=adjoint.space_time("z") + cost.b5 * u,
-                          cost_value=evaluate_cost(state, u, cost),
-                          state=state, adjoint=adjoint)
+                          cost_value=cost_value, state=state, adjoint=adjoint)

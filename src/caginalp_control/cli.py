@@ -194,6 +194,10 @@ def _cmd_optimize(config_path):
     rows = [(it.iteration, it.cost, it.stationarity, it.step, it.backtracks)
             for it in report.iterates]
     _write_csv(os.path.join(out_dir, "optim_report.csv"), header, rows)
+    header = ("iter", "forward_sweeps", "adjoint_sweeps", "linear_solves")
+    rows = [(it.iteration, it.forward_sweeps, it.adjoint_sweeps,
+             it.linear_solves) for it in report.iterates]
+    _write_csv(os.path.join(out_dir, "optim_work.csv"), header, rows)
     write_space_time_csv(report.final_control,
                          os.path.join(out_dir, "control.csv"))
 

@@ -12,13 +12,19 @@ the projection arc, using the sufficient-decrease test
 
     J(P(u - alpha g)) <= J(u) - (c / alpha) * ||P(u - alpha g) - u||^2
 
-in the control-space norm, with c = ARMIJO_C. Each iterate tries alpha =
-INITIAL_STEP first and multiplies alpha by BACKTRACK_FACTOR after every
-rejected trial; a trial is accepted only if it also lowers the cost
-strictly. The stationarity measure is ||u - P(u - g)|| at unit
-trial step; for a box the fixed points of the projection arc are the same
-for every positive step, so a nonstationary iterate always moves and the
-line search cannot stall at a fixed point.
+in the control-space norm, with c = ARMIJO_C. The first iterate tries
+alpha = INITIAL_STEP first. Every later iterate first tries the short
+Barzilai-Borwein step alpha = <s, y> / <y, y> (Barzilai & Borwein, IMA J.
+Numer. Anal. 8, 1988), where s and y are the differences of the controls
+and of the gradients between this iterate and the last, in the
+control-space inner product; when <s, y> <= 0 the pair carries no positive
+curvature and the first trial is INITIAL_STEP again. Each rejected trial
+multiplies alpha by BACKTRACK_FACTOR; a trial is accepted only if it also
+lowers the cost strictly, so the search stays monotone. The stationarity
+measure is ||u - P(u - g)|| at unit trial step; for a box the fixed points
+of the projection arc are the same for every positive step, so a
+nonstationary iterate always moves and the line search cannot stall at a
+fixed point.
 
 The inner sweeps solve to a relative residual of linear_tol, so the cost is
 resolved to about linear_tol * |J| and no smaller. Once a rejected trial's
@@ -27,6 +33,9 @@ resolution, its rejection was decided by rounding, and so would be that of
 every shorter step along the arc: the search ends there, reported as
 "resolution", instead of halving alpha down to MIN_STEP. The first trial of
 every iterate is always tried.
+
+Each accepted trial's state and cost become the new iterate's, so an
+iterate costs one adjoint sweep plus one forward sweep per trial.
 
 The report carries the gradient at the final control, so the variational
 inequality is sampled by :func:`stationarity_check` without another sweep.
@@ -169,7 +178,8 @@ def evaluate_cost(traj, u, cost):
 
 # Line-search constants of projected gradient descent: the Armijo constant
 # c, the factor a rejected trial's step is multiplied by, the first trial
-# step of every iterate, and the step below which the search gives up.
+# step of the first iterate and of any iterate whose Barzilai-Borwein pair
+# has <s, y> <= 0, and the step below which the search gives up.
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 INITIAL_STEP = 1.0
@@ -196,7 +206,11 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class IterateRecord:
-    """One optimizer iterate, as reported in the iteration table."""
+    """One optimizer iterate, as reported in the iteration table.
+
+    linear_solves, forward_sweeps and adjoint_sweeps count the work of the
+    run so far, up to the end of this iterate's line search.
+    """
 
     iteration: int
     cost: float
@@ -204,6 +218,8 @@ class IterateRecord:
     step: float
     backtracks: int
     linear_solves: int
+    forward_sweeps: int
+    adjoint_sweeps: int
 
 
 @dataclass(frozen=True)
@@ -257,31 +273,40 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
     u = project_admissible(u0, adm)
     iterates = []
     stop_reason = None
-    solves = 0
+    solves = forward_sweeps = adjoint_sweeps = 0
+
+    def failed(exc):
+        return OptimizerError(
+            f"sweep failed at iterate {len(iterates)}: {exc}")
 
     def state_at(control):
-        nonlocal solves
+        nonlocal solves, forward_sweeps
         try:
             traj = solve_state(init, control, solver_cfg, params, nl, pot)
         except SolverError as exc:
-            raise OptimizerError(
-                f"state sweep failed at iterate {len(iterates)}: {exc}"
-            ) from exc
+            raise failed(exc) from exc
         solves += traj.linear_solve_count
+        forward_sweeps += 1
         return traj
 
-    def gradient_at(control, traj):
-        nonlocal solves
+    def gradient_at(control, traj, cost_value):
+        nonlocal solves, adjoint_sweeps
         try:
-            result = _gradient_from_state(traj, control, cost)
+            result = _gradient_from_state(traj, control, cost, cost_value)
         except SolverError as exc:
-            raise OptimizerError(
-                f"adjoint sweep failed at iterate {len(iterates)}: {exc}"
-            ) from exc
+            raise failed(exc) from exc
         solves += result.adjoint.linear_solve_count
+        adjoint_sweeps += 1
         return result
 
-    result = gradient_at(u, state_at(u))
+    def record(iteration, cost_value, stationarity, step, backtracks):
+        iterates.append(IterateRecord(
+            iteration, cost_value, stationarity, step, backtracks, solves,
+            forward_sweeps, adjoint_sweeps))
+
+    traj = state_at(u)
+    result = gradient_at(u, traj, evaluate_cost(traj, u, cost))
+    previous = None
     iteration = 0
     while True:
         grad = result.gradient
@@ -293,13 +318,20 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
         elif iteration >= opt_cfg.max_iters:
             stop_reason = "max_iters"
         if stop_reason is not None:
-            iterates.append(IterateRecord(iteration, current_cost,
-                                          stationarity, 0.0, 0, solves))
+            record(iteration, current_cost, stationarity, 0.0, 0)
             break
 
         # Decreases at or below this are rounding of the inner sweeps.
         resolution = solver_cfg.linear_tol * abs(current_cost)
         alpha = INITIAL_STEP
+        if previous is not None:
+            # Short Barzilai-Borwein step <s, y> / <y, y>; a pair without
+            # positive curvature along s falls back to INITIAL_STEP.
+            s = u - previous[0]
+            y = grad - previous[1]
+            curvature = l2q_inner(s, y)
+            if curvature > 0.0:
+                alpha = curvature / l2q_inner(y, y)
         backtracks = 0
         accepted = None
         search_end = "min_step"
@@ -326,14 +358,14 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
                 search_end = "resolution"
                 break
 
-        iterates.append(IterateRecord(iteration, current_cost, stationarity,
-                                      alpha, backtracks, solves))
+        record(iteration, current_cost, stationarity, alpha, backtracks)
         if accepted is None:
             stop_reason = search_end
             break
+        previous = (u, grad)
         u = accepted
-        # The accepted trial's state is the state at the new iterate.
-        result = gradient_at(u, trial_state)
+        # The accepted trial's state and cost are those of the new iterate.
+        result = gradient_at(u, trial_state, trial_cost)
         iteration += 1
 
     return OptimizationReport(

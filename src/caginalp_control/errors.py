@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the decorator that
+names the sweep a solver failure came from."""
+
+import functools
 
 
 class ConfigurationError(ValueError):
@@ -19,6 +22,9 @@ class SolverError(RuntimeError):
             non-finite value or a singular factor was detected.
         block: Label of the failing operator (phase, heat, nutrient or
             terminal), or None when no operator was involved.
+        sweep: The sweep that failed, "forward", "linearized" or
+            "adjoint", set by the sweep function the error leaves; the
+            message ends with it. None outside every sweep.
     """
 
     def __init__(self, message, step=None, residual=None, block=None):
@@ -26,6 +32,28 @@ class SolverError(RuntimeError):
         self.step = step
         self.residual = residual
         self.block = block
+        self.sweep = None
+
+    def __str__(self):
+        message = super().__str__()
+        if self.sweep is None:
+            return message
+        return f"{message} in the {self.sweep} sweep"
+
+
+def names_sweep(sweep):
+    """Decorate a sweep function so that a SolverError it raises carries
+    ``sweep`` as its ``sweep`` attribute."""
+    def decorate(function):
+        @functools.wraps(function)
+        def run(*args, **kwargs):
+            try:
+                return function(*args, **kwargs)
+            except SolverError as exc:
+                exc.sweep = sweep
+                raise
+        return run
+    return decorate
 
 
 class OptimizerError(RuntimeError):

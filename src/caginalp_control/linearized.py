@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, names_sweep
 from .grid import Trajectory, l2q_norm
 from .state import (
     _base_operators,
@@ -74,6 +74,7 @@ def _lin_step_arrays(ops, frozen, base_sigma_next, zeta_n, xi_n, rho_n,
     return zeta_next, xi_next, eta_next, rho_next
 
 
+@names_sweep("linearized")
 def solve_linearized(base, h):
     """Sweep the linearized system along a base trajectory.
 
@@ -89,6 +90,8 @@ def solve_linearized(base, h):
     Raises:
         ConfigurationError: If the grids differ or ``base`` carries no
             operators.
+        SolverError: Propagated from the failing step, with its index and
+            sweep "linearized".
     """
     grid = base.grid
     time_grid = base.time_grid

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, SolverError, names_sweep
 from .grid import (
     Field,
     Trajectory,
@@ -319,6 +319,7 @@ def ch_energy(phi, grid, pot):
     return energies
 
 
+@names_sweep("forward")
 def solve_state(init, u, cfg, params, nl, pot):
     """March the full horizon; per-level diagnostics follow on first read.
 
@@ -336,7 +337,8 @@ def solve_state(init, u, cfg, params, nl, pot):
         and adjoint sweeps around it reuse.
 
     Raises:
-        SolverError: Propagated from the failing step, with its index.
+        SolverError: Propagated from the failing step, with its index and
+            sweep "forward".
     """
     grid = init.grid
     if u.grid != grid:

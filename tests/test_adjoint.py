@@ -14,6 +14,7 @@ from caginalp_control import (
     Grid,
     ModelParams,
     SolverConfig,
+    SolverError,
     SpaceTimeField,
     TimeGrid,
     default_nonlinearities,
@@ -134,6 +135,19 @@ def test_zero_cost_gives_zero_adjoint():
     adj = solve_adjoint(base, cost)
     for name in ("z", "p", "q", "r"):
         assert np.all(adj.field_array(name) == 0.0), name
+
+
+def test_failure_names_the_adjoint_sweep():
+    rng = np.random.default_rng(11)
+    grid, time_grid, base = _base_setup(9, 8, rng)
+    s_theta = np.zeros((time_grid.nt + 1, grid.num_nodes))
+    s_theta[5] = np.nan
+    sources = AdjointSources(time_grid, grid, s_theta=s_theta)
+    with pytest.raises(SolverError) as excinfo:
+        solve_adjoint_with_sources(base, sources)
+    assert excinfo.value.step == 4
+    assert excinfo.value.sweep == "adjoint"
+    assert str(excinfo.value).endswith("in the adjoint sweep")
 
 
 def test_q_equals_minus_laplacian_p_for_cost_sweeps():

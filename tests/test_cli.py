@@ -212,6 +212,14 @@ def test_optimize_writes_reports(tmp_path, capsys):
     lines = report.strip().split("\n")
     assert lines[0] == "iter,J,stationarity,step,backtracks"
     assert len(lines) >= 3
+    work = _read(tmp_path, "opt_out", "optim_work.csv").decode()
+    work_lines = work.strip().split("\n")
+    assert work_lines[0] == "iter,forward_sweeps,adjoint_sweeps,linear_solves"
+    assert len(work_lines) == len(lines)
+    # One gradient per row; every forward sweep but the first is a trial.
+    forward, adjoint = map(int, work_lines[-1].split(",")[1:3])
+    assert adjoint == len(work_lines) - 1
+    assert forward >= adjoint
     control = _read(tmp_path, "opt_out", "control.csv").decode()
     rows = control.strip().split("\n")[1:]
     values = {row.rsplit(",", 1)[1] for row in rows}

@@ -1,5 +1,7 @@
 """Cost functional, admissible box and projected gradient descent."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import desk_params, smooth_init
@@ -183,6 +185,55 @@ def test_descent_pure_regularization_reaches_zero():
     assert costs == sorted(costs, reverse=True)
 
 
+def test_descent_takes_the_barzilai_borwein_step_after_the_first():
+    # With only the b5 term the gradient is b5 * u, so every difference of
+    # gradients is b5 times the difference of controls and the short
+    # Barzilai-Borwein step <s, y> / <y, y> is exactly 1 / b5, which lands
+    # on the minimizer u = 0.
+    grid = Grid(9, 1.0)
+    time_grid = TimeGrid(0.2, 6)
+    init = _constant_init(grid, 0.0, 1.0, 0.5)
+    u0 = SpaceTimeField.constant(time_grid, grid, 0.7)
+    cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=0.5)
+    adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
+    report = projected_gradient_descent(
+        u0, init, adm, cost, OptimizerConfig(), SolverConfig(),
+        ModelParams(), default_nonlinearities(), default_potential())
+    assert report.iterates[0].step == control.INITIAL_STEP
+    assert report.iterates[1].step == pytest.approx(1.0 / cost.b5,
+                                                    rel=1e-12)
+    assert report.stop_reason == "stationarity"
+    assert len(report.iterates) == 3
+    assert report.final_cost == 0.0
+
+
+def test_descent_falls_back_to_the_initial_step_without_curvature(
+        monkeypatch):
+    # A gradient that does not change gives <s, y> = 0, so the second
+    # iterate's first trial is INITIAL_STEP again, not a spectral step.
+    monkeypatch.setattr(control, "INITIAL_STEP", 0.25)
+    grid = Grid(9, 1.0)
+    time_grid = TimeGrid(0.2, 6)
+    fixed = SpaceTimeField.constant(time_grid, grid, 0.35)
+    original = control._gradient_from_state
+
+    def unchanging(traj, u, cost_spec, cost_value):
+        result = original(traj, u, cost_spec, cost_value)
+        return dataclasses.replace(result, gradient=fixed)
+
+    monkeypatch.setattr(control, "_gradient_from_state", unchanging)
+    report = projected_gradient_descent(
+        SpaceTimeField.constant(time_grid, grid, 0.7),
+        _constant_init(grid, 0.0, 1.0, 0.5),
+        AdmissibleSet(u_min=-1.0, u_max=1.0),
+        CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=0.5),
+        OptimizerConfig(max_iters=2), SolverConfig(), ModelParams(),
+        default_nonlinearities(), default_potential())
+    assert report.stop_reason == "max_iters"
+    assert [(rec.step, rec.backtracks) for rec in report.iterates[:-1]] == [
+        (0.25, 0), (0.25, 0)]
+
+
 def test_descent_respects_active_lower_bound():
     # Keeping u >= 0.2 makes the boundary point the constrained minimizer
     # of the pure regularization cost.
@@ -333,7 +384,8 @@ def test_descent_runs_one_forward_sweep_per_trial(monkeypatch):
     import caginalp_control.adjoint as adjoint
     import caginalp_control.state as state
 
-    # A first trial step of 8 makes the first iterates backtrack.
+    # A first trial step of 8 makes the first iterate backtrack; within
+    # max_iters = 2 the run stops on max_iters before reaching stationarity.
     monkeypatch.setattr(control, "INITIAL_STEP", 8.0)
     sweeps = []
     original = state.solve_state
@@ -364,35 +416,29 @@ def test_descent_runs_one_forward_sweep_per_trial(monkeypatch):
     report = projected_gradient_descent(
         SpaceTimeField.zeros(time_grid, grid), init,
         AdmissibleSet(u_min=-1.0, u_max=1.0), cost,
-        OptimizerConfig(max_iters=4), SolverConfig(),
+        OptimizerConfig(max_iters=2), SolverConfig(),
         params, nl, pot)
     assert report.stop_reason == "max_iters"
     trials = sum(rec.backtracks + 1 for rec in report.iterates[:-1])
     assert trials > len(report.iterates) - 1, "no step backtracked"
     assert len(sweeps) == 1 + trials
+    assert report.iterates[-1].forward_sweeps == len(sweeps)
+    assert report.iterates[-1].adjoint_sweeps == len(report.iterates)
 
 
-# Cost and stationarity of iterates 0-15 of PGD from zero on the desk
-# problem. Each of iterates 0-14 accepts its first trial, which the
+# Cost and stationarity of iterates 0-8 of PGD from zero on the desk
+# problem. Each of iterates 0-7 accepts its first trial, which the
 # resolution stop never skips, so these values do not depend on it.
 _DESK_DESCENT = (
-    (0.00496488738378607, 0.03562773535710569),
-    (0.004094422864935108, 0.013239092278383734),
-    (0.003974209310288922, 0.004921652414092935),
-    (0.003957594502284254, 0.0018302595555599868),
-    (0.003955296473474834, 0.0006810101413520745),
-    (0.00395497825050538, 0.00025362517789999297),
-    (0.003954934096930053, 9.46000731559892e-05),
-    (0.00395492795049565, 3.537361202288204e-05),
-    (0.003954927090243051, 1.3281397791580942e-05),
-    (0.0039549269687802, 5.01945905832461e-06),
-    (0.003954926951388144, 1.916526206352436e-06),
-    (0.00395492694884335, 7.430532760377309e-07),
-    (0.003954926948457284, 2.9435111556916226e-07),
-    (0.003954926948397055, 1.1988207109737245e-07),
-    (0.00395492694838589, 5.041574654331572e-08),
-    (0.003954926948385606, 2.190742686855798e-08),
-    (0.003954926948383633, 9.803849739607017e-09),
+    (0.004964887383784637, 0.03562773535709938),
+    (0.004094422864932944, 0.013239092278376953),
+    (0.0039549349933646625, 9.395291392410299e-05),
+    (0.003954927293807571, 2.1263185792819006e-05),
+    (0.003954926984723311, 7.933176453391178e-06),
+    (0.003954926949988294, 1.6156453452388405e-06),
+    (0.003954926948452567, 2.6648994643528114e-07),
+    (0.0039549269483945704, 1.0717838548807178e-07),
+    (0.003954926948382975, 1.370250114212455e-09),
 )
 
 
@@ -407,7 +453,7 @@ def desk_descent(desk_problem):
 
 def test_desk_descent_matches_its_recorded_iterates(desk_descent):
     # With the phase step mass-exact, the desk cost is resolved finely
-    # enough that descent reaches stationarity_tol = 1e-8 at iterate 16
+    # enough that descent reaches stationarity_tol = 1e-8 at iterate 8
     # before any trial's predicted decrease falls under the cost's
     # resolution linear_tol * |J|; that stop stays covered by
     # test_search_ends_once_a_rejection_is_below_the_cost_resolution.
@@ -419,10 +465,10 @@ def test_desk_descent_matches_its_recorded_iterates(desk_descent):
     assert costs == pytest.approx([c for c, _ in _DESK_DESCENT], rel=1e-10)
     assert stationarity == pytest.approx([s for _, s in _DESK_DESCENT],
                                          rel=1e-6)
-    assert report.final_cost == pytest.approx(0.003954926948383633,
+    assert report.final_cost == pytest.approx(0.003954926948382975,
                                               rel=1e-10)
     assert l2q_norm(report.final_control) == pytest.approx(
-        0.05669761121980663, rel=1e-10)
+        0.05669761922112426, rel=1e-10)
 
 
 def test_report_gradient_is_the_gradient_at_the_final_control(

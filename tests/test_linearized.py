@@ -1,5 +1,7 @@
 """Exact linearization of the forward scheme and the Taylor remainder test."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import desk_params, smooth_init
@@ -11,6 +13,7 @@ from caginalp_control import (
     InitialData,
     ModelParams,
     SolverConfig,
+    SolverError,
     SpaceTimeField,
     TimeGrid,
     default_nonlinearities,
@@ -44,6 +47,26 @@ def test_zero_direction_gives_zero_trajectory():
     lin = solve_linearized(base, h)
     for name in ("zeta", "xi", "eta", "rho"):
         assert np.all(lin.field_array(name) == 0.0), name
+
+
+def test_failure_names_the_linearized_sweep():
+    # The forward sweep never evaluates H'; the linearization does, so a
+    # base whose H' is NaN fails only in the linearized sweep.
+    rng = np.random.default_rng(5)
+    grid = Grid(9, 1.0)
+    time_grid = TimeGrid(0.2, 6)
+    nl = dataclasses.replace(
+        default_nonlinearities(),
+        H_gate_prime=lambda s: np.full_like(s, np.nan))
+    base = solve_state(smooth_init(grid, rng),
+                       _random_control(time_grid, grid, rng, 0.2),
+                       SolverConfig(), desk_params(), nl,
+                       default_potential())
+    with pytest.raises(SolverError) as excinfo:
+        solve_linearized(base, _random_control(time_grid, grid, rng))
+    assert excinfo.value.step == 0
+    assert excinfo.value.sweep == "linearized"
+    assert str(excinfo.value).endswith("in the linearized sweep")
 
 
 def test_linearized_map_is_linear():

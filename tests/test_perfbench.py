@@ -38,7 +38,7 @@ def test_traced_battery_makes_the_same_calls_every_run(desk_problem):
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     cfg = VerifySuiteConfig(
-        suites=("oracle", "taylor", "adjoint", "lipschitz"))
+        suites=("oracle", "taylor", "adjoint", "optimizer", "lipschitz"))
     runs = []
     tracer.install()
     try:

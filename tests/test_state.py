@@ -329,6 +329,8 @@ def test_solver_error_carries_step_index():
         solve_state(init, u, SolverConfig(), params, broken,
                     default_potential())
     assert excinfo.value.step == 0
+    assert excinfo.value.sweep == "forward"
+    assert str(excinfo.value).endswith("in the forward sweep")
 
 
 def test_solve_state_validates_dt_and_grid():

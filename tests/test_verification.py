@@ -179,6 +179,7 @@ def test_failed_base_sweep_fails_every_suite_that_needs_it(desk_problem):
     for row in report.results[1:]:
         assert not row.passed
         assert row.detail.startswith("SolverError"), row.detail
+        assert row.detail.endswith("in the forward sweep"), row.detail
 
 
 def test_desk_problem_targets_come_from_reference_run(desk_problem):
