@@ -81,6 +81,7 @@ _EXPORTS = {
     "CostSpec": "control",
     "AdmissibleSet": "control",
     "OptimizerConfig": "control",
+    "Problem": "control",
     "IterateRecord": "control",
     "OptimizationReport": "control",
     "evaluate_cost": "control",
@@ -91,7 +92,6 @@ _EXPORTS = {
     # verification
     "SUITE_NAMES": "verification",
     "VerifySuiteConfig": "verification",
-    "VerifyProblem": "verification",
     "TestResult": "verification",
     "VerifyReport": "verification",
     "run_suite": "verification",

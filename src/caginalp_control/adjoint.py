@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, names_sweep
 from .grid import Field, SpaceTimeField, Trajectory
-from .state import _base_operators, _frozen_coefficients, solve_state
+from .state import _base_operators, _frozen_coefficients
 
 __all__ = [
     "AdjointSources",
@@ -279,7 +279,7 @@ class GradientResult:
     adjoint: Trajectory
 
 
-def reduced_gradient(u, init, cost, cfg, params, nl, pot):
+def reduced_gradient(problem, u):
     """Reduced cost gradient at a control, via one forward-backward sweep.
 
     The gradient slice at level n is z_n + b5 * u_n, where z_n is the
@@ -287,11 +287,15 @@ def reduced_gradient(u, init, cost, cfg, params, nl, pot):
     the left-endpoint time quadrature, so it carries no information, but it
     is populated by the same formula for uniformity.
 
+    Args:
+        problem: :class:`~caginalp_control.control.Problem` whose state
+            system and cost are differentiated.
+        u: Control on the problem's grids.
+
     Returns:
         GradientResult with the gradient, the cost value and both sweeps.
     """
-    state = solve_state(init, u, cfg, params, nl, pot)
-    return _gradient_from_state(state, u, cost)
+    return _gradient_from_state(problem.solve(u), u, problem.cost)
 
 
 def _gradient_from_state(state, u, cost, cost_value=None):

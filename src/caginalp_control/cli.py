@@ -180,15 +180,10 @@ def _cmd_optimize(config_path):
 
     cfg = load_config(config_path)
     _check_model(cfg)
-    if cfg.cost is None:
-        raise ConfigurationError("optimization needs a [cost] section")
-    if cfg.admissible is None:
-        raise ConfigurationError("optimization needs an [admissible] section")
+    problem = cfg.verify_problem()
     out_dir = _prepare_output(cfg)
 
-    report = projected_gradient_descent(
-        cfg.control, cfg.init, cfg.admissible, cfg.cost, cfg.optimizer,
-        cfg.solver, cfg.params, cfg.nonlinearities, cfg.potential)
+    report = projected_gradient_descent(problem, problem.control)
 
     header = ("iter", "J", "stationarity", "step", "backtracks")
     rows = [(it.iteration, it.cost, it.stationarity, it.step, it.backtracks)

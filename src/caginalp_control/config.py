@@ -39,7 +39,7 @@ import typing
 
 import numpy as np
 
-from .control import AdmissibleSet, CostSpec, OptimizerConfig
+from .control import AdmissibleSet, CostSpec, OptimizerConfig, Problem
 from .errors import ConfigurationError
 from .grid import (
     Field,
@@ -57,7 +57,7 @@ from .model import (
     default_potential,
 )
 from .state import InitialData, SolverConfig, solve_state
-from .verification import VerifyProblem, VerifySuiteConfig
+from .verification import VerifySuiteConfig
 
 __all__ = ["RunConfig", "load_config", "EFFECTIVE_CONFIG_NAME"]
 
@@ -472,19 +472,16 @@ class RunConfig:
     # -- derived views ------------------------------------------------------
 
     def verify_problem(self):
-        """VerifyProblem for this config; needs [cost] and [admissible]."""
-        if self.cost is None:
-            raise ConfigurationError(
-                "verification needs a [cost] section"
-            )
-        if self.admissible is None:
-            raise ConfigurationError(
-                "verification needs an [admissible] section"
-            )
-        return VerifyProblem(
+        """The control problem of this config, which ``optimize`` and
+        ``verify`` run; it needs [cost] and [admissible] sections."""
+        for section in ("cost", "admissible"):
+            if getattr(self, section) is None:
+                raise ConfigurationError(
+                    f"optimize and verify need the [{section}] section")
+        return Problem(
             params=self.params, nonlinearities=self.nonlinearities,
             potential=self.potential, solver=self.solver, init=self.init,
-            base_control=self.control, cost=self.cost,
+            control=self.control, cost=self.cost,
             admissible=self.admissible, optimizer=self.optimizer,
         )
 

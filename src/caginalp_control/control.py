@@ -1,4 +1,10 @@
-"""Quadratic tracking cost, admissible box, and projected gradient descent.
+"""Control problem, tracking cost, admissible box, projected gradient descent.
+
+A :class:`Problem` holds the whole optimal control problem: the model and
+its discretization, the initial data, a control, the cost, the box and the
+optimizer's stopping rule. It solves its state system S(u) for any control
+u, and the optimizer, the reduced gradient and the Taylor test take it in
+place of those pieces.
 
 The cost is a left-endpoint time quadrature of weighted tracking and
 regularization terms plus two terminal terms. Its reduced gradient comes
@@ -58,12 +64,14 @@ from .adjoint import (
 )
 from .errors import ConfigurationError, OptimizerError, SolverError
 from .grid import SpaceTimeField, l2q_inner, l2q_norm, quadrature_weights
-from .state import solve_state
+from .model import ModelParams
+from .state import InitialData, SolverConfig, solve_state
 
 __all__ = [
     "CostSpec",
     "AdmissibleSet",
     "OptimizerConfig",
+    "Problem",
     "IterateRecord",
     "OptimizationReport",
     "evaluate_cost",
@@ -205,6 +213,39 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
+class Problem:
+    """Minimize the tracking cost over the box, subject to the state system.
+
+    ``control`` is the problem's given control: the starting point of
+    ``caginalp optimize`` and the base point of the verification battery.
+    Its grids are the problem's.
+    """
+
+    params: ModelParams
+    nonlinearities: object
+    potential: object
+    solver: SolverConfig
+    init: InitialData
+    control: SpaceTimeField
+    cost: CostSpec
+    admissible: AdmissibleSet
+    optimizer: OptimizerConfig
+
+    @property
+    def grid(self):
+        return self.control.grid
+
+    @property
+    def time_grid(self):
+        return self.control.time_grid
+
+    def solve(self, u):
+        """State trajectory S(u) of this problem's model and initial data."""
+        return solve_state(self.init, u, self.solver, self.params,
+                           self.nonlinearities, self.potential)
+
+
+@dataclass(frozen=True)
 class IterateRecord:
     """One optimizer iterate, as reported in the iteration table.
 
@@ -250,18 +291,12 @@ class OptimizationReport:
         return self.final_adjoint.space_time("z")
 
 
-def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
-                               params, nl, pot):
-    """Minimize the tracking cost over the admissible box.
+def projected_gradient_descent(problem, u0):
+    """Minimize the tracking cost of a problem over its admissible box.
 
     Args:
+        problem: Problem; its optimizer settings say when to stop.
         u0: Starting control; projected onto the box before iterating.
-        init: Initial state data.
-        adm: AdmissibleSet.
-        cost: CostSpec.
-        opt_cfg: OptimizerConfig.
-        solver_cfg: SolverConfig for the inner sweeps.
-        params, nl, pot: Model data.
 
     Returns:
         OptimizationReport with one IterateRecord per gradient evaluation.
@@ -270,6 +305,9 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
         OptimizerError: If a forward or backward sweep fails inside the
             iteration.
     """
+    adm = problem.admissible
+    cost = problem.cost
+    opt_cfg = problem.optimizer
     u = project_admissible(u0, adm)
     iterates = []
     stop_reason = None
@@ -282,7 +320,7 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
     def state_at(control):
         nonlocal solves, forward_sweeps
         try:
-            traj = solve_state(init, control, solver_cfg, params, nl, pot)
+            traj = problem.solve(control)
         except SolverError as exc:
             raise failed(exc) from exc
         solves += traj.linear_solve_count
@@ -322,7 +360,7 @@ def projected_gradient_descent(u0, init, adm, cost, opt_cfg, solver_cfg,
             break
 
         # Decreases at or below this are rounding of the inner sweeps.
-        resolution = solver_cfg.linear_tol * abs(current_cost)
+        resolution = problem.solver.linear_tol * abs(current_cost)
         alpha = INITIAL_STEP
         if previous is not None:
             # Short Barzilai-Borwein step <s, y> / <y, y>; a pair without

@@ -32,7 +32,6 @@ from .state import (
     _base_operators,
     _frozen_coefficients,
     _require_finite,
-    solve_state,
     y_norm,
 )
 
@@ -121,11 +120,17 @@ def solve_linearized(base, h):
 
 @dataclass(frozen=True)
 class TaylorRow:
-    """One epsilon of the Taylor test."""
+    """One epsilon of the Taylor test.
+
+    ``slope`` is the log-log decay rate of the remainder from the row
+    before to this one; it is NaN on the first row and wherever this row or
+    the one before sits at the rounding floor.
+    """
 
     epsilon: float
     remainder: float
     floor_flagged: bool
+    slope: float
 
 
 @dataclass(frozen=True)
@@ -138,32 +143,33 @@ class TaylorReport:
     """
 
     rows: tuple
-    slopes: tuple
     floor: float
 
+    @property
+    def slopes(self):
+        """The slopes of the rows that have one, in row order."""
+        return tuple(r.slope for r in self.rows if not math.isnan(r.slope))
 
-def taylor_test(base, base_u, h, epsilons, init):
+
+def taylor_test(problem, base, h, epsilons):
     """Second-order Taylor remainder check of the linearization around a base.
 
     For each epsilon the remainder ||S(u + eps*h) - S(u) - eps*S'(u)h||_Y is
-    computed; exact differentiation makes it O(eps^2), so consecutive
-    remainders should decay with slope about 2 in log-log until they hit the
-    rounding floor 1e-12 * (1 + ||S(u)||_Y). S(u) is the given base, not
-    solved again: the test costs one linearized sweep plus one forward sweep
-    per epsilon, on the solver settings and model of ``base.operators``.
+    computed at the problem's control u; exact differentiation makes it
+    O(eps^2), so consecutive remainders should decay with slope about 2 in
+    log-log until they hit the rounding floor 1e-12 * (1 + ||S(u)||_Y). S(u)
+    is the given base, not solved again: the test costs one linearized sweep
+    plus one forward sweep ``problem.solve`` per epsilon.
 
     Args:
-        base: S(base_u), the trajectory of
-            :func:`~caginalp_control.state.solve_state` from ``init`` and
-            ``base_u``.
-        base_u: Base control.
+        problem: :class:`~caginalp_control.control.Problem` whose state
+            system S is tested.
+        base: S(u), the trajectory ``problem.solve(problem.control)``.
         h: Direction; must be nonzero.
         epsilons: At least three strictly decreasing positive values.
-        init: Initial data of ``base``.
 
     Returns:
-        TaylorReport with one row per epsilon and one slope per consecutive
-        pair of rows that both sit above the floor.
+        TaylorReport with one row per epsilon.
 
     Raises:
         ConfigurationError: On invalid epsilons, a zero direction, or a base
@@ -179,7 +185,6 @@ def taylor_test(base, base_u, h, epsilons, init):
     if l2q_norm(h) == 0.0:
         raise ConfigurationError("taylor direction must be nonzero")
 
-    ops = _base_operators(base)
     lin = solve_linearized(base, h)
     grid = base.grid
     time_grid = base.time_grid
@@ -193,9 +198,8 @@ def taylor_test(base, base_u, h, epsilons, init):
 
     rows = []
     for e in eps:
-        perturbed = solve_state(init, base_u + e * h, ops.cfg, ops.params,
-                                ops.nl, ops.pot)
-        remainder = y_norm(
+        perturbed = problem.solve(problem.control + e * h)
+        remainder = float(y_norm(
             perturbed.field_array("theta") - base.field_array("theta")
             - e * lin.field_array("zeta"),
             perturbed.field_array("phi") - base.field_array("phi")
@@ -205,15 +209,13 @@ def taylor_test(base, base_u, h, epsilons, init):
             perturbed.field_array("sigma") - base.field_array("sigma")
             - e * lin.field_array("rho"),
             grid, time_grid,
-        )
-        rows.append(TaylorRow(epsilon=e, remainder=float(remainder),
-                              floor_flagged=remainder <= floor))
+        ))
+        flagged = remainder <= floor
+        slope = float("nan")
+        if rows and not (flagged or rows[-1].floor_flagged):
+            slope = (math.log(rows[-1].remainder / remainder)
+                     / math.log(rows[-1].epsilon / e))
+        rows.append(TaylorRow(epsilon=e, remainder=remainder,
+                              floor_flagged=flagged, slope=slope))
 
-    slopes = []
-    for first, second in zip(rows, rows[1:]):
-        if first.floor_flagged or second.floor_flagged:
-            continue
-        slopes.append(math.log(first.remainder / second.remainder)
-                      / math.log(first.epsilon / second.epsilon))
-
-    return TaylorReport(rows=tuple(rows), slopes=tuple(slopes), floor=floor)
+    return TaylorReport(rows=tuple(rows), floor=floor)

@@ -227,39 +227,26 @@ def _space_time_system(base, params, nl, pot):
     block = 4 * total
     theta, phi, sigma = (base.field_array(name)
                          for name in ("theta", "phi", "sigma"))
+    th, ph, mu, sg = (slice(i * total, (i + 1) * total) for i in range(4))
 
     big = np.zeros((block * nt, block * nt))
     ctrl = np.zeros((block * nt, total * nt))
 
     for k in range(1, nt + 1):
-        theta_p, phi_p, sigma_p = theta[k - 1], phi[k - 1], sigma[k - 1]
+        prev = (theta[k - 1], phi[k - 1], sigma[k - 1])
+        theta_p, phi_p, sigma_p = prev
         sigma_k = sigma[k]
         gate = np.asarray(nl.H_gate(phi_p), dtype=float)
         gate_d = np.asarray(nl.H_gate_prime(phi_p), dtype=float)
         temp_d = np.asarray(nl.K_temp_prime(theta_p), dtype=float)
-        decay = (params.lambda_c * gate + params.lambda_b
-                 + params.lambda_d * np.asarray(nl.K_temp(theta_p),
-                                                dtype=float))
         source_d = (params.lambda_p * sigma_p - params.lambda_a
                     - params.lambda_e * theta_p) * gate_d
 
-        row = (k - 1) * block
-        col = (k - 1) * block
-        th = slice(0 * total, 1 * total)
-        ph = slice(1 * total, 2 * total)
-        mu = slice(2 * total, 3 * total)
-        sg = slice(3 * total, 4 * total)
-
-        diag = np.zeros((block, block))
-        diag[th, th] = eye / dt - lap
-        diag[th, ph] = (params.ell / dt) * eye
-        diag[ph, ph] = eye / dt
-        diag[ph, mu] = -lap
-        diag[mu, ph] = a * eye - lap
-        diag[mu, mu] = -eye
-        diag[sg, sg] = eye / dt - lap + np.diag(decay)
-        diag[sg, ph] = params.chi * lap
-        big[row:row + block, col:col + block] = diag
+        row = col = (k - 1) * block
+        # The diagonal block is the forward step's matrix from level k - 1;
+        # its right-hand side is not needed.
+        big[row:row + block, col:col + block] = _step_blocks(
+            lap, prev, 0.0, dt, params, nl, pot)[0]
 
         ctrl[row:row + total, (k - 1) * total:k * total] = eye
 

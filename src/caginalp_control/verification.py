@@ -24,9 +24,12 @@ one ``configs/desk.cfg`` defines:
 - ``lipschitz``: continuous dependence, a scale-uniform ratio of state
   distance to control distance.
 
+Every suite but the oracle's solves through the problem's
+:meth:`~caginalp_control.control.Problem.solve`; the equilibrium, energy and
+linear Taylor checks first replace the model or the data of their own copy.
 The taylor, adjoint, gradient and lipschitz suites all work around the
-problem's base control. ``run_suite`` solves the base state S(base_control)
-at most once per call, in the first of those suites it runs (taylor, in the
+problem's control. ``run_suite`` solves the base state S(control) at most
+once per call, in the first of those suites it runs (taylor, in the
 full battery). It solves the cost gradient there, with its adjoint sweep, at
 most once too, in the first suite that reads it (adjoint, in the full
 battery; the gradient suite reuses it). Neither outlives the call, and a
@@ -54,9 +57,6 @@ from .adjoint import (
     solve_adjoint_with_sources,
 )
 from .control import (
-    AdmissibleSet,
-    CostSpec,
-    OptimizerConfig,
     evaluate_cost,
     project_admissible,
     projected_gradient_descent,
@@ -76,17 +76,11 @@ from .grid import (
 from .linearized import solve_linearized, taylor_test
 from .model import ModelParams, zero_potential
 from .oracle import dense_oracle_solve, oracle_adjoint, oracle_linearized
-from .state import (
-    InitialData,
-    SolverConfig,
-    solve_state,
-    trajectory_distance_y,
-)
+from .state import InitialData, solve_state, trajectory_distance_y
 
 __all__ = [
     "SUITE_NAMES",
     "VerifySuiteConfig",
-    "VerifyProblem",
     "TestResult",
     "VerifyReport",
     "run_suite",
@@ -162,29 +156,6 @@ class VerifySuiteConfig:
         if self.suites is None:
             return SUITE_NAMES
         return tuple(s for s in SUITE_NAMES if s in self.suites)
-
-
-@dataclass(frozen=True)
-class VerifyProblem:
-    """Everything the suite needs: model, discretization, cost, optimizer."""
-
-    params: ModelParams
-    nonlinearities: object
-    potential: object
-    solver: SolverConfig
-    init: InitialData
-    base_control: SpaceTimeField
-    cost: CostSpec
-    admissible: AdmissibleSet
-    optimizer: OptimizerConfig
-
-    @property
-    def grid(self):
-        return self.base_control.grid
-
-    @property
-    def time_grid(self):
-        return self.base_control.time_grid
 
 
 @dataclass(frozen=True)
@@ -274,7 +245,7 @@ def _row(cfg, name, measured, detail):
 
 
 class _BaseSweeps:
-    """The state and cost gradient at ``problem.base_control``.
+    """The state and cost gradient at ``problem.control``.
 
     Each is solved on its first read and kept for one ``run_suite`` call. A
     sweep that raises is not kept, so the next read solves it again.
@@ -285,13 +256,11 @@ class _BaseSweeps:
 
     @functools.cached_property
     def state(self):
-        p = self.problem
-        return solve_state(p.init, p.base_control, p.solver, p.params,
-                           p.nonlinearities, p.potential)
+        return self.problem.solve(self.problem.control)
 
     @functools.cached_property
     def gradient(self):
-        return _gradient_from_state(self.state, self.problem.base_control,
+        return _gradient_from_state(self.state, self.problem.control,
                                     self.problem.cost)
 
 
@@ -332,9 +301,8 @@ def _suite_conservation(problem, cfg, base):
     nt = 100
     time_grid = TimeGrid(nt * problem.time_grid.dt, nt)
     grid = problem.grid
-    u = _constant_in_time(problem.base_control.slice(0), time_grid)
-    traj = solve_state(problem.init, u, problem.solver, problem.params,
-                       problem.nonlinearities, problem.potential)
+    u = _constant_in_time(problem.control.slice(0), time_grid)
+    traj = problem.solve(u)
     w = quadrature_weights(grid)
     dt = time_grid.dt
     params = problem.params
@@ -381,9 +349,8 @@ def _suite_equilibrium(problem, cfg, base):
         phi0=Field.constant(grid, -0.4),
         sigma0=Field.constant(grid, 0.6),
     )
-    u = SpaceTimeField.zeros(time_grid, grid)
-    traj = solve_state(init, u, problem.solver, params,
-                       problem.nonlinearities, problem.potential)
+    constant = dataclasses.replace(problem, params=params, init=init)
+    traj = constant.solve(SpaceTimeField.zeros(time_grid, grid))
 
     worst = 0.0
     for name in ("theta", "phi", "mu", "sigma"):
@@ -467,8 +434,7 @@ def _suite_taylor(problem, cfg, base):
     # the quadratic regime, keeping every slope measurable.
     h = (TAYLOR_DIRECTION_NORM / l2q_norm(h)) * h
     epsilons = (1e-2, 1e-3, 1e-4)
-    u = problem.base_control
-    report = taylor_test(base.state, u, h, epsilons, problem.init)
+    report = taylor_test(problem, base.state, h, epsilons)
     slope_dev = max((abs(s - 2.0) for s in report.slopes),
                     default=float("inf"))
     slope_row = _row(
@@ -478,24 +444,16 @@ def _suite_taylor(problem, cfg, base):
     linear_params = dataclasses.replace(
         problem.params, lambda_p=0.0, lambda_a=0.0, lambda_e=0.0,
         lambda_c=0.0, lambda_b=0.0, lambda_d=0.0, chi=0.0, lambda_big=0.0)
-    linear_base = solve_state(problem.init, u, problem.solver, linear_params,
-                              problem.nonlinearities, zero_potential())
-    linear_report = taylor_test(linear_base, u, h, epsilons, problem.init)
+    linear = dataclasses.replace(problem, params=linear_params,
+                                 potential=zero_potential())
+    linear_report = taylor_test(linear, linear.solve(linear.control), h,
+                                epsilons)
     linear_row = _row(cfg, "taylor_linear_regime",
                       max(r.remainder for r in linear_report.rows),
                       "zero potential, zero rates")
 
     header = ("epsilon", "remainder_norm", "slope")
-    rows = []
-    prev = None
-    for entry in report.rows:
-        if prev is None or prev.floor_flagged or entry.floor_flagged:
-            slope = float("nan")
-        else:
-            slope = (np.log(prev.remainder / entry.remainder)
-                     / np.log(prev.epsilon / entry.epsilon))
-        rows.append((entry.epsilon, entry.remainder, slope))
-        prev = entry
+    rows = [(r.epsilon, r.remainder, r.slope) for r in report.rows]
     return [slope_row, linear_row], {"taylor_report": (header, rows)}
 
 
@@ -548,14 +506,11 @@ def _suite_adjoint(problem, cfg, base):
 
 
 def _suite_gradient(problem, cfg, base):
-    u = problem.base_control
+    u = problem.control
     grad = base.gradient.gradient
 
     def cost_at(control):
-        traj = solve_state(problem.init, control, problem.solver,
-                           problem.params, problem.nonlinearities,
-                           problem.potential)
-        return evaluate_cost(traj, control, problem.cost)
+        return evaluate_cost(problem.solve(control), control, problem.cost)
 
     eps = 1e-5
     worst = 0.0
@@ -580,10 +535,7 @@ def _suite_gradient(problem, cfg, base):
 
 def _suite_optimizer(problem, cfg, base):
     u0 = SpaceTimeField.zeros(problem.time_grid, problem.grid)
-    report = projected_gradient_descent(
-        u0, problem.init, problem.admissible, problem.cost,
-        problem.optimizer, problem.solver, problem.params,
-        problem.nonlinearities, problem.potential)
+    report = projected_gradient_descent(problem, u0)
 
     costs = [rec.cost for rec in report.iterates]
     max_increase = max((b - a for a, b in zip(costs, costs[1:])),
@@ -632,9 +584,8 @@ def _suite_energy(problem, cfg, base):
         phi0=Field(grid, profile),
         sigma0=Field.constant(grid, 1.0),
     )
-    u = SpaceTimeField.zeros(time_grid, grid)
-    traj = solve_state(init, u, problem.solver, params,
-                       problem.nonlinearities, problem.potential)
+    decoupled = dataclasses.replace(problem, params=params, init=init)
+    traj = decoupled.solve(SpaceTimeField.zeros(time_grid, grid))
     energies = [rec.energy for rec in traj.diagnostics]
     scale = 1.0 + abs(energies[0])
     worst = max(((b - a) / scale for a, b in zip(energies, energies[1:])),
@@ -649,13 +600,11 @@ def _suite_lipschitz(problem, cfg, base):
     rng = _child_rng(cfg.seed, 10, 0)
     h = _random_direction(rng, problem.time_grid, problem.grid)
     h = (1.0 / l2q_norm(h)) * h
-    u = problem.base_control
+    u = problem.control
     ratios = []
     for scale in (1e-1, 1e-2, 1e-3):
         other = u + scale * h
-        traj = solve_state(problem.init, other, problem.solver,
-                           problem.params, problem.nonlinearities,
-                           problem.potential)
+        traj = problem.solve(other)
         ratios.append(trajectory_distance_y(traj, base.state)
                       / l2q_norm(other - u))
     spread = (max(ratios) - min(ratios)) / max(ratios)
@@ -681,12 +630,13 @@ def run_suite(cfg, problem):
 
     A suite that raises contributes a single failed result carrying the
     error message; subsequent suites still run. The state and the cost
-    gradient at ``problem.base_control`` are solved at most once per call,
-    by the first suite that reads them.
+    gradient at ``problem.control`` are solved at most once per call, by
+    the first suite that reads them.
 
     Args:
         cfg: VerifySuiteConfig.
-        problem: VerifyProblem, for example the one of ``configs/desk.cfg``
+        problem: :class:`~caginalp_control.control.Problem`, for example the
+            one of ``configs/desk.cfg``
             (``load_config(path).verify_problem()``).
 
     Returns:

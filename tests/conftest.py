@@ -1,7 +1,8 @@
 """Shared fixtures and helpers: the shipped desk problem, found from this
-file's path, its model constants, smooth random initial data, one run of
-the full verification battery, counters of factorizations and of sparse LU
-calls, and a fault that flips the sign of every adjoint density."""
+file's path, its model constants, smooth random initial data, a control
+problem built from a model and data, one run of the full verification
+battery, counters of factorizations and of sparse LU calls, and a fault
+that flips the sign of every adjoint density."""
 
 import configparser
 import functools
@@ -14,11 +15,18 @@ import caginalp_control.adjoint as adjoint
 import caginalp_control.linsolve as linsolve
 import caginalp_control.verification as verification
 from caginalp_control import (
+    AdmissibleSet,
+    CostSpec,
     Field,
     InitialData,
     ModelParams,
+    OptimizerConfig,
+    Problem,
+    SolverConfig,
     Trajectory,
     VerifySuiteConfig,
+    default_nonlinearities,
+    default_potential,
     load_config,
     run_suite,
 )
@@ -58,9 +66,23 @@ def smooth_init(grid, rng):
                        sigma0=bumps(0.2, offset=0.6))
 
 
+def problem_of(init, control, params, nl=None, pot=None, **fields):
+    """Problem of a model and data on the default solver settings, with the
+    pure regularization cost, the box [-1, 1] and the default stopping
+    rule; ``nl`` and ``pot`` default to the package's, and ``fields``
+    replace any other field."""
+    return Problem(**{
+        "params": params,
+        "nonlinearities": nl or default_nonlinearities(),
+        "potential": pot or default_potential(),
+        "solver": SolverConfig(), "init": init, "control": control,
+        "cost": CostSpec(), "admissible": AdmissibleSet(-1.0, 1.0),
+        "optimizer": OptimizerConfig(), **fields})
+
+
 @pytest.fixture(scope="session")
 def desk_problem():
-    """VerifyProblem of ``configs/desk.cfg``."""
+    """Problem of ``configs/desk.cfg``."""
     return load_config(DESK_CFG).verify_problem()
 
 

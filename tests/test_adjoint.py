@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from conftest import desk_params, smooth_init
+from conftest import desk_params, problem_of, smooth_init
 
 from caginalp_control import (
     AdjointSources,
@@ -278,9 +278,8 @@ def test_gradient_is_control_for_pure_regularization():
     init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.4)
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
-    result = reduced_gradient(u, init, cost, SolverConfig(),
-                              desk_params(), default_nonlinearities(),
-                              default_potential())
+    result = reduced_gradient(
+        problem_of(init, u, desk_params(), cost=cost), u)
     assert np.array_equal(result.gradient.values, u.values)
 
 
@@ -291,9 +290,8 @@ def test_gradient_scales_with_regularization_weight():
     init = smooth_init(grid, rng)
     u = _random_control(time_grid, grid, rng, 0.4)
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=2.5)
-    result = reduced_gradient(u, init, cost, SolverConfig(),
-                              desk_params(), default_nonlinearities(),
-                              default_potential())
+    result = reduced_gradient(
+        problem_of(init, u, desk_params(), cost=cost), u)
     assert np.allclose(result.gradient.values, 2.5 * u.values,
                        rtol=0.0, atol=1e-15)
 
@@ -309,7 +307,8 @@ def test_gradient_matches_central_difference():
     pot = default_potential()
     cfg = SolverConfig()
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
-    result = reduced_gradient(u, init, cost, cfg, params, nl, pot)
+    result = reduced_gradient(
+        problem_of(init, u, params, nl, pot, cost=cost, solver=cfg), u)
     dt = time_grid.dt
     w = quadrature_weights(grid).ravel()
     eps = 1e-5
@@ -337,9 +336,7 @@ def test_gradient_result_reports_cost_of_the_sweep():
     u = _random_control(time_grid, grid, rng, 0.3)
     params = desk_params()
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
-    result = reduced_gradient(u, init, cost, SolverConfig(), params,
-                              default_nonlinearities(),
-                              default_potential())
+    result = reduced_gradient(problem_of(init, u, params, cost=cost), u)
     direct = evaluate_cost(result.state, u, cost)
     assert result.cost_value == direct
 
@@ -371,13 +368,13 @@ def test_adjoint_sweep_counts_terminal_solve(factorizations, tau, extra):
 def test_running_target_on_another_horizon_is_rejected(desk_problem):
     # Same grid and step count as the desk run, but five times its horizon.
     p = desk_problem
-    base = solve_state(p.init, p.base_control, p.solver, p.params,
+    base = solve_state(p.init, p.control, p.solver, p.params,
                        p.nonlinearities, p.potential)
     assert base.time_grid == TimeGrid(0.5, 50)
     target = SpaceTimeField.zeros(TimeGrid(2.5, 50), p.grid)
     cost = CostSpec(b1=1.0, theta_q=target)
     with pytest.raises(ConfigurationError, match="tracking target"):
-        evaluate_cost(base, p.base_control, cost)
+        evaluate_cost(base, p.control, cost)
     with pytest.raises(ConfigurationError, match="tracking target"):
         AdjointSources.from_cost(base, cost)
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -226,10 +227,15 @@ def test_optimize_writes_reports(tmp_path, capsys):
     assert values == {"0"}
 
 
-def test_optimize_requires_cost_section(tmp_path, capsys):
-    cfg = _write(tmp_path, BASE)
-    assert main(["optimize", cfg]) == EXIT_CONFIG
-    assert "[cost]" in capsys.readouterr().err
+@pytest.mark.parametrize("missing", ["cost", "admissible"])
+@pytest.mark.parametrize("command", [["optimize"], ["verify", "all"]],
+                         ids=["optimize", "verify"])
+def test_optimize_requires_cost_section(tmp_path, capsys, command, missing):
+    # Both commands run the control problem, which needs both sections.
+    text = BASE + re.sub(rf"\[{missing}\][^[]*", "", COST_BOX)
+    cfg = _write(tmp_path, text)
+    assert main([*command, cfg]) == EXIT_CONFIG
+    assert f"[{missing}]" in capsys.readouterr().err
 
 
 def test_optimize_empty_box_exits_2(tmp_path):
@@ -278,12 +284,6 @@ def test_verify_negative_seed_exits_2(tmp_path, capsys):
     cfg = _write(tmp_path, BASE + COST_BOX + "\n[verify]\nseed = -1\n")
     assert main(["verify", "all", cfg]) == EXIT_CONFIG
     assert "[verify]: seed must be nonnegative" in capsys.readouterr().err
-
-
-def test_verify_requires_cost_section(tmp_path, capsys):
-    cfg = _write(tmp_path, BASE)
-    assert main(["verify", "all", cfg]) == EXIT_CONFIG
-    assert "[cost]" in capsys.readouterr().err
 
 
 def test_verify_fault_injection_exits_5(tmp_path, capsys, flipped_adjoint):

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import desk_params, smooth_init
+from conftest import desk_params, problem_of, smooth_init
 
 import caginalp_control.control as control
 from caginalp_control import (
@@ -175,8 +175,7 @@ def test_descent_pure_regularization_reaches_zero():
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
     report = projected_gradient_descent(
-        u0, init, adm, cost, OptimizerConfig(), SolverConfig(),
-        ModelParams(), default_nonlinearities(), default_potential())
+        problem_of(init, u0, ModelParams(), cost=cost, admissible=adm), u0)
     assert report.stop_reason == "stationarity"
     assert np.all(report.final_control.values == 0.0)
     assert report.final_cost == 0.0
@@ -197,8 +196,7 @@ def test_descent_takes_the_barzilai_borwein_step_after_the_first():
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=0.5)
     adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
     report = projected_gradient_descent(
-        u0, init, adm, cost, OptimizerConfig(), SolverConfig(),
-        ModelParams(), default_nonlinearities(), default_potential())
+        problem_of(init, u0, ModelParams(), cost=cost, admissible=adm), u0)
     assert report.iterates[0].step == control.INITIAL_STEP
     assert report.iterates[1].step == pytest.approx(1.0 / cost.b5,
                                                     rel=1e-12)
@@ -222,13 +220,12 @@ def test_descent_falls_back_to_the_initial_step_without_curvature(
         return dataclasses.replace(result, gradient=fixed)
 
     monkeypatch.setattr(control, "_gradient_from_state", unchanging)
-    report = projected_gradient_descent(
-        SpaceTimeField.constant(time_grid, grid, 0.7),
-        _constant_init(grid, 0.0, 1.0, 0.5),
-        AdmissibleSet(u_min=-1.0, u_max=1.0),
-        CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=0.5),
-        OptimizerConfig(max_iters=2), SolverConfig(), ModelParams(),
-        default_nonlinearities(), default_potential())
+    u0 = SpaceTimeField.constant(time_grid, grid, 0.7)
+    report = projected_gradient_descent(problem_of(
+        _constant_init(grid, 0.0, 1.0, 0.5), u0, ModelParams(),
+        admissible=AdmissibleSet(u_min=-1.0, u_max=1.0),
+        cost=CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=0.5),
+        optimizer=OptimizerConfig(max_iters=2)), u0)
     assert report.stop_reason == "max_iters"
     assert [(rec.step, rec.backtracks) for rec in report.iterates[:-1]] == [
         (0.25, 0), (0.25, 0)]
@@ -244,8 +241,7 @@ def test_descent_respects_active_lower_bound():
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     adm = AdmissibleSet(u_min=0.2, u_max=1.0)
     report = projected_gradient_descent(
-        u0, init, adm, cost, OptimizerConfig(), SolverConfig(),
-        ModelParams(), default_nonlinearities(), default_potential())
+        problem_of(init, u0, ModelParams(), cost=cost, admissible=adm), u0)
     assert report.stop_reason == "stationarity"
     values = report.final_control.values[:-1]
     assert np.allclose(values, 0.2, atol=1e-9)
@@ -262,9 +258,9 @@ def test_stationarity_check_flags_nonminimizer():
     u = SpaceTimeField.constant(time_grid, grid, 0.9)
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
-    grad = reduced_gradient(u, init, cost, SolverConfig(), ModelParams(),
-                            default_nonlinearities(),
-                            default_potential()).gradient
+    grad = reduced_gradient(
+        problem_of(init, u, ModelParams(), cost=cost, admissible=adm),
+        u).gradient
     check = stationarity_check(u, grad, adm, seed=7)
     assert check.measure > 0.1
     assert np.min(check.vi_samples) < 0.0
@@ -296,9 +292,9 @@ def test_descent_tracking_cost_decreases_monotonically():
     )
     adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
     u0 = SpaceTimeField.zeros(time_grid, grid)
-    report = projected_gradient_descent(
-        u0, init, adm, cost, OptimizerConfig(max_iters=5), SolverConfig(),
-        params, nl, pot)
+    report = projected_gradient_descent(problem_of(
+        init, u0, params, nl, pot, cost=cost, admissible=adm,
+        optimizer=OptimizerConfig(max_iters=5)), u0)
     assert report.stop_reason == "max_iters"
     costs = [rec.cost for rec in report.iterates]
     assert all(b < a for a, b in zip(costs, costs[1:]))
@@ -324,9 +320,9 @@ def test_descent_wraps_solver_failures():
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
     with pytest.raises(OptimizerError, match="sweep failed"):
-        projected_gradient_descent(
-            u0, init, adm, cost, OptimizerConfig(), SolverConfig(),
-            ModelParams(lambda_p=1.0), broken, default_potential())
+        projected_gradient_descent(problem_of(
+            init, u0, ModelParams(lambda_p=1.0), broken, cost=cost,
+            admissible=adm), u0)
 
 
 def test_descent_stops_when_the_step_no_longer_moves_the_control(
@@ -344,10 +340,9 @@ def test_descent_stops_when_the_step_no_longer_moves_the_control(
     u0 = SpaceTimeField.constant(time_grid, grid, 0.5)
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
-    report = projected_gradient_descent(
-        u0, init, adm, cost, OptimizerConfig(max_iters=5),
-        SolverConfig(), ModelParams(), default_nonlinearities(),
-        default_potential())
+    report = projected_gradient_descent(problem_of(
+        init, u0, ModelParams(), cost=cost, admissible=adm,
+        optimizer=OptimizerConfig(max_iters=5)), u0)
     assert report.stop_reason == "resolution"
     assert len(report.iterates) == 1
     assert np.array_equal(report.final_control.values, u0.values)
@@ -366,10 +361,9 @@ def test_descent_at_zero_cost_stops_when_the_step_no_longer_moves(
     u0 = SpaceTimeField.constant(time_grid, grid, 0.5)
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     adm = AdmissibleSet(u_min=-1.0, u_max=1.0)
-    report = projected_gradient_descent(
-        u0, init, adm, cost, OptimizerConfig(max_iters=5),
-        SolverConfig(), ModelParams(), default_nonlinearities(),
-        default_potential())
+    report = projected_gradient_descent(problem_of(
+        init, u0, ModelParams(), cost=cost, admissible=adm,
+        optimizer=OptimizerConfig(max_iters=5)), u0)
     assert report.stop_reason == "min_step"
     assert len(report.iterates) == 1
     # 0.5 - alpha * 0.5 rounds back to 0.5 once alpha reaches 2^-54.
@@ -413,11 +407,11 @@ def test_descent_runs_one_forward_sweep_per_trial(monkeypatch):
                     theta_q=theta_q, phi_q=phi_q,
                     theta_omega=theta_q.slice(time_grid.nt),
                     phi_omega=phi_q.slice(time_grid.nt))
-    report = projected_gradient_descent(
-        SpaceTimeField.zeros(time_grid, grid), init,
-        AdmissibleSet(u_min=-1.0, u_max=1.0), cost,
-        OptimizerConfig(max_iters=2), SolverConfig(),
-        params, nl, pot)
+    u0 = SpaceTimeField.zeros(time_grid, grid)
+    report = projected_gradient_descent(problem_of(
+        init, u0, params, nl, pot, cost=cost,
+        admissible=AdmissibleSet(u_min=-1.0, u_max=1.0),
+        optimizer=OptimizerConfig(max_iters=2)), u0)
     assert report.stop_reason == "max_iters"
     trials = sum(rec.backtracks + 1 for rec in report.iterates[:-1])
     assert trials > len(report.iterates) - 1, "no step backtracked"
@@ -446,9 +440,7 @@ _DESK_DESCENT = (
 def desk_descent(desk_problem):
     p = desk_problem
     return projected_gradient_descent(
-        SpaceTimeField.zeros(p.time_grid, p.grid), p.init, p.admissible,
-        p.cost, p.optimizer, p.solver, p.params, p.nonlinearities,
-        p.potential)
+        p, SpaceTimeField.zeros(p.time_grid, p.grid))
 
 
 def test_desk_descent_matches_its_recorded_iterates(desk_descent):
@@ -473,10 +465,7 @@ def test_desk_descent_matches_its_recorded_iterates(desk_descent):
 
 def test_report_gradient_is_the_gradient_at_the_final_control(
         desk_problem, desk_descent):
-    p = desk_problem
-    result = reduced_gradient(desk_descent.final_control, p.init, p.cost,
-                              p.solver, p.params, p.nonlinearities,
-                              p.potential)
+    result = reduced_gradient(desk_problem, desk_descent.final_control)
     assert np.array_equal(desk_descent.final_gradient.values,
                           result.gradient.values)
 
@@ -498,12 +487,12 @@ def test_search_ends_once_a_rejection_is_below_the_cost_resolution(
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
     adm = AdmissibleSet(u_min=0.2, u_max=1.0)
     solver_cfg = SolverConfig()
-    args = (init, adm, cost)
-    model = (solver_cfg, ModelParams(), default_nonlinearities(),
-             default_potential())
-    opt_cfg = OptimizerConfig(stationarity_tol=0.0, max_iters=1)
+    problem = problem_of(
+        init, u0, ModelParams(), cost=cost, admissible=adm,
+        solver=solver_cfg,
+        optimizer=OptimizerConfig(stationarity_tol=0.0, max_iters=1))
 
-    clean = projected_gradient_descent(u0, *args, opt_cfg, *model)
+    clean = projected_gradient_descent(problem, u0)
     assert clean.iterates[0].backtracks == 0, "the trial lowers the cost"
 
     start_cost = clean.iterates[0].cost
@@ -515,7 +504,7 @@ def test_search_ends_once_a_rejection_is_below_the_cost_resolution(
         return value if np.array_equal(u.values, values) else value + noise
 
     monkeypatch.setattr(control, "evaluate_cost", noisy)
-    report = projected_gradient_descent(u0, *args, opt_cfg, *model)
+    report = projected_gradient_descent(problem, u0)
     assert report.stop_reason == "resolution"
     assert len(report.iterates) == 1
     assert report.iterates[0].backtracks == 1

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import desk_params, smooth_init
+from conftest import desk_params, problem_of, smooth_init
 
 from caginalp_control import (
     ConfigurationError,
@@ -203,7 +203,8 @@ def test_taylor_slopes_near_two():
     # remainder dominates across all three epsilons.
     h = (64.0 / l2q_norm(h)) * h
     base = solve_state(init, u, cfg, params, nl, pot)
-    report = taylor_test(base, u, h, (1e-2, 1e-3, 1e-4), init)
+    report = taylor_test(problem_of(init, u, params, nl, pot, solver=cfg),
+                         base, h, (1e-2, 1e-3, 1e-4))
     assert len(report.rows) == 3
     assert report.slopes, "all rows hit the roundoff floor"
     assert 1.9 <= min(report.slopes) <= max(report.slopes) <= 2.1
@@ -225,7 +226,8 @@ def test_taylor_floor_flags_in_linear_regime():
     h = _random_control(time_grid, grid, rng, 0.5)
     base = solve_state(init, u, SolverConfig(), params,
                        default_nonlinearities(), zero_potential())
-    report = taylor_test(base, u, h, (1e-2, 1e-3, 1e-4), init)
+    report = taylor_test(problem_of(init, u, params, pot=zero_potential()),
+                         base, h, (1e-2, 1e-3, 1e-4))
     assert all(row.floor_flagged for row in report.rows)
     assert report.slopes == ()
     assert report.floor > 0.0
@@ -240,14 +242,15 @@ def test_taylor_test_input_validation():
     h = _random_control(time_grid, grid, rng)
     base = solve_state(init, u, SolverConfig(), desk_params(),
                        default_nonlinearities(), default_potential())
+    problem = problem_of(init, u, desk_params())
     with pytest.raises(ConfigurationError, match="three"):
-        taylor_test(base, u, h, (1e-2, 1e-3), init)
+        taylor_test(problem, base, h, (1e-2, 1e-3))
     with pytest.raises(ConfigurationError, match="decreasing"):
-        taylor_test(base, u, h, (1e-3, 1e-2, 1e-4), init)
+        taylor_test(problem, base, h, (1e-3, 1e-2, 1e-4))
     with pytest.raises(ConfigurationError, match="positive"):
-        taylor_test(base, u, h, (1e-2, 1e-3, 0.0), init)
+        taylor_test(problem, base, h, (1e-2, 1e-3, 0.0))
     with pytest.raises(ConfigurationError, match="nonzero"):
-        taylor_test(base, u, u, (1e-2, 1e-3, 1e-4), init)
+        taylor_test(problem, base, u, (1e-2, 1e-3, 1e-4))
     lin = solve_linearized(base, h)
     with pytest.raises(ConfigurationError, match="operators"):
-        taylor_test(lin, u, h, (1e-2, 1e-3, 1e-4), init)
+        taylor_test(problem, lin, h, (1e-2, 1e-3, 1e-4))

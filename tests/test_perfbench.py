@@ -37,8 +37,7 @@ def test_traced_battery_makes_the_same_calls_every_run(desk_problem):
     # equal call counts in each, so nothing a run solves may outlive it.
     tracing = _load_tracing()
     tracer = tracing.Tracer()
-    cfg = VerifySuiteConfig(
-        suites=("oracle", "taylor", "adjoint", "optimizer", "lipschitz"))
+    cfg = VerifySuiteConfig()
     runs = []
     tracer.install()
     try:

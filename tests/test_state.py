@@ -248,7 +248,7 @@ def test_diagnostics_are_computed_on_first_read(desk_problem, monkeypatch):
         return real_energy(phi, grid, pot)
 
     monkeypatch.setattr(state, "ch_energy", counting_energy)
-    traj = solve_state(problem.init, problem.base_control, problem.solver,
+    traj = solve_state(problem.init, problem.control, problem.solver,
                        problem.params, problem.nonlinearities,
                        problem.potential)
     assert len(calls) == 0

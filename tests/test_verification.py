@@ -139,7 +139,7 @@ def _replace_everywhere(monkeypatch, original, replacement):
 def test_battery_solves_base_state_and_its_cost_adjoint_once(
         monkeypatch, desk_problem):
     # The taylor, adjoint, gradient and lipschitz suites share one
-    # S(base_control) of the problem's model and one cost adjoint around it.
+    # S(control) of the problem's model and one cost adjoint around it.
     base_states = []
     adjoint_bases = []
     real_solve_state = state.solve_state
@@ -147,7 +147,7 @@ def test_battery_solves_base_state_and_its_cost_adjoint_once(
 
     def counting_solve_state(init, u, cfg, params, nl, pot):
         traj = real_solve_state(init, u, cfg, params, nl, pot)
-        if u is desk_problem.base_control and params is desk_problem.params:
+        if u is desk_problem.control and params is desk_problem.params:
             base_states.append(traj)
         return traj
 
