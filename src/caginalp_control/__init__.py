@@ -73,9 +73,7 @@ _EXPORTS = {
     "taylor_test": "linearized",
     # adjoint
     "AdjointSources": "adjoint",
-    "solve_adjoint": "adjoint",
     "solve_adjoint_with_sources": "adjoint",
-    "GradientResult": "adjoint",
     "reduced_gradient": "adjoint",
     # control
     "CostSpec": "control",
@@ -85,6 +83,8 @@ _EXPORTS = {
     "IterateRecord": "control",
     "OptimizationReport": "control",
     "evaluate_cost": "control",
+    "cost_sources": "control",
+    "GradientResult": "control",
     "project_admissible": "control",
     "projected_gradient_descent": "control",
     "StationarityReport": "control",

@@ -22,53 +22,24 @@ terminal data (z_T, p_T, q_T, r_T) derived from the terminal cost.
 With this layout the reduced gradient is simply g_n = z_n + b5 * u_n, slice
 by slice, where z_n is the z-component of trajectory index n.
 
-The backward sweep can be driven either by a cost functional (tracking
-residuals become the sources) or by arbitrary per-level sources and terminal
-data, which is what the transpose identity checks exercise.
+The sweep is driven by per-level sources and terminal data and knows no
+cost: :func:`~caginalp_control.control.cost_sources` forms a cost's sources,
+and the transpose identity checks draw them at random.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, names_sweep
-from .grid import Field, SpaceTimeField, Trajectory
+from .grid import Trajectory
 from .state import _base_operators, _frozen_coefficients
 
 __all__ = [
     "AdjointSources",
-    "solve_adjoint",
     "solve_adjoint_with_sources",
-    "GradientResult",
     "reduced_gradient",
 ]
-
-
-def _running_target(target, grid, time_grid):
-    """Slices of a running target by level; a zero column if it is None."""
-    if target is None:
-        return np.zeros((time_grid.nt + 1, 1))
-    if isinstance(target, SpaceTimeField):
-        if target.grid != grid or target.time_grid != time_grid:
-            raise ConfigurationError("tracking target grids do not match")
-        return target.flat_slices
-    raise ConfigurationError(
-        f"unsupported tracking target type {type(target).__name__}"
-    )
-
-
-def _terminal_target(target, grid):
-    if target is None:
-        return 0.0
-    if isinstance(target, Field):
-        if target.grid != grid:
-            raise ConfigurationError("terminal target grid does not match")
-        return target.flat
-    raise ConfigurationError(
-        f"unsupported terminal target type {type(target).__name__}"
-    )
 
 
 class AdjointSources:
@@ -112,38 +83,6 @@ class AdjointSources:
                     )
             vec.setflags(write=False)
             setattr(self, name, vec)
-
-    @classmethod
-    def from_cost(cls, base, cost):
-        """Tracking and terminal residuals of a quadratic cost.
-
-        The running tracking terms are sampled at levels 1..nt-1 (the level-0
-        terms do not depend on the control and the left-endpoint time rule
-        never samples level nt); the terminal terms seed g_z and g_w.
-        """
-        grid = base.grid
-        time_grid = base.time_grid
-        nt = time_grid.nt
-        theta = base.field_array("theta")
-        phi = base.field_array("phi")
-
-        s_theta = np.zeros((nt + 1, grid.num_nodes))
-        s_phi = np.zeros((nt + 1, grid.num_nodes))
-        if cost.b1 != 0.0:
-            theta_q = _running_target(cost.theta_q, grid, time_grid)
-            for k in range(1, nt):
-                s_theta[k] = cost.b1 * (theta[k] - theta_q[k])
-        if cost.b3 != 0.0:
-            phi_q = _running_target(cost.phi_q, grid, time_grid)
-            for k in range(1, nt):
-                s_phi[k] = cost.b3 * (phi[k] - phi_q[k])
-        g_z = cost.b2 * (theta[nt] - _terminal_target(cost.theta_omega, grid))
-        g_w = cost.b4 * (phi[nt] - _terminal_target(cost.phi_omega, grid))
-        return cls(time_grid, grid, s_theta=s_theta, s_phi=s_phi,
-                   g_z=np.asarray(g_z, dtype=float) if cost.b2 != 0.0
-                   else None,
-                   g_w=np.asarray(g_w, dtype=float) if cost.b4 != 0.0
-                   else None)
 
 
 def _terminal_from_vectors(ops, g_z, g_w, g_r):
@@ -258,27 +197,6 @@ def solve_adjoint_with_sources(base, sources):
     )
 
 
-def solve_adjoint(base, cost):
-    """Backward sweep driven by a cost functional.
-
-    Equivalent to solve_adjoint_with_sources with the tracking and terminal
-    residuals of the cost as sources.
-    """
-    _base_operators(base)
-    sources = AdjointSources.from_cost(base, cost)
-    return solve_adjoint_with_sources(base, sources)
-
-
-@dataclass(frozen=True)
-class GradientResult:
-    """Reduced gradient together with the runs that produced it."""
-
-    gradient: SpaceTimeField
-    cost_value: float
-    state: Trajectory
-    adjoint: Trajectory
-
-
 def reduced_gradient(problem, u):
     """Reduced cost gradient at a control, via one forward-backward sweep.
 
@@ -287,27 +205,18 @@ def reduced_gradient(problem, u):
     the left-endpoint time quadrature, so it carries no information, but it
     is populated by the same formula for uniformity.
 
+    It lives here, importing :mod:`caginalp_control.control` at call time,
+    only because ``perfbench/selftest.py`` pins it to this module.
+
     Args:
         problem: :class:`~caginalp_control.control.Problem` whose state
             system and cost are differentiated.
         u: Control on the problem's grids.
 
     Returns:
-        GradientResult with the gradient, the cost value and both sweeps.
+        :class:`~caginalp_control.control.GradientResult` with the gradient,
+        the cost value and both sweeps.
     """
+    from .control import _gradient_from_state
+
     return _gradient_from_state(problem.solve(u), u, problem.cost)
-
-
-def _gradient_from_state(state, u, cost, cost_value=None):
-    """Reduced gradient at u from the state trajectory u produced.
-
-    Runs only the backward sweep; see :func:`reduced_gradient`. A caller
-    that has already costed ``state`` passes that value as ``cost_value``.
-    """
-    from .control import evaluate_cost
-
-    if cost_value is None:
-        cost_value = evaluate_cost(state, u, cost)
-    adjoint = solve_adjoint(state, cost)
-    return GradientResult(gradient=adjoint.space_time("z") + cost.b5 * u,
-                          cost_value=cost_value, state=state, adjoint=adjoint)

@@ -7,11 +7,13 @@ u, and the optimizer, the reduced gradient and the Taylor test take it in
 place of those pieces.
 
 The cost is a left-endpoint time quadrature of weighted tracking and
-regularization terms plus two terminal terms. Its reduced gradient comes
-from one backward sweep of the discrete adjoint and equals z + b5 * u slice
-by slice, so first-order optimality is the pointwise variational inequality
-of a box-constrained problem: at a stationary point the control clamps
--z / b5 onto the box wherever b1..b4 make z nonzero.
+regularization terms plus two terminal terms; :func:`evaluate_cost` and
+:func:`cost_sources` read the same four tracking residuals. The sources
+drive the backward sweep of :mod:`caginalp_control.adjoint`, and the reduced
+gradient equals z + b5 * u slice by slice, so first-order optimality is the
+pointwise variational inequality of a box-constrained problem: at a
+stationary point the control clamps -z / b5 onto the box wherever b1..b4
+make z nonzero.
 
 The optimizer is projected gradient descent with Armijo backtracking along
 the projection arc, using the sufficient-decrease test
@@ -53,17 +55,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# reduced_gradient stays reachable as control.reduced_gradient, a copy that
-# perfbench/selftest.py checks; this module itself differentiates through
-# _gradient_from_state, and stationarity_check takes the gradient given.
+# perfbench/selftest.py checks that control.reduced_gradient is
+# adjoint.reduced_gradient; this module itself calls _gradient_from_state.
 from .adjoint import (
-    _gradient_from_state,
-    _running_target,
-    _terminal_target,
+    AdjointSources,
     reduced_gradient,
+    solve_adjoint_with_sources,
 )
 from .errors import ConfigurationError, OptimizerError, SolverError
-from .grid import SpaceTimeField, l2q_inner, l2q_norm, quadrature_weights
+from .grid import (
+    Field,
+    SpaceTimeField,
+    Trajectory,
+    l2q_inner,
+    l2q_norm,
+    quadrature_weights,
+)
 from .model import ModelParams
 from .state import InitialData, SolverConfig, solve_state
 
@@ -75,6 +82,8 @@ __all__ = [
     "IterateRecord",
     "OptimizationReport",
     "evaluate_cost",
+    "cost_sources",
+    "GradientResult",
     "project_admissible",
     "projected_gradient_descent",
     "StationarityReport",
@@ -142,6 +151,48 @@ def project_admissible(u, adm):
                           np.clip(u.values, adm.u_min, adm.u_max))
 
 
+def _running_target(target, grid, time_grid):
+    """Slices of a running target by level; a zero column if it is None."""
+    if target is None:
+        return np.zeros((time_grid.nt + 1, 1))
+    if isinstance(target, SpaceTimeField):
+        if target.grid != grid or target.time_grid != time_grid:
+            raise ConfigurationError("tracking target grids do not match")
+        return target.flat_slices
+    raise ConfigurationError(
+        f"unsupported tracking target type {type(target).__name__}"
+    )
+
+
+def _terminal_target(target, grid):
+    if target is None:
+        return 0.0
+    if isinstance(target, Field):
+        if target.grid != grid:
+            raise ConfigurationError("terminal target grid does not match")
+        return target.flat
+    raise ConfigurationError(
+        f"unsupported terminal target type {type(target).__name__}"
+    )
+
+
+def _tracking_residuals(traj, cost):
+    """theta - theta_q and phi - phi_q on every level, shape (nt + 1, N),
+    then theta(T) - theta_omega and phi(T) - phi_omega, shape (N,).
+
+    Every target is checked, whatever its weight.
+    """
+    grid = traj.grid
+    time_grid = traj.time_grid
+    theta = traj.field_array("theta")
+    phi = traj.field_array("phi")
+    nt = time_grid.nt
+    return (theta - _running_target(cost.theta_q, grid, time_grid),
+            phi - _running_target(cost.phi_q, grid, time_grid),
+            theta[nt] - _terminal_target(cost.theta_omega, grid),
+            phi[nt] - _terminal_target(cost.phi_omega, grid))
+
+
 def evaluate_cost(traj, u, cost):
     """Cost value of a state trajectory and the control that produced it.
 
@@ -153,35 +204,70 @@ def evaluate_cost(traj, u, cost):
     if u.grid != grid or u.time_grid != time_grid:
         raise ConfigurationError("control grids do not match trajectory")
     nt = time_grid.nt
-    dt = time_grid.dt
     w = quadrature_weights(grid)
-
-    theta = traj.field_array("theta")
-    phi = traj.field_array("phi")
+    d_theta, d_phi, d_theta_t, d_phi_t = _tracking_residuals(traj, cost)
     control = u.values.reshape(nt + 1, grid.num_nodes)
 
     def wnorm_sq(arr):
         return (arr * arr) @ w
 
     running = 0.0
-    if cost.b1 != 0.0:
-        theta_q = _running_target(cost.theta_q, grid, time_grid)
+    for weight, residual in ((cost.b1, d_theta), (cost.b3, d_phi)):
         for n in range(nt):
-            running += 0.5 * cost.b1 * wnorm_sq(theta[n] - theta_q[n])
-    if cost.b3 != 0.0:
-        phi_q = _running_target(cost.phi_q, grid, time_grid)
-        for n in range(nt):
-            running += 0.5 * cost.b3 * wnorm_sq(phi[n] - phi_q[n])
+            running += 0.5 * weight * wnorm_sq(residual[n])
     running += 0.5 * cost.b5 * float(np.sum(wnorm_sq(control[:nt])))
 
     terminal = 0.0
-    if cost.b2 != 0.0:
-        diff = theta[nt] - _terminal_target(cost.theta_omega, grid)
-        terminal += 0.5 * cost.b2 * wnorm_sq(diff)
-    if cost.b4 != 0.0:
-        diff = phi[nt] - _terminal_target(cost.phi_omega, grid)
-        terminal += 0.5 * cost.b4 * wnorm_sq(diff)
-    return float(dt * running + terminal)
+    for weight, residual in ((cost.b2, d_theta_t), (cost.b4, d_phi_t)):
+        terminal += 0.5 * weight * wnorm_sq(residual)
+    return float(time_grid.dt * running + terminal)
+
+
+def cost_sources(traj, cost):
+    """Adjoint sources of the tracking cost at a state trajectory.
+
+    The running tracking terms are sampled at levels 1..nt-1 (the level-0
+    terms do not depend on the control and the left-endpoint time rule
+    never samples level nt); the terminal terms seed g_z and g_w. A term
+    whose weight is zero leaves its source zero.
+    """
+    nt = traj.time_grid.nt
+    d_theta, d_phi, d_theta_t, d_phi_t = _tracking_residuals(traj, cost)
+    sources = {}
+    for key, weight, residual in (("s_theta", cost.b1, d_theta),
+                                  ("s_phi", cost.b3, d_phi)):
+        if weight != 0.0:
+            sources[key] = np.zeros_like(residual)
+            sources[key][1:nt] = weight * residual[1:nt]
+    for key, weight, residual in (("g_z", cost.b2, d_theta_t),
+                                  ("g_w", cost.b4, d_phi_t)):
+        if weight != 0.0:
+            sources[key] = weight * residual
+    return AdjointSources(traj.time_grid, traj.grid, **sources)
+
+
+@dataclass(frozen=True)
+class GradientResult:
+    """Reduced gradient together with the runs that produced it."""
+
+    gradient: SpaceTimeField
+    cost_value: float
+    state: Trajectory
+    adjoint: Trajectory
+
+
+def _gradient_from_state(state, u, cost, cost_value=None):
+    """Reduced gradient at u from the state trajectory u produced.
+
+    Runs only the backward sweep; see
+    :func:`~caginalp_control.adjoint.reduced_gradient`. A caller that has
+    already costed ``state`` passes that value as ``cost_value``.
+    """
+    if cost_value is None:
+        cost_value = evaluate_cost(state, u, cost)
+    adjoint = solve_adjoint_with_sources(state, cost_sources(state, cost))
+    return GradientResult(gradient=adjoint.space_time("z") + cost.b5 * u,
+                          cost_value=cost_value, state=state, adjoint=adjoint)
 
 
 # Line-search constants of projected gradient descent: the Armijo constant

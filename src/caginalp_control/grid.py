@@ -177,7 +177,7 @@ class Field:
     """Immutable real-valued function sampled at the grid nodes.
 
     Values are stored grid-shaped ((n,) in 1D, (nx, ny) in 2D) and exposed
-    read-only; arithmetic returns new Fields.
+    read-only.
     """
 
     __slots__ = ("grid", "_values")
@@ -214,22 +214,6 @@ class Field:
         flat = self._values.reshape(-1)
         flat.setflags(write=False)
         return flat
-
-    def _binary(self, other, op):
-        if isinstance(other, Field):
-            if other.grid != self.grid:
-                raise ConfigurationError("fields live on different grids")
-            return Field(self.grid, op(self._values, other._values))
-        return Field(self.grid, op(self._values, float(other)))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __rmul__(self, other):
-        return self._binary(other, np.multiply)
 
     def __repr__(self):
         return f"Field(grid={self.grid!r}, min={self._values.min():g}, max={self._values.max():g})"

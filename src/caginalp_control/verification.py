@@ -51,12 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import (
-    AdjointSources,
-    _gradient_from_state,
-    solve_adjoint_with_sources,
-)
+from .adjoint import AdjointSources, solve_adjoint_with_sources
 from .control import (
+    _gradient_from_state,
+    cost_sources,
     evaluate_cost,
     project_admissible,
     projected_gradient_descent,
@@ -285,13 +283,6 @@ def _source_pairing(sources, lin, dt, w):
     return value
 
 
-def _control_pairing(h, z_levels, dt, w):
-    """Left-endpoint pairing sum_n dt * <h_n, z_n> over levels 0..nt-1."""
-    h_flat = h.flat_slices
-    nt = h.time_grid.nt
-    return dt * float(np.sum((h_flat[:nt] * z_levels[:nt]) @ w))
-
-
 def _relative_gap(lhs, rhs):
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale
@@ -473,22 +464,22 @@ def _suite_adjoint(problem, cfg, base):
 
         lin = solve_linearized(state, h)
         adj = solve_adjoint_with_sources(state, sources)
-        lhs = _control_pairing(h, adj.field_array("z"), dt, w)
+        lhs = l2q_inner(h, adj.space_time("z"))
         rhs = _source_pairing(sources, lin, dt, w)
         gap = _relative_gap(lhs, rhs)
         worst_dot = max(worst_dot, gap)
         dot_rows.append((trial, lhs, rhs, gap))
 
-    cost_sources = AdjointSources.from_cost(state, problem.cost)
-    cost_adjoint = base.gradient.adjoint
+    tracking_sources = cost_sources(state, problem.cost)
+    cost_z = base.gradient.adjoint.space_time("z")
     dual_rows = []
     worst_dual = 0.0
     for trial in range(10):
         rng = _child_rng(cfg.seed, 6, trial)
         h = _random_direction(rng, time_grid, grid)
         lin = solve_linearized(state, h)
-        lhs = _control_pairing(h, cost_adjoint.field_array("z"), dt, w)
-        rhs = _source_pairing(cost_sources, lin, dt, w)
+        lhs = l2q_inner(h, cost_z)
+        rhs = _source_pairing(tracking_sources, lin, dt, w)
         gap = _relative_gap(lhs, rhs)
         worst_dual = max(worst_dual, gap)
         dual_rows.append((trial, lhs, rhs, gap))
@@ -567,7 +558,7 @@ def _suite_optimizer(problem, cfg, base):
     rows = [(rec.iteration, rec.cost, rec.stationarity, rec.step,
              rec.backtracks) for rec in report.iterates]
     return ([monotone, stationarity, clamp_row, vi_row],
-            {"optim_report": (header, rows)})
+            {"optimizer_report": (header, rows)})
 
 
 def _suite_energy(problem, cfg, base):

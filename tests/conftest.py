@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import caginalp_control.adjoint as adjoint
+import caginalp_control.control as control
 import caginalp_control.linsolve as linsolve
 import caginalp_control.verification as verification
 from caginalp_control import (
@@ -139,5 +140,6 @@ def flipped_adjoint(monkeypatch):
                           linear_solve_count=sweep.linear_solve_count)
 
     monkeypatch.setattr(adjoint, "solve_adjoint_with_sources", flipped_sweep)
+    monkeypatch.setattr(control, "solve_adjoint_with_sources", flipped_sweep)
     monkeypatch.setattr(verification, "solve_adjoint_with_sources",
                         flipped_sweep)

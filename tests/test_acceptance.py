@@ -104,7 +104,7 @@ def test_criterion_08_optimizer(battery):
           _select(battery, "optimizer_monotone", "optimizer_stationarity",
                   "optimizer_clamp_residual"))
     _, tables = battery
-    _, rows = tables["optim_report"]
+    _, rows = tables["optimizer_report"]
     assert len(rows) - 1 <= 200, "optimizer exceeded the iteration budget"
     costs = [row[1] for row in rows]
     assert all(b <= a for a, b in zip(costs, costs[1:]))

@@ -11,19 +11,20 @@ from caginalp_control import (
     AdjointSources,
     ConfigurationError,
     CostSpec,
+    Field,
     Grid,
     ModelParams,
     SolverConfig,
     SolverError,
     SpaceTimeField,
     TimeGrid,
+    cost_sources,
     default_nonlinearities,
     default_potential,
     evaluate_cost,
     laplacian_matrix,
     quadrature_weights,
     reduced_gradient,
-    solve_adjoint,
     solve_adjoint_with_sources,
     solve_linearized,
     solve_state,
@@ -65,6 +66,10 @@ def _source_pair(sources, lin, dt, w):
     return value
 
 
+def _cost_adjoint(base, cost):
+    return solve_adjoint_with_sources(base, cost_sources(base, cost))
+
+
 def _terminal_data(cost, params, grid=None, rng=None):
     """Index nt of the cost adjoint on a two-step base run, with the
     terminal base state."""
@@ -75,7 +80,7 @@ def _terminal_data(cost, params, grid=None, rng=None):
     u = _random_control(time_grid, grid, rng, 0.2)
     base = solve_state(init, u, SolverConfig(), params,
                        default_nonlinearities(), default_potential())
-    adj = solve_adjoint(base, cost)
+    adj = _cost_adjoint(base, cost)
     nt = time_grid.nt
     terminal = {name: adj.field_array(name)[nt]
                 for name in ("z", "p", "q", "r")}
@@ -109,7 +114,7 @@ def test_final_conditions_constant_residual():
         params = ModelParams(ell=0.5, tau=tau)
         _, theta_t, _ = _terminal_data(CostSpec(), params, grid)
         cost = CostSpec(b1=0.0, b2=2.0, b3=0.0, b4=0.0, b5=1.0,
-                        theta_omega=theta_t - c)
+                        theta_omega=Field(grid, theta_t.values - c))
         adj_t, _, _ = _terminal_data(cost, params, grid)
         assert np.allclose(adj_t["z"], 2.0 * c, atol=1e-14)
         assert np.allclose(adj_t["p"], -0.5 * 2.0 * c, atol=1e-12)
@@ -132,7 +137,7 @@ def test_zero_cost_gives_zero_adjoint():
     rng = np.random.default_rng(11)
     _, _, base = _base_setup(9, 8, rng)
     cost = CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0)
-    adj = solve_adjoint(base, cost)
+    adj = _cost_adjoint(base, cost)
     for name in ("z", "p", "q", "r"):
         assert np.all(adj.field_array(name) == 0.0), name
 
@@ -154,7 +159,7 @@ def test_q_equals_minus_laplacian_p_for_cost_sweeps():
     rng = np.random.default_rng(13)
     grid, time_grid, base = _base_setup(9, 8, rng)
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
-    adj = solve_adjoint(base, cost)
+    adj = _cost_adjoint(base, cost)
     lap = laplacian_matrix(grid)
     p = adj.field_array("p")
     q = adj.field_array("q")
@@ -169,8 +174,8 @@ def test_adjoint_is_linear_in_cost_weights():
     _, _, base = _base_setup(9, 6, rng)
     cost = CostSpec(b1=0.8, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
     doubled = CostSpec(b1=1.6, b2=1.2, b3=1.8, b4=1.0, b5=0.5)
-    adj = solve_adjoint(base, cost)
-    adj2 = solve_adjoint(base, doubled)
+    adj = _cost_adjoint(base, cost)
+    adj2 = _cost_adjoint(base, doubled)
     for name in ("z", "p", "q", "r"):
         lhs = adj2.field_array(name)
         rhs = 2.0 * adj.field_array(name)
@@ -250,7 +255,7 @@ def test_duality_identity_for_tracking_cost():
     dt = time_grid.dt
     w = quadrature_weights(grid).ravel()
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
-    adj = solve_adjoint(base, cost)
+    adj = _cost_adjoint(base, cost)
     theta = base.field_array("theta")
     phi = base.field_array("phi")
     worst = 0.0
@@ -354,10 +359,10 @@ def test_adjoint_sweep_counts_terminal_solve(factorizations, tau, extra):
     assert base.operators.params.tau == tau
     assert len(factorizations) == 3
     cost = CostSpec(b1=1.0, b2=0.6, b3=0.9, b4=0.5, b5=0.5)
-    first = solve_adjoint(base, cost)
+    first = _cost_adjoint(base, cost)
     assert first.linear_solve_count == 3 * time_grid.nt + extra
     assert len(factorizations) == 3 + extra
-    second = solve_adjoint(base, cost)
+    second = _cost_adjoint(base, cost)
     assert second.linear_solve_count == 3 * time_grid.nt + extra
     assert len(factorizations) == 3 + extra
     for name in ("z", "p", "q", "r"):
@@ -376,7 +381,7 @@ def test_running_target_on_another_horizon_is_rejected(desk_problem):
     with pytest.raises(ConfigurationError, match="tracking target"):
         evaluate_cost(base, p.control, cost)
     with pytest.raises(ConfigurationError, match="tracking target"):
-        AdjointSources.from_cost(base, cost)
+        cost_sources(base, cost)
 
 
 def _desk_base(problem, nt, wrap):

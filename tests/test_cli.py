@@ -317,7 +317,7 @@ def test_verify_all_on_shipped_desk_config(desk_verify_run):
     assert "all 17 check(s) passed" in out
     out_files = os.listdir(str(out_dir))
     assert "verify_report.csv" in out_files
-    assert "optim_report.csv" in out_files
+    assert "optimizer_report.csv" in out_files
 
 
 def test_desk_verify_report_writes_every_verdict_as_true_or_false(
@@ -375,3 +375,23 @@ def test_thread_limit_error_surfaces_as_exit_2(tmp_path, capsys,
     cfg = _write(tmp_path, BASE)
     assert main(["simulate", cfg]) == EXIT_CONFIG
     assert "CAGINALP_THREADS" in capsys.readouterr().err
+
+
+def test_verify_keeps_the_report_that_optimize_wrote(tmp_path, capsys):
+    # Both commands write into one [output] dir. The battery's optimizer
+    # table has its own name, so optimize's iteration table survives.
+    text = (BASE.replace("theta0 = zero", "theta0 = constant:0.3")
+            .replace("sigma0 = constant:1.0",
+                     "sigma0 = constant:1.0\ncontrol = constant:0.5")
+            + COST_BOX.replace("b1 = 0.0", "b1 = 1.0")
+            + "\n[output]\ndir = shared_out\n")
+    path = _write(tmp_path, text)
+    assert main(["optimize", path]) == EXIT_OK
+    report = _read(tmp_path, "shared_out", "optim_report.csv")
+    assert main(["verify", "optimizer", path]) == EXIT_OK
+    capsys.readouterr()
+    assert _read(tmp_path, "shared_out", "optim_report.csv") == report
+    work = _read(tmp_path, "shared_out", "optim_work.csv")
+    assert len(report.splitlines()) == len(work.splitlines())
+    battery = _read(tmp_path, "shared_out", "optimizer_report.csv").decode()
+    assert battery.splitlines()[0].startswith("# seed=")

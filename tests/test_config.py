@@ -362,6 +362,46 @@ def test_verify_problem_requires_cost_and_admissible(tmp_path):
         cfg.verify_problem()
 
 
+_NONLINEARITY = "chi = 0.3\nnonlinearity = {}"
+
+
+# Each case edits MINIMAL once and may add files beside the config.
+@pytest.mark.parametrize("old, new, files, key", [
+    ("n = 9", "n = 9, 9, 9", {}, "[grid].n"),
+    ("n = 9", "n = nine", {}, "[grid].n"),
+    ("nt = 4", "nt = 4.5", {}, "[solver].nt"),
+    ("t_final = 0.2", "t_final = inf", {}, "[time].t_final"),
+    ("t_final = 0.2", "t_final = 0.0", {}, "[time].t_final"),
+    ("nt = 4", "nt = 0", {}, "[solver].nt"),
+    ("chi = 0.3", _NONLINEARITY.format("builtin:gates"), {},
+     "[model].nonlinearity"),
+    ("chi = 0.3", _NONLINEARITY.format("custom:absent.py"), {},
+     "[model].nonlinearity"),
+    ("chi = 0.3", _NONLINEARITY.format("custom:gates.py"),
+     {"gates.py": "raise RuntimeError('broken gates')\n"},
+     "[model].nonlinearity"),
+    ("chi = 0.3", _NONLINEARITY.format("custom:gates.py"),
+     {"gates.py": "def make_nonlinearities():\n    return None\n"},
+     "[model].nonlinearity"),
+    ("sigma0 = constant:1.0", "sigma0 = constant:1.0\n[output]\nslices = ,",
+     {}, "[output].slices"),
+    ("sigma0 = constant:1.0", "sigma0 = constant:1.0\n[cost]\nb1 = 1.0\n"
+     "theta_q = from_reference_run:ref.cfg",
+     {"ref.cfg": MINIMAL.replace("nt = 4", "nt = 8")}, "[cost].theta_q"),
+], ids=["grid-three-values", "grid-not-integer", "bad-integer",
+        "non-finite", "t-final-not-positive", "nt-below-one",
+        "nonlinearity-prefix", "nonlinearity-unreadable",
+        "nonlinearity-raises", "nonlinearity-wrong-type", "slices-empty",
+        "reference-time-grid"])
+def test_invalid_value_names_its_key(tmp_path, old, new, files, key):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert old in MINIMAL
+    with pytest.raises(ConfigurationError) as excinfo:
+        load_config(_write(tmp_path, MINIMAL.replace(old, new)))
+    assert str(excinfo.value).startswith(f"{key}: ")
+
+
 def test_output_slices_parsing_and_bounds(tmp_path):
     text = MINIMAL + "\n[output]\nslices = 0, 2, 4\n"
     cfg = load_config(_write(tmp_path, text))

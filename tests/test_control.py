@@ -348,6 +348,35 @@ def test_descent_stops_when_the_step_no_longer_moves_the_control(
     assert np.array_equal(report.final_control.values, u0.values)
 
 
+def test_descent_stops_once_the_step_falls_below_min_step(monkeypatch):
+    # Every trial reads high, so every one is rejected. At linear_tol 1e-15
+    # the cost's resolution, 2.5e-17 here, stays below the predicted
+    # decrease alpha * ||g||^2 = 0.05 * alpha of every step down to
+    # MIN_STEP, so the step floor ends the search: after 47 halvings,
+    # 2**-47 < MIN_STEP.
+    grid = Grid(9, 1.0)
+    time_grid = TimeGrid(0.2, 4)
+    u0 = SpaceTimeField.constant(time_grid, grid, 0.5)
+    original = control.evaluate_cost
+
+    def high(traj, u, cost_spec):
+        value = original(traj, u, cost_spec)
+        return value if np.array_equal(u.values, u0.values) else value + 1.0
+
+    monkeypatch.setattr(control, "evaluate_cost", high)
+    report = projected_gradient_descent(problem_of(
+        _constant_init(grid, 0.0, 1.0, 0.5), u0, ModelParams(),
+        cost=CostSpec(b1=0.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0),
+        admissible=AdmissibleSet(u_min=-1.0, u_max=1.0),
+        solver=SolverConfig(linear_tol=1e-15),
+        optimizer=OptimizerConfig(max_iters=5)), u0)
+    assert report.stop_reason == "min_step"
+    assert len(report.iterates) == 1
+    assert report.iterates[0].backtracks == 47
+    assert report.iterates[0].step < control.MIN_STEP
+    assert np.array_equal(report.final_control.values, u0.values)
+
+
 def test_descent_at_zero_cost_stops_when_the_step_no_longer_moves(
         monkeypatch):
     # At J = 0 the cost's resolution linear_tol * |J| is zero, so every

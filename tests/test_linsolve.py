@@ -13,7 +13,6 @@ import caginalp_control.state as state
 from caginalp_control import (
     AdjointSources,
     ConfigurationError,
-    CostSpec,
     Field,
     Grid,
     InitialData,
@@ -24,7 +23,7 @@ from caginalp_control import (
     default_nonlinearities,
     default_potential,
     laplacian_matrix,
-    solve_adjoint,
+    quadrature_weights,
     solve_adjoint_with_sources,
     solve_linearized,
     solve_state,
@@ -200,6 +199,30 @@ def test_singular_shifted_band_factor_names_block_and_step():
     assert "singular" in str(error)
 
 
+@pytest.mark.parametrize("max_iters, shift_of", [
+    # One back-substitution, the budget of a cold start without
+    # corrections, cannot absorb a shift far from the preconditioner's.
+    (0, lambda rng, n: rng.uniform(0.0, 1e3, size=n)),
+    # A + diag(-150) is indefinite, and constants lie in its negative
+    # eigenspace, so the first search direction has negative curvature.
+    (50, lambda rng, n: np.full(n, -150.0)),
+], ids=["budget", "curvature"])
+def test_conjugate_gradient_stall_names_block_and_step(max_iters, shift_of):
+    grid = Grid((9, 9), (2.0, 2.0))
+    matrix = sp.identity(grid.num_nodes) / 0.01 - laplacian_matrix(grid)
+    operator = FactorizedOperator(
+        matrix, 1e-12, max_iters, weights=quadrature_weights(grid).ravel(),
+        label="nutrient")
+    assert operator._band is None
+    shift = shift_of(np.random.default_rng(5), grid.num_nodes)
+    with pytest.raises(SolverError) as excinfo:
+        operator.solve(np.ones(grid.num_nodes), step=3, shift=shift)
+    error = excinfo.value
+    assert error.block == "nutrient"
+    assert error.step == 3
+    assert str(error).startswith("nutrient solve at step 3 stalled")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("magnitude", [1e155, 1e-170])
 @pytest.mark.parametrize("grid", [Grid(33, 2.0), Grid((9, 9), (2.0, 2.0))],
@@ -282,8 +305,7 @@ def test_matvec_is_bit_equal_to_sparse_matmul(grid):
             assert np.array_equal(apply(vector), matrix @ vector)
 
 
-@pytest.mark.parametrize("sweep", ["linearized", "adjoint",
-                                   "adjoint-with-sources"])
+@pytest.mark.parametrize("sweep", ["linearized", "adjoint-with-sources"])
 def test_sweeps_reject_a_base_without_operators(sweep):
     # A linearized trajectory carries no operators to sweep around.
     base = _desk_base(2)
@@ -293,8 +315,6 @@ def test_sweeps_reject_a_base_without_operators(sweep):
     calls = {
         "linearized": lambda: solve_linearized(
             lin, SpaceTimeField.zeros(time_grid, grid)),
-        "adjoint": lambda: solve_adjoint(
-            lin, CostSpec(b1=1.0, b2=1.0, b3=1.0, b4=1.0)),
         "adjoint-with-sources": lambda: solve_adjoint_with_sources(
             lin, AdjointSources(time_grid, grid)),
     }

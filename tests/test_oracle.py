@@ -15,10 +15,11 @@ from caginalp_control import (
     SolverConfig,
     SpaceTimeField,
     TimeGrid,
+    cost_sources,
     default_nonlinearities,
     default_potential,
     evaluate_cost,
-    solve_adjoint,
+    solve_adjoint_with_sources,
     solve_state,
 )
 from caginalp_control.oracle import (
@@ -92,7 +93,7 @@ def test_terminal_conditions_match_fast_path():
     for tau in (0.0, 1.0):
         params = ModelParams(ell=0.5, tau=tau)
         base = solve_state(init, u, SolverConfig(), params, nl, pot)
-        adj = solve_adjoint(base, cost)
+        adj = solve_adjoint_with_sources(base, cost_sources(base, cost))
         dense = oracle_terminal_conditions(
             base.field_array("theta")[-1], base.field_array("phi")[-1],
             cost, params, grid)
@@ -167,7 +168,7 @@ def test_cost_without_targets_matches_fast_path():
     assert oracle_cost(dense, u, cost) == pytest.approx(
         evaluate_cost(traj, u, cost), rel=1e-12)
 
-    adj = solve_adjoint(traj, cost)
+    adj = solve_adjoint_with_sources(traj, cost_sources(traj, cost))
     split = oracle_terminal_conditions(
         traj.field_array("theta")[-1], traj.field_array("phi")[-1], cost,
         params, traj.grid)

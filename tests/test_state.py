@@ -44,7 +44,7 @@ def _constant_init(grid, theta, phi, sigma):
     )
 
 
-def _smooth_field(grid, rng, amplitude=1.0):
+def _smooth_field(grid, rng, amplitude=1.0, offset=0.0):
     values = np.zeros(grid.shape)
     for mode in range(1, 4):
         coeff = rng.normal() * amplitude / mode**2
@@ -56,7 +56,7 @@ def _smooth_field(grid, rng, amplitude=1.0):
             shape[axis] = -1
             wave = wave * profile.reshape(shape)
         values += coeff * wave
-    return Field(grid, values)
+    return Field(grid, values + offset)
 
 
 def test_constant_equilibrium_single_step():
@@ -127,7 +127,7 @@ def test_per_step_combined_mass_law():
     init = InitialData(
         theta0=_smooth_field(grid, rng, 0.1),
         phi0=_smooth_field(grid, rng, 0.5),
-        sigma0=_smooth_field(grid, rng, 0.2) + 0.5,
+        sigma0=_smooth_field(grid, rng, 0.2, offset=0.5),
     )
     x = grid.coords(0)
     u = SpaceTimeField(time_grid, grid, np.stack(
@@ -159,7 +159,7 @@ def test_phase_mass_matches_reaction_integral():
     init = InitialData(
         theta0=_smooth_field(grid, rng, 0.1),
         phi0=_smooth_field(grid, rng, 0.4),
-        sigma0=_smooth_field(grid, rng, 0.2) + 0.6,
+        sigma0=_smooth_field(grid, rng, 0.2, offset=0.6),
     )
     u = SpaceTimeField.zeros(time_grid, grid)
     traj = solve_state(init, u, SolverConfig(), params, nl,
@@ -391,7 +391,7 @@ def test_lipschitz_ratio_stable_across_scales():
     init = InitialData(
         theta0=_smooth_field(grid, rng, 0.1),
         phi0=_smooth_field(grid, rng, 0.4),
-        sigma0=_smooth_field(grid, rng, 0.2) + 0.6,
+        sigma0=_smooth_field(grid, rng, 0.2, offset=0.6),
     )
     base = SpaceTimeField.zeros(time_grid, grid)
     bump = rng.normal(size=(time_grid.nt + 1, grid.num_nodes))

@@ -20,7 +20,7 @@ from caginalp_control import (
     run_suite,
     solve_state,
 )
-from caginalp_control import adjoint, state
+from caginalp_control import control, state
 
 
 def test_default_battery_passes(desk_report):
@@ -61,7 +61,7 @@ def test_report_tables_have_expected_shapes(desk_report):
     assert len(rows) == 10
     header, rows = tables["duality_report"]
     assert len(rows) == 10
-    header, rows = tables["optim_report"]
+    header, rows = tables["optimizer_report"]
     assert header == ("iter", "J", "stationarity", "step", "backtracks")
     assert len(rows) >= 2
     costs = [row[1] for row in rows]
@@ -143,7 +143,7 @@ def test_battery_solves_base_state_and_its_cost_adjoint_once(
     base_states = []
     adjoint_bases = []
     real_solve_state = state.solve_state
-    real_solve_adjoint = adjoint.solve_adjoint
+    real_gradient = control._gradient_from_state
 
     def counting_solve_state(init, u, cfg, params, nl, pot):
         traj = real_solve_state(init, u, cfg, params, nl, pot)
@@ -151,13 +151,12 @@ def test_battery_solves_base_state_and_its_cost_adjoint_once(
             base_states.append(traj)
         return traj
 
-    def counting_solve_adjoint(base, cost):
+    def counting_gradient(base, u, cost, cost_value=None):
         adjoint_bases.append(base)
-        return real_solve_adjoint(base, cost)
+        return real_gradient(base, u, cost, cost_value)
 
     _replace_everywhere(monkeypatch, real_solve_state, counting_solve_state)
-    _replace_everywhere(monkeypatch, real_solve_adjoint,
-                        counting_solve_adjoint)
+    _replace_everywhere(monkeypatch, real_gradient, counting_gradient)
     report = run_suite(VerifySuiteConfig(), desk_problem)
     assert report.all_passed
     assert len(base_states) == 1
