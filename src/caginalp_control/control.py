@@ -34,8 +34,9 @@ of the projection arc are the same for every positive step, so a
 nonstationary iterate always moves and the line search cannot stall at a
 fixed point.
 
-The inner sweeps solve to a relative residual of linear_tol, so the cost is
-resolved to about linear_tol * |J| and no smaller. Once a rejected trial's
+The search takes linear_tol * |J| as the cost's resolution: the 2D nutrient
+solves stop at a relative residual of linear_tol, and the direct solves
+reach rounding level, finer still. Once a rejected trial's
 first-order predicted decrease <g, u - P(u - alpha g)> is at or below that
 resolution, its rejection was decided by rounding, and so would be that of
 every shorter step along the arc: the search ends there, reported as

@@ -1,32 +1,33 @@
-"""Factorized sparse solves with residual-checked iteration.
+"""Factorized solves with operators that are products of shifted Laplacians.
 
-Every inner linear system in the package goes through this wrapper, each
-solve iterated until it is accepted. The forward operators are factorized
-once per forward sweep and reused by the sweeps around its trajectory, the
-adjoint's terminal operator once per base, and a 1D shifted nutrient band
-once per step. A solution is accepted once its relative residual
-||r||_2 / ||b||_2 meets the requested tolerance, or once its normwise
-backward error ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf) is at rounding
-level, a few units of roundoff (Higham, Accuracy and Stability of Numerical
-Algorithms, section 7.1). The relative residual of a backward-stable solve
-grows with the condition number of A, which on fine grids keeps it above
-any fixed tolerance; the backward error does not.
+Every implicit operator of a sweep is A = c0 I - L, or
+A = c0 I - c1 L + L^2 = (r1 I - L)(r2 I - L) with r1 + r2 = c1 and
+r1 r2 = c0, the second-order splitting of a Cahn-Hilliard operator (Elliott,
+French and Milner, Numer. Math. 54, 1989). Real roots are taken with the
+smaller as c0 / r1, so that it does not cancel. A complex pair r, conj(r)
+needs one complex factor, since L is real:
+(conj(r) I - L)^-1 v = conj((r I - L)^-1 conj(v)). Each factor rI - L gets
+a LAPACK tridiagonal LU by gttrf in 1D, its band L's band with a shifted
+diagonal (Golub and Van Loan, Matrix Computations, section 4.3), and a
+sparse LU by ``splu`` in 2D. No matrix with entries of size h^-4 is formed.
 
-The factorization is chosen once per matrix, from the matrix alone. A
-matrix whose band storage (2 kl + ku + 1) N is at most twice its nonzeros,
-as every 1D operator is, gets a LAPACK band LU: gttrf for a tridiagonal
-band, gbtrf for a wider one (Golub and Van Loan, Matrix Computations,
-section 4.3). Any other matrix, as a 2D operator with its band about
-sqrt(N) wide, gets a sparse LU by ``splu``.
+A cold solve is one LU solve. A warm start keeps its guess when the guess's
+normwise backward error ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf) is at
+rounding level, a few units of roundoff (Higham, Accuracy and Stability of
+Numerical Algorithms, section 7.1), so that a fixed point stays exact;
+otherwise it adds one correction, the LU solution of its residual. The
+residual is composed from products by L, (c0 x - c1 L x) + L (L x), so its
+rounding stays at the scale of L, and ||A||_inf is bounded by
+c0 + c1 ||L||_inf + ||L||_inf^2 without assembling A.
 
-A plain solve refines the LU solution. A shifted solve of
-(A + diag(shift)) x = b, whose diagonal changes from step to step, factors
-the shifted band afresh when A is banded, at O(N) cost, and refines that
-solution the same way. A sparse A instead runs conjugate gradients
-preconditioned by its LU, so no sparse matrix is assembled or factorized per
-step. A solve that meets neither test, a factor that is exactly singular, or
-a solve that produces non-finite values raises ``SolverError`` carrying the
-block label, the step index and the achieved residual.
+A shifted solve of (A + diag(shift)) x = b, for a first-degree A whose
+diagonal changes from step to step, factors its own shifted band in 1D, at
+O(N) cost, under the same rule. In 2D it runs conjugate gradients
+preconditioned by the LU of A, so no sparse matrix is factorized per step;
+CG alone stops on the requested relative residual ||r||_2 / ||b||_2. An
+exactly singular factor, non-finite values, or a CG stall raises
+``SolverError`` carrying the block label, the step index and the achieved
+residual.
 
 A right-hand side whose entries lie outside [2**-400, 2**400] is scaled by
 a power of two before the solve and the solution scaled back, so the norms
@@ -50,7 +51,8 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
+import scipy.sparse as sp
+from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
@@ -68,6 +70,10 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 # has a nonzero norm.
 _SMALLEST = 2.0 ** -400
 _LARGEST = 2.0 ** 400
+
+# Cap on the iterations of one conjugate-gradient solve, each one
+# back-substitution; a cold start spends one more on its first iterate.
+_CG_ITERS = 50
 
 
 def _at_rounding(residual, x, matrix_norm, rhs_inf):
@@ -120,12 +126,8 @@ class SolveCounter:
 
 
 class _BandLU:
-    """LAPACK LU of a band matrix, solved like a SuperLU factor.
-
-    Takes the diagonals in the layout of ``scipy.linalg.solve_banded``,
-    band[ku + i - j, j] = A[i, j]. A tridiagonal band of three or more rows
-    is factored by gttrf, any other band by gbtrf, both with partial
-    pivoting.
+    """LAPACK LU of a real or complex tridiagonal matrix, by gttrf with
+    partial pivoting, solved like a SuperLU factor.
 
     Raises:
         np.linalg.LinAlgError: If a pivot is exactly zero.
@@ -133,100 +135,102 @@ class _BandLU:
 
     __slots__ = ("_backsolve",)
 
-    def __init__(self, band, kl, ku):
-        if kl == ku == 1 and band.shape[1] > 2:
-            *factors, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
-            self._backsolve = functools.partial(dgttrs, *factors)
-        else:
-            storage = np.zeros((2 * kl + ku + 1, band.shape[1]), order="F")
-            storage[kl:] = band
-            lu, ipiv, info = dgbtrf(storage, kl, ku, overwrite_ab=1)
-            self._backsolve = functools.partial(dgbtrs, lu, kl, ku,
-                                                ipiv=ipiv)
+    def __init__(self, lower, diagonal, upper):
+        factor, backsolve = ((zgttrf, zgttrs) if np.iscomplexobj(diagonal)
+                             else (dgttrf, dgttrs))
+        *factors, info = factor(lower, diagonal, upper)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"matrix is exactly singular (LAPACK info {info})")
+        self._backsolve = functools.partial(backsolve, *factors)
 
     def solve(self, rhs):
         return self._backsolve(rhs)[0]
 
 
-def _band_of(matrix):
-    """Diagonal-ordered band (band, kl, ku) of a sparse square matrix, or
-    None when its band storage exceeds twice its nonzeros."""
-    coo = matrix.tocoo()
-    offsets = coo.col - coo.row
-    ku = max(int(offsets.max()), 0)
-    kl = max(-int(offsets.min()), 0)
-    n = matrix.shape[0]
-    if (2 * kl + ku + 1) * n > 2 * coo.nnz:
+def _negated_band(lap):
+    """Sub-, main and super-diagonal of -L when L is tridiagonal with at
+    least three rows, as every 1D Laplacian is; else None."""
+    band = [-lap.diagonal(k) for k in (-1, 0, 1)]
+    if lap.shape[0] < 3 or sum(map(np.count_nonzero, band)) < lap.nnz:
         return None
-    band = np.zeros((kl + ku + 1, n))
-    band[ku - offsets, coo.col] = coo.data
-    return band, kl, ku
+    return band
+
+
+def _shifts(c0, c1):
+    """The shifts r of the factors rI - L of A: one for c0 I - L, the real
+    pair of c0 I - c1 L + L^2, or one root of its complex pair."""
+    if c1 is None:
+        return (c0,)
+    discriminant = c1 * c1 - 4.0 * c0
+    if discriminant < 0.0:
+        return (complex(0.5 * c1, 0.5 * math.sqrt(-discriminant)),)
+    larger = 0.5 * (c1 + math.copysign(math.sqrt(discriminant), c1))
+    return (larger, c0 / larger)
 
 
 class FactorizedOperator:
-    """LU-factorized sparse operator with an iterated solve.
+    """A = c0 I - L, or A = c0 I - c1 L + L^2, factorized as shifted
+    Laplacians, with one-shot direct solves.
 
     Args:
-        matrix: Sparse square matrix A to factorize.
-        linear_tol: Relative residual at which a solve is accepted, unless
-            its backward error reaches rounding level first.
-        max_linear_iters: Cap on the corrections of one solve, each costing
-            one back-substitution.
+        lap: Sparse square Laplacian L, CSR.
+        c0: Shift of the identity.
+        c1: Coefficient of -L in the second-degree operator; None for the
+            first-degree operator c0 I - L.
+        linear_tol: Relative residual at which a conjugate-gradient solve
+            is accepted, once its backward error is at rounding level too.
         counter: Optional SolveCounter ticked once per solve.
-        weights: Positive diagonal of the inner product in which A and the
-            shifted matrices are self-adjoint; needed only by shifted solves
-            of a sparse A. Defaults to the Euclidean inner product.
+        weights: Positive diagonal of the inner product in which L is
+            self-adjoint; needed only by shifted solves in 2D. Defaults to
+            the Euclidean inner product.
         label: Block name put into failures (phase, heat, nutrient, ...).
 
     Raises:
-        SolverError: If A is exactly singular.
+        SolverError: If a factor is exactly singular.
     """
 
-    def __init__(self, matrix, linear_tol, max_linear_iters, counter=None,
+    def __init__(self, lap, c0, c1=None, *, linear_tol, counter=None,
                  weights=None, label="linear"):
-        self._matrix = matrix.tocsc()
-        self._apply = MatVec(self._matrix)
-        self._norm_inf = float(abs(self._matrix).sum(axis=1).max())
+        self._lap = lap
+        self._apply_lap = MatVec(lap)
+        self._c0 = float(c0)
+        self._c1 = None if c1 is None else float(c1)
+        lap_norm = float(abs(lap).sum(axis=1).max())
+        self._norm_inf = abs(self._c0) + lap_norm * (
+            1.0 if c1 is None else abs(self._c1) + lap_norm)
         self._tol = float(linear_tol)
-        self._max_iters = int(max_linear_iters)
         self._counter = counter
-        self._weights = (np.ones(self._matrix.shape[0]) if weights is None
+        self._weights = (np.ones(lap.shape[0]) if weights is None
                          else np.asarray(weights, dtype=float))
         self.label = label
-        self._band = _band_of(self._matrix)
-        if self._band is None:
-            try:
-                self._lu = splu(self._matrix)
-            except RuntimeError as exc:
-                raise self._singular(exc, None) from exc
-        else:
-            self._lu = self._band_lu(None)
+        self._band = _negated_band(lap)
+        shifts = _shifts(self._c0, self._c1)
+        self._paired = isinstance(shifts[0], complex)
+        self._factors = [self._factor(r, None) for r in shifts]
 
     def solve(self, rhs, step=None, guess=None, shift=None):
-        """Solve (A + diag(shift)) x = rhs until the solution is accepted.
+        """Solve (A + diag(shift)) x = rhs.
 
         Args:
             rhs: Right-hand side (flat array).
             step: Time-step index attached to failures, for diagnostics.
-            guess: Optional warm start. The solve then corrects the guess
-                through the residual equation, which keeps slowly varying
-                solutions (fixed points in particular) from accumulating
+            guess: Optional warm start, kept as it is when its backward
+                error is at rounding level and otherwise corrected once.
+                Keeping an exact guess keeps slowly varying solutions
+                (fixed points in particular) from accumulating
                 factorization rounding noise step after step.
-            shift: Optional diagonal added to A. Without it the LU solution
-                is refined. With it, a banded A + diag(shift) is factored
-                and its LU solution refined; a sparse one is solved by
-                conjugate gradients in the weighted inner product,
+            shift: Optional diagonal added to a first-degree A. In 1D the
+                shifted band is factored for this solve; in 2D the solve
+                runs conjugate gradients in the weighted inner product,
                 preconditioned by the LU of A.
 
         Returns:
-            Solution array.
+            Real solution array.
 
         Raises:
-            SolverError: On residual nonconvergence, an exactly singular
-                shifted band, or non-finite values.
+            SolverError: On non-finite values, an exactly singular shifted
+                band, or a conjugate-gradient stall.
         """
         if self._counter is not None:
             self._counter.count += 1
@@ -247,62 +251,67 @@ class FactorizedOperator:
         return scale * self._solve(rhs / scale, rhs_inf / scale, step, guess,
                                    shift)
 
+    def _apply(self, x):
+        """A x, composed from products by L."""
+        lap_x = self._apply_lap(x)
+        if self._c1 is None:
+            return self._c0 * x - lap_x
+        return (self._c0 * x - self._c1 * lap_x) + self._apply_lap(lap_x)
+
+    def _direct(self, rhs):
+        """A^-1 rhs, through each factor in turn; a complex root's factor
+        serves its conjugate too."""
+        x = rhs
+        for lu in self._factors:
+            x = lu.solve(x)
+        if self._paired:
+            x = self._factors[0].solve(x.conj()).real
+        return x
+
     def _solve(self, rhs, rhs_inf, step, guess, shift):
-        rhs_norm = _norm(rhs)
-        if shift is None:
-            return self._refine(self._lu, self._apply, self._norm_inf, rhs,
-                                rhs_norm, rhs_inf, step, guess)
+        direct, apply, matrix_norm = self._direct, self._apply, self._norm_inf
+        if shift is not None:
+            def apply(v):
+                return self._apply(v) + shift * v
 
-        def apply(v):
-            return self._apply(v) + shift * v
-
-        matrix_norm = self._norm_inf + float(abs(shift).max())
-        if self._band is None:
-            return self._conjugate_gradients(apply, matrix_norm, rhs,
-                                             rhs_norm, rhs_inf, step, guess)
-        return self._refine(self._band_lu(step, shift), apply, matrix_norm,
-                            rhs, rhs_norm, rhs_inf, step, guess)
-
-    def _refine(self, lu, apply, matrix_norm, rhs, rhs_norm, rhs_inf, step,
-                guess):
+            matrix_norm += float(abs(shift).max())
+            if self._band is None:
+                return self._conjugate_gradients(apply, matrix_norm, rhs,
+                                                 rhs_inf, step, guess)
+            direct = self._factor(self._c0 + shift, step).solve
         if guess is None:
-            x = lu.solve(rhs)
+            x = direct(rhs)
         else:
             x = np.asarray(guess, dtype=float)
-        relative = np.inf
-        for _ in range(self._max_iters + 1):
-            self._require_finite(x, step)
             residual = rhs - apply(x)
-            relative = _norm(residual) / rhs_norm
-            if relative <= self._tol or _at_rounding(
-                    residual, x, matrix_norm, rhs_inf):
-                return x
-            x = x + lu.solve(residual)
-        raise self._stall(relative, step)
+            if not _at_rounding(residual, x, matrix_norm, rhs_inf):
+                x = x + direct(residual)
+        if not np.isfinite(x).all():
+            raise self._failure("produced non-finite values", step,
+                                float("nan"))
+        return x
 
-    def _conjugate_gradients(self, apply, matrix_norm, rhs, rhs_norm,
-                             rhs_inf, step, guess):
+    def _conjugate_gradients(self, apply, matrix_norm, rhs, rhs_inf, step,
+                             guess):
         """Preconditioned CG, driven by the recursive residual.
 
-        Meeting the tolerance does not end the iteration before the normwise
-        backward error ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf) is at
-        rounding level too, so the solution is as accurate as a
-        backward-stable LU solve of the same system; callers that difference
-        nearby solutions (line searches in particular) rely on that. The
-        recursive residual keeps falling below the true one, so it meets the
-        tolerance even where the true residual cannot. The true residual
-        then confirms the acceptance on either test, and CG restarts from it
-        if it passes neither.
+        Meeting the tolerance does not end the iteration before the backward
+        error is at rounding level too, so the solution is as accurate as a
+        backward-stable LU solve; callers that difference nearby solutions
+        (line searches in particular) rely on that. The recursive residual
+        keeps falling below the true one, so it meets the tolerance even
+        where the true residual cannot. The true residual then confirms the
+        acceptance on either test, and CG restarts from it if it passes
+        neither.
         """
+        rhs_norm = _norm(rhs)
         if guess is None:
             x = np.zeros_like(rhs)
             residual = rhs
         else:
             x = np.asarray(guess, dtype=float)
             residual = rhs - apply(x)
-        # Same back-substitution budget as refinement: a cold start spends
-        # one on its initial solution.
-        budget = self._max_iters + (guess is None)
+        budget = _CG_ITERS + (guess is None)
         direction = None
         while True:
             relative = _norm(residual) / rhs_norm
@@ -320,7 +329,7 @@ class FactorizedOperator:
             if budget == 0:
                 raise self._stall(relative, step)
             budget -= 1
-            preconditioned = self._lu.solve(residual)
+            preconditioned = self._factors[0].solve(residual)
             rho_new = float(np.dot(self._weights * residual, preconditioned))
             if direction is None:
                 direction = preconditioned
@@ -335,30 +344,23 @@ class FactorizedOperator:
             x = x + alpha * direction
             residual = residual - alpha * applied
 
-    def _band_lu(self, step, shift=None):
-        """Band LU of A, or of A + diag(shift)."""
-        band, kl, ku = self._band
-        if shift is not None:
-            band = band.copy()
-            band[ku] += shift
+    def _factor(self, shift, step):
+        """LU of diag(shift) - L, for a scalar or per-node shift; a sparse
+        LU takes a scalar only."""
         try:
-            return _BandLU(band, kl, ku)
-        except np.linalg.LinAlgError as exc:
-            raise self._singular(exc, step) from exc
-
-    def _require_finite(self, x, step):
-        if not np.isfinite(x).all():
-            raise self._failure("produced non-finite values", step,
-                                float("nan"))
+            if self._band is not None:
+                lower, diagonal, upper = self._band
+                return _BandLU(lower, shift + diagonal, upper)
+            identity = sp.identity(self._lap.shape[0], format="csc")
+            return splu((shift * identity - self._lap).tocsc())
+        except (np.linalg.LinAlgError, RuntimeError) as exc:
+            raise self._failure(f"could not be factored: {exc}", step,
+                                float("nan")) from exc
 
     def _stall(self, relative, step):
         return self._failure(
             f"stalled at relative residual {relative:.3e}"
             f" (tolerance {self._tol:.3e})", step, relative)
-
-    def _singular(self, exc, step):
-        return self._failure(f"could not be factored: {exc}", step,
-                             float("nan"))
 
     def _failure(self, what, step, residual):
         where = "" if step is None else f" at step {step}"

@@ -1,6 +1,6 @@
-"""Inner solves: the shifted nutrient solve, the band or sparse factor each
-operator gets, factorization counts, failures, and the sparse products of
-every sweep."""
+"""Inner solves: the shifted nutrient solve, the phase factor pair, the band
+or sparse factor each operator gets, factorization counts, failures, and the
+sparse products of every sweep."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from scipy.sparse._base import _spbase
 from scipy.sparse.linalg import spsolve
 from conftest import desk_params
 
-import caginalp_control.state as state
+import caginalp_control.linsolve as linsolve
 from caginalp_control import (
     AdjointSources,
     ConfigurationError,
@@ -146,12 +146,13 @@ def _constant_init(grid):
 
 @pytest.mark.parametrize("grid, sparse_lus", [
     (Grid(33, 2.0), 0),
-    (Grid((33, 33), (2.0, 2.0)), 3),
+    (Grid((33, 33), (2.0, 2.0)), 4),
 ], ids=["1d-33", "2d-33x33"])
 def test_only_operators_too_wide_for_a_band_use_splu(splu_calls, grid,
                                                      sparse_lus):
-    # Every 1D operator is banded (heat and nutrient tridiagonal, the
-    # Schur operator pentadiagonal); a 2D band is about sqrt(N) wide.
+    # Every 1D factor rI - Lap is tridiagonal; a 2D band is about sqrt(N)
+    # wide. In 2D the heat and nutrient operators take one sparse LU each,
+    # and the Schur operator, with real roots on desk data, two.
     time_grid = TimeGrid(0.02, 2)
     solve_state(_constant_init(grid), SpaceTimeField.zeros(time_grid, grid),
                 SolverConfig(), desk_params(), default_nonlinearities(),
@@ -175,11 +176,16 @@ def _split_corners():
     return sp.csr_array(dense)
 
 
+def _operator_of(matrix, **kwargs):
+    """The first-degree operator 0 I - (-matrix), which is the matrix."""
+    return FactorizedOperator(-matrix, 0.0, linear_tol=1e-12, **kwargs)
+
+
 @pytest.mark.parametrize("matrix", [_split_tridiagonal(), _split_corners()],
                          ids=["band", "sparse"])
 def test_singular_factor_raises_solver_error(matrix):
     with pytest.raises(SolverError) as excinfo:
-        FactorizedOperator(matrix, 1e-12, 5, label="heat")
+        _operator_of(matrix, label="heat")
     error = excinfo.value
     assert error.block == "heat"
     assert error.step is None
@@ -188,7 +194,7 @@ def test_singular_factor_raises_solver_error(matrix):
 
 def test_singular_shifted_band_factor_names_block_and_step():
     matrix = _split_tridiagonal() + sp.identity(4, format="csr")
-    operator = FactorizedOperator(matrix, 1e-12, 5, label="nutrient")
+    operator = _operator_of(matrix, label="nutrient")
     with pytest.raises(SolverError) as excinfo:
         operator.solve(np.ones(4), step=7, shift=np.array([-1.0, -1.0, 0.0,
                                                            0.0]))
@@ -199,20 +205,21 @@ def test_singular_shifted_band_factor_names_block_and_step():
     assert "singular" in str(error)
 
 
-@pytest.mark.parametrize("max_iters, shift_of", [
-    # One back-substitution, the budget of a cold start without
-    # corrections, cannot absorb a shift far from the preconditioner's.
+@pytest.mark.parametrize("cg_iters, shift_of", [
+    # One back-substitution, the budget of a cold start under a cap of no
+    # iterations, cannot absorb a shift far from the preconditioner's.
     (0, lambda rng, n: rng.uniform(0.0, 1e3, size=n)),
     # A + diag(-150) is indefinite, and constants lie in its negative
     # eigenspace, so the first search direction has negative curvature.
     (50, lambda rng, n: np.full(n, -150.0)),
 ], ids=["budget", "curvature"])
-def test_conjugate_gradient_stall_names_block_and_step(max_iters, shift_of):
+def test_conjugate_gradient_stall_names_block_and_step(monkeypatch, cg_iters,
+                                                       shift_of):
+    monkeypatch.setattr(linsolve, "_CG_ITERS", cg_iters)
     grid = Grid((9, 9), (2.0, 2.0))
-    matrix = sp.identity(grid.num_nodes) / 0.01 - laplacian_matrix(grid)
     operator = FactorizedOperator(
-        matrix, 1e-12, max_iters, weights=quadrature_weights(grid).ravel(),
-        label="nutrient")
+        laplacian_matrix(grid), 1.0 / 0.01, linear_tol=1e-12,
+        weights=quadrature_weights(grid).ravel(), label="nutrient")
     assert operator._band is None
     shift = shift_of(np.random.default_rng(5), grid.num_nodes)
     with pytest.raises(SolverError) as excinfo:
@@ -234,7 +241,8 @@ def test_acceptance_holds_for_right_hand_sides_of_any_magnitude(grid,
     # nor a nonzero b look like zero.
     matrix = (sp.identity(grid.num_nodes) / 0.01
               - laplacian_matrix(grid)).tocsc()
-    operator = FactorizedOperator(matrix, 1e-12, 5)
+    operator = FactorizedOperator(laplacian_matrix(grid), 1.0 / 0.01,
+                                  linear_tol=1e-12)
     rhs = np.full(grid.num_nodes, magnitude)
     reference = spsolve(matrix, np.ones(grid.num_nodes)) * magnitude
     for guess in (None, reference * (1.0 + 1e-2)):
@@ -243,41 +251,68 @@ def test_acceptance_holds_for_right_hand_sides_of_any_magnitude(grid,
             np.abs(reference))
 
 
-def test_forward_stall_names_block_and_step(monkeypatch):
-    # No corrections allowed: the warm-started phase solve is the first
-    # solve of step 0 and cannot meet the tolerance from the old level.
-    monkeypatch.setattr(state, "MAX_LINEAR_ITERS", 0)
-    grid = Grid(17, 2.0)
-    time_grid = TimeGrid(0.2, 2)
+@pytest.mark.parametrize("sweep, block", [
+    ("forward", "phase"), ("forward", "heat"), ("forward", "nutrient"),
+    ("linearized", "phase"), ("linearized", "heat"),
+    ("linearized", "nutrient"),
+    ("adjoint", "phase"), ("adjoint", "heat"), ("adjoint", "nutrient"),
+    ("adjoint", "terminal"),
+])
+def test_non_finite_right_hand_side_names_sweep_block_and_step(
+        monkeypatch, sweep, block):
+    # The terminal solve precedes every step of the adjoint sweep.
+    poisoned_step = None if block == "terminal" else 1
+    real_solve = FactorizedOperator.solve
+
+    def poisoned(self, rhs, step=None, **kwargs):
+        if self.label == block and step == poisoned_step:
+            rhs = np.full_like(rhs, np.nan)
+        return real_solve(self, rhs, step=step, **kwargs)
+
+    base = _desk_base(3)
+    grid, time_grid = base.grid, base.time_grid
+    sweeps = {
+        "forward": lambda: _desk_base(3),
+        "linearized": lambda: solve_linearized(
+            base, SpaceTimeField.constant(time_grid, grid, 0.3)),
+        "adjoint": lambda: solve_adjoint_with_sources(base, AdjointSources(
+            time_grid, grid, g_w=np.ones(grid.num_nodes))),
+    }
+    monkeypatch.setattr(FactorizedOperator, "solve", poisoned)
     with pytest.raises(SolverError) as excinfo:
-        solve_state(_desk_init(grid), SpaceTimeField.zeros(time_grid, grid),
-                    SolverConfig(), desk_params(),
-                    default_nonlinearities(), default_potential())
+        sweeps[sweep]()
     error = excinfo.value
-    assert error.block == "phase"
-    assert error.step == 0
-    assert "phase" in str(error) and "step 0" in str(error)
+    assert (error.sweep, error.block, error.step) == (sweep, block,
+                                                      poisoned_step)
+    assert str(error).startswith(f"{block} solve")
+    assert "non-finite right-hand side" in str(error)
+    assert str(error).endswith(f"in the {sweep} sweep")
 
 
-def test_every_block_names_itself_when_it_stalls(monkeypatch):
-    monkeypatch.setattr(state, "MAX_LINEAR_ITERS", 0)
-    grid = Grid(9, 1.0)
-    ops = StepOperators(grid, 0.1, SolverConfig(),
-                        desk_params(), default_nonlinearities(),
-                        default_potential())
-    rhs = np.ones(grid.num_nodes)
-    guess = np.zeros(grid.num_nodes)
-    decay = np.zeros(grid.num_nodes)
-    for label, solve in (
-        ("phase", lambda: ops.ch_schur.solve(rhs, step=0, guess=guess)),
-        ("heat", lambda: ops.heat.solve(rhs, step=0, guess=guess)),
-        ("nutrient", lambda: ops.solve_nutrient(rhs, decay, step=0,
-                                                guess=guess)),
-    ):
-        with pytest.raises(SolverError) as excinfo:
-            solve()
-        assert excinfo.value.block == label
-        assert str(excinfo.value).startswith(f"{label} solve at step 0")
+# Desk data: a = 52 and 1/dt = 100, so the factor pair has the real roots
+# 50 and 2. With tau = 0, a = 2 and the roots are 1 +- i sqrt(99).
+@pytest.mark.parametrize("tau", [0.5, 0.0], ids=["real", "complex"])
+@pytest.mark.parametrize("grid", [
+    Grid(33, 2.0),
+    Grid(65, 2.0),
+    Grid((17, 17), (2.0, 2.0)),
+    Grid((33, 33), (2.0, 2.0)),
+], ids=["1d-33", "1d-65", "2d-17x17", "2d-33x33"])
+def test_phase_factor_pair_solves_the_assembled_schur_operator(grid, tau):
+    ops = StepOperators(grid, 0.01, SolverConfig(), desk_params(tau=tau),
+                        default_nonlinearities(), default_potential())
+    assert ops.ch_schur._paired == (tau == 0.0)
+    lap = ops.lap
+    schur = (sp.identity(grid.num_nodes) / ops.dt - ops.a * lap
+             + lap @ lap).tocsc()
+    rhs = np.random.default_rng(17).normal(size=grid.num_nodes)
+    x = ops.ch_schur.solve(rhs)
+    assert x.dtype == np.float64
+    assert _relative_error(x, spsolve(schur, rhs)) <= 1e-12
+    # The composed product agrees with the assembled one to rounding.
+    scale = abs(schur).sum(axis=1).max() * np.max(np.abs(rhs))
+    assert (np.max(np.abs(ops.ch_schur._apply(rhs) - schur @ rhs))
+            <= 4.0 * np.finfo(float).eps * scale)
 
 
 @pytest.mark.parametrize("grid", [
@@ -297,12 +332,25 @@ def test_matvec_is_bit_equal_to_sparse_matmul(grid):
     x = rng.normal(size=total) * 10.0 ** rng.uniform(-8.0, 8.0, size=total)
     strided = np.repeat(x[:, None], 3, axis=1)[:, 1]
     assert not strided.flags.c_contiguous
-    cases = [(ops.lap, ops.apply_lap)]
-    for operator in (ops.ch_schur, ops.heat, ops.nutrient, ops._terminal):
-        cases.append((operator._matrix, operator._apply))
-    for matrix, apply in cases:
+    lap = ops.lap
+
+    def composed(c0, c1=None):
+        # c0 I - Lap, or (c0 I - c1 Lap) + Lap (Lap), by sparse matmuls.
+        if c1 is None:
+            return lambda v: c0 * v - lap @ v
+        return lambda v: (c0 * v - c1 * (lap @ v)) + lap @ (lap @ v)
+
+    inv_dt = 1.0 / ops.dt
+    cases = [
+        (lambda v: lap @ v, ops.apply_lap),
+        (composed(inv_dt, ops.a), ops.ch_schur._apply),
+        (composed(inv_dt), ops.heat._apply),
+        (composed(inv_dt + ops.decay_ref), ops.nutrient._apply),
+        (composed(1.0 / ops.params.tau), ops._terminal._apply),
+    ]
+    for product, apply in cases:
         for vector in (x, strided):
-            assert np.array_equal(apply(vector), matrix @ vector)
+            assert np.array_equal(apply(vector), product(vector))
 
 
 @pytest.mark.parametrize("sweep", ["linearized", "adjoint-with-sources"])

@@ -477,9 +477,9 @@ _LADDER = [("65", 5), ("257", 5), ("1025", 5), ("33,33", 3), ("65,65", 3)]
 
 @pytest.mark.parametrize("n, nt", _LADDER)
 def test_default_settings_run_at_every_grid_size(tmp_path, n, nt):
-    # The relative residual of a backward-stable solve on these grids stays
-    # above the default linear_tol of 1e-12, so the sweep completes only
-    # because solves are accepted on their backward error.
+    # The default settings run at every grid size: the direct solves need
+    # no tolerance, and on these 2D grids the nutrient's conjugate
+    # gradients meet the default linear_tol of 1e-12.
     cfg, traj, w = _scaled_desk_run(tmp_path, n, nt)
     ell = cfg.params.ell
     theta = traj.field_array("theta")
@@ -491,10 +491,10 @@ def test_default_settings_run_at_every_grid_size(tmp_path, n, nt):
         assert _rate_gap(mass_rate, u[k] @ w) <= 1e-10
 
 
-# The phase block solves with the Schur operator I/dt - a Lap + Lap^2, whose
-# norm grows like h^-4, so the solve's rounding alone moves the phase mass by
-# more than 1e-10 on the finer grids (6.6e-7 at 1025 nodes). The law holds
-# because each step restores the exact mass as a constant.
+# Each step restores the exact phase mass as a constant. Without that, the
+# rounding of the phase block's factor solves, which grows like h^-2, moves
+# the mass rate by 1.3e-14 to 8.9e-14 on this ladder, inside the suite's
+# 1e-10 but not the 1e-14 held here; with it the gap reads about 1e-15.
 @pytest.mark.parametrize("n, nt", _LADDER)
 def test_phase_mass_law_at_every_grid_size(tmp_path, n, nt):
     cfg, traj, w = _scaled_desk_run(tmp_path, n, nt)
@@ -507,4 +507,4 @@ def test_phase_mass_law_at_every_grid_size(tmp_path, n, nt):
                   - params.lambda_e * theta[k]) * cfg.nonlinearities.H_gate(
                       phi[k])
         phase_rate = ((phi[k + 1] - phi[k]) @ w) / cfg.time_grid.dt
-        assert _rate_gap(phase_rate, source @ w) <= 1e-10
+        assert _rate_gap(phase_rate, source @ w) <= 1e-14

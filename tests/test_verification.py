@@ -204,17 +204,46 @@ def test_suite_names_are_pinned():
                            "energy", "lipschitz")
 
 
+def _desk_problem_on(tmp_path, n, length):
+    """The desk problem with only its [grid] changed, in both desk.cfg and
+    desk_reference.cfg."""
+    for name in ("desk.cfg", "desk_reference.cfg"):
+        with open(os.path.join(CONFIGS, name), encoding="utf-8") as handle:
+            text = handle.read()
+        (tmp_path / name).write_text(text.replace(
+            "[grid]\nn = 33\nlength = 2.0\n",
+            f"[grid]\nn = {n}\nlength = {length}\n"))
+    return load_config(str(tmp_path / "desk.cfg")).verify_problem()
+
+
 @pytest.mark.parametrize("n", [513, 1025])
 def test_equilibrium_holds_on_fine_rods(tmp_path, n):
     # Desk data with only the node count changed. A constant state is a
     # fixed point at every grid size; mu formed through the merged operator
     # (a I - Lap), whose diagonal grows as 2/h^2, drifted 2.9e-12 at 513
     # nodes and 1.2e-11 at 1025.
-    for name in ("desk.cfg", "desk_reference.cfg"):
-        with open(os.path.join(CONFIGS, name), encoding="utf-8") as handle:
-            text = handle.read()
-        (tmp_path / name).write_text(text.replace("n = 33\n", f"n = {n}\n"))
-    problem = load_config(str(tmp_path / "desk.cfg")).verify_problem()
+    problem = _desk_problem_on(tmp_path, n, "2.0")
     assert problem.grid.n == (n,)
     report = run_suite(VerifySuiteConfig(suites=("equilibrium",)), problem)
     assert report.all_passed, report.results
+
+
+@pytest.mark.parametrize("n, length, suites, bound", [
+    (1025, "2.0", ("adjoint", "gradient"), None),
+    ("65,65", "2.0,2.0", ("equilibrium",), 1e-14),
+], ids=["1d-1025", "2d-65x65"])
+def test_fine_grids_keep_the_sweeps_exact(tmp_path, n, length, suites,
+                                          bound):
+    # A phase residual formed with the assembled Schur matrix, whose
+    # entries grow as 6/h^4, left a low-mode error in every phase solve: at
+    # 1025 nodes dot_product read 1.0e-8, duality 2.4e-8 and
+    # gradient_central_difference 2.2e-6. On 65^2 the equilibrium check
+    # guards the warm-start rule, that an exact guess is kept as it is: a
+    # correction forced on it adds noise that Lap amplifies in mu, 6.2e-13
+    # against 2.1e-15. That passes the check's own tolerance of 1e-12, so
+    # this test bounds the measured value at 1e-14.
+    problem = _desk_problem_on(tmp_path, n, length)
+    report = run_suite(VerifySuiteConfig(suites=suites), problem)
+    assert report.all_passed, report.results
+    if bound is not None:
+        assert max(r.measured for r in report.results) <= bound
