@@ -21,9 +21,9 @@ supply) use a small source grammar:
   no-flux boundary conditions exactly for integer modes;
 - ``file:<path>``: a CSV previously written by this package (per-field format
   for spatial fields, time-indexed format for space-time fields);
-- ``from_reference_run:<config path>`` (tracking targets only): runs the
-  referenced config's forward solve and samples the target from it, which is
-  how self-consistent tracking problems are set up.
+- ``from_control:<space-time source>`` (tracking targets only): this
+  config's own state under the named control, which makes the targets
+  reachable; the control is any source ``[solver] control`` accepts.
 
 The parsed result can re-emit itself as an ``effective_config`` file with
 all defaults filled in, numbers in round-trip precision and paths absolute;
@@ -175,15 +175,12 @@ class RunConfig:
     error surfaces before any solve starts. Optional problem pieces (cost,
     admissible set) are None when their sections are absent.
 
-    Reference runs are solved once per load: ``references`` maps each
-    resolved reference path to its state trajectory, or to None while that
-    run is itself being loaded (so a cycle is caught). It is shared with
-    the nested loads and dropped when the load ends, so a later load reads
-    the reference files afresh.
+    Each distinct control named by a ``from_control:`` target is solved
+    once per load, keyed by its canonical text; the table is dropped when
+    the load ends.
     """
 
-    def __init__(self, path, references=None):
-        self._references = {} if references is None else references
+    def __init__(self, path):
         path = os.path.abspath(path)
         if not os.path.isfile(path):
             raise ConfigurationError(f"config file not found: {path}")
@@ -237,7 +234,6 @@ class RunConfig:
         self.optimizer = self._dataclass("optimizer")
         self.verify = self._dataclass("verify")
         self._build_output()
-        del self._references
 
     def _get(self, section, key, default=None):
         return self._raw.get(section, {}).get(key, default)
@@ -355,11 +351,13 @@ class RunConfig:
             self.cost = None
             return
         targets = {}
+        self._target_states = {}
         for key in _TARGET_KEYS:
             raw = self._get("cost", key)
             targets[key] = (None if raw is None else self._source(
                 "cost", key, raw, space_time=key.endswith("_q"),
                 allow_reference=True))
+        del self._target_states
         self.cost = self._dataclass("cost", **targets)
 
     def _build_output(self):
@@ -406,6 +404,7 @@ class RunConfig:
         """
         raw = raw.strip()
         if raw == "zero":
+            self._raw[section][key] = "zero"
             profile = np.zeros(self.grid.shape)
         elif raw.startswith("constant:"):
             value = _parse_float(section, key, raw[len("constant:"):])
@@ -427,17 +426,23 @@ class RunConfig:
             if space_time and field.time_grid != self.time_grid:
                 _fail(section, key, "field time grid does not match the run")
             return field
-        elif raw.startswith("from_reference_run:"):
+        elif raw.startswith("from_control:"):
             if not allow_reference:
                 _fail(section, key,
-                      "from_reference_run is only valid for tracking targets")
-            trajectory, resolved = self._reference_trajectory(
-                section, key, raw[len("from_reference_run:"):])
-            self._raw[section][key] = f"from_reference_run:{resolved}"
+                      "from_control is only valid for tracking targets")
+            control = self._source(section, key, raw[len("from_control:"):],
+                                   space_time=True)
+            canonical = self._raw[section][key]
+            self._raw[section][key] = f"from_control:{canonical}"
+            if canonical not in self._target_states:
+                self._target_states[canonical] = solve_state(
+                    self.init, control, self.solver, self.params,
+                    self.nonlinearities, self.potential)
+            trajectory = self._target_states[canonical]
             name = "theta" if key.startswith("theta") else "phi"
             if space_time:
                 return trajectory.space_time(name)
-            return trajectory.field(name, trajectory.time_grid.nt)
+            return trajectory.field(name, self.time_grid.nt)
         else:
             _fail(section, key, f"unrecognized field source {raw!r}")
         if not space_time:
@@ -445,29 +450,6 @@ class RunConfig:
         levels = (self.time_grid.nt + 1,) + profile.shape
         return SpaceTimeField(self.time_grid, self.grid,
                               np.broadcast_to(profile, levels))
-
-    def _reference_trajectory(self, section, key, relpath):
-        resolved = self._resolve(relpath)
-        if resolved not in self._references:
-            self._references[resolved] = None
-            reference = RunConfig(resolved, self._references)
-            if reference.grid != self.grid:
-                _fail(section, key,
-                      "reference run grid does not match [grid]")
-            if reference.time_grid != self.time_grid:
-                _fail(section, key,
-                      "reference run time grid does not match the run")
-            self._references[resolved] = solve_state(
-                reference.init, reference.control, reference.solver,
-                reference.params, reference.nonlinearities,
-                reference.potential)
-        trajectory = self._references[resolved]
-        if trajectory is None:
-            _fail(section, key, f"reference run cycle through {resolved}")
-        if trajectory.grid != self.grid \
-                or trajectory.time_grid != self.time_grid:
-            _fail(section, key, "reference run grids do not match the run")
-        return trajectory, resolved
 
     # -- derived views ------------------------------------------------------
 

@@ -32,16 +32,8 @@ lowers the cost strictly, so the search stays monotone. The stationarity
 measure is ||u - P(u - g)|| at unit trial step; for a box the fixed points
 of the projection arc are the same for every positive step, so a
 nonstationary iterate always moves and the line search cannot stall at a
-fixed point.
-
-The search takes linear_tol * |J| as the cost's resolution: the 2D nutrient
-solves stop at a relative residual of linear_tol, and the direct solves
-reach rounding level, finer still. Once a rejected trial's
-first-order predicted decrease <g, u - P(u - alpha g)> is at or below that
-resolution, its rejection was decided by rounding, and so would be that of
-every shorter step along the arc: the search ends there, reported as
-"resolution", instead of halving alpha down to MIN_STEP. The first trial of
-every iterate is always tried.
+fixed point. The search ends without a step, reported as "min_step", once
+alpha falls below MIN_STEP or a trial no longer moves the control.
 
 Each accepted trial's state and cost become the new iterate's, so an
 iterate costs one adjoint sweep plus one forward sweep per trial.
@@ -354,11 +346,9 @@ class IterateRecord:
 class OptimizationReport:
     """Outcome of one projected gradient descent run.
 
-    stop_reason is one of "stationarity", "max_iters", "resolution" or
-    "min_step"; none of them is raised. "resolution" means the line search
-    ended because a rejected trial's predicted decrease was at or below the
-    cost's resolution linear_tol * |J|. "min_step" means the step fell below
-    MIN_STEP, or the step no longer moved the control.
+    stop_reason is one of "stationarity", "max_iters" or "min_step"; none
+    of them is raised. "min_step" means the step fell below MIN_STEP, or
+    the step no longer moved the control.
 
     final_gradient and final_adjoint are the reduced gradient and the
     adjoint trajectory at final_control.
@@ -446,8 +436,6 @@ def projected_gradient_descent(problem, u0):
             record(iteration, current_cost, stationarity, 0.0, 0)
             break
 
-        # Decreases at or below this are rounding of the inner sweeps.
-        resolution = problem.solver.linear_tol * abs(current_cost)
         alpha = INITIAL_STEP
         if previous is not None:
             # Short Barzilai-Borwein step <s, y> / <y, y>; a pair without
@@ -459,7 +447,6 @@ def projected_gradient_descent(problem, u0):
                 alpha = curvature / l2q_inner(y, y)
         backtracks = 0
         accepted = None
-        search_end = "min_step"
         while True:
             trial = project_admissible(u - alpha * grad, adm)
             movement = l2q_norm(trial - u)
@@ -479,13 +466,10 @@ def projected_gradient_descent(problem, u0):
             backtracks += 1
             if alpha < MIN_STEP:
                 break
-            if l2q_inner(grad, u - trial) <= resolution:
-                search_end = "resolution"
-                break
 
         record(iteration, current_cost, stationarity, alpha, backtracks)
         if accepted is None:
-            stop_reason = search_end
+            stop_reason = "min_step"
             break
         previous = (u, grad)
         u = accepted

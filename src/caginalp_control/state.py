@@ -87,8 +87,7 @@ class SolverConfig:
         linear_tol: Relative residual at which a 2D nutrient solve by
             conjugate gradients is accepted, once its normwise backward
             error is at rounding level too, in (0, 1e-6]. Direct solves
-            need no tolerance; the optimizer takes linear_tol * |J| as the
-            cost's resolution.
+            need no tolerance.
     """
 
     linear_tol: float = 1e-12

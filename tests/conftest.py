@@ -4,7 +4,7 @@ problem built from a model and data, one run of the full verification
 battery, counters of factorizations and of sparse LU calls, and a fault
 that flips the sign of every adjoint density."""
 
-import configparser
+import dataclasses
 import functools
 import os
 
@@ -20,7 +20,6 @@ from caginalp_control import (
     CostSpec,
     Field,
     InitialData,
-    ModelParams,
     OptimizerConfig,
     Problem,
     SolverConfig,
@@ -38,17 +37,14 @@ DESK_CFG = os.path.join(CONFIGS, "desk.cfg")
 
 
 @functools.cache
-def _desk_model_section():
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser.read(DESK_CFG, encoding="utf-8")
-    return {key: float(value) for key, value in parser["model"].items()}
+def _desk_config():
+    return load_config(DESK_CFG)
 
 
 def desk_params(**overrides):
-    """ModelParams of the ``[model]`` section of ``configs/desk.cfg``, with
-    any field replaced by ``overrides``."""
-    return ModelParams(**{**_desk_model_section(), **overrides})
+    """ModelParams of ``configs/desk.cfg``, with any field replaced by
+    ``overrides``."""
+    return dataclasses.replace(_desk_config().params, **overrides)
 
 
 def smooth_init(grid, rng):
@@ -84,7 +80,7 @@ def problem_of(init, control, params, nl=None, pot=None, **fields):
 @pytest.fixture(scope="session")
 def desk_problem():
     """Problem of ``configs/desk.cfg``."""
-    return load_config(DESK_CFG).verify_problem()
+    return _desk_config().verify_problem()
 
 
 @pytest.fixture(scope="session")

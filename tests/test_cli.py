@@ -4,14 +4,13 @@ import contextlib
 import io
 import os
 import re
-import shutil
 import subprocess
 import sys
 import textwrap
 
 import numpy as np
 import pytest
-from conftest import CONFIGS
+from conftest import DESK_CFG
 
 import caginalp_control
 from caginalp_control import (
@@ -300,9 +299,8 @@ def desk_verify_run(tmp_path_factory):
     """Exit code, stdout and output directory of ``verify all`` on the
     shipped desk config."""
     tmp_path = tmp_path_factory.mktemp("desk_verify")
-    for name in ("desk.cfg", "desk_reference.cfg"):
-        shutil.copy(os.path.join(CONFIGS, name), str(tmp_path / name))
-    text = (tmp_path / "desk.cfg").read_text()
+    with open(DESK_CFG, encoding="utf-8") as handle:
+        text = handle.read()
     text = text.replace("dir = out_desk", f"dir = {tmp_path}/desk_out")
     (tmp_path / "desk.cfg").write_text(text)
     out = io.StringIO()

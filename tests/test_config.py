@@ -1,15 +1,15 @@
-"""Config parsing: grammar, defaults, sources, reference runs, round trip."""
+"""Config parsing: grammar, defaults, sources, control targets, round trip."""
 
 import dataclasses
-import os
 import shutil
 import textwrap
 import typing
 
 import numpy as np
 import pytest
-from conftest import CONFIGS, DESK_CFG
+from conftest import DESK_CFG
 
+import caginalp_control.config as config
 from caginalp_control import (
     AdmissibleSet,
     ConfigurationError,
@@ -191,32 +191,38 @@ def test_unrecognized_source_is_rejected(tmp_path):
 
 
 def test_reference_run_only_valid_for_targets(tmp_path):
-    ref_path = _write(tmp_path, MINIMAL, "ref.cfg")
-    text = MINIMAL.replace("theta0 = zero",
-                           "theta0 = from_reference_run:ref.cfg")
-    with pytest.raises(ConfigurationError, match="tracking targets"):
+    text = MINIMAL.replace("theta0 = zero", "theta0 = from_control:zero")
+    with pytest.raises(ConfigurationError,
+                       match=r"^\[solver\]\.theta0: from_control is only"
+                             " valid for tracking targets"):
         load_config(_write(tmp_path, text))
-    assert ref_path  # the reference itself stays untouched
+
+
+_COST_BOX = """
+[cost]
+b1 = 1.0
+b5 = 0.5
+{targets}
+
+[admissible]
+u_min = -1.0
+u_max = 1.0
+"""
 
 
 def test_reference_run_builds_targets(tmp_path):
-    _write(tmp_path, MINIMAL, "ref.cfg")
-    text = MINIMAL + textwrap.dedent("""\
-
-        [cost]
-        b1 = 1.0
-        b5 = 0.5
-        theta_q = from_reference_run:ref.cfg
-        phi_omega = from_reference_run:ref.cfg
-
-        [admissible]
-        u_min = -1.0
-        u_max = 1.0
-        """)
-    cfg = load_config(_write(tmp_path, text))
-    ref = load_config(str(tmp_path / "ref.cfg"))
-    traj = solve_state(ref.init, ref.control, ref.solver, ref.params,
-                       ref.nonlinearities, ref.potential)
+    # The targets are this config's own state under the named control,
+    # not under its [solver] control, which stays zero here.
+    targets = ("theta_q = from_control:cosine:0.3,2\n"
+               "phi_omega = from_control:cosine:0.3,2")
+    cfg = load_config(_write(
+        tmp_path, MINIMAL + _COST_BOX.format(targets=targets)))
+    assert not np.any(cfg.control.values)
+    control = load_config(_write(tmp_path, MINIMAL.replace(
+        "sigma0 = constant:1.0",
+        "sigma0 = constant:1.0\ncontrol = cosine:0.3,2"), "u.cfg")).control
+    traj = solve_state(cfg.init, control, cfg.solver, cfg.params,
+                       cfg.nonlinearities, cfg.potential)
     expected = traj.field_array("theta")
     got = cfg.cost.theta_q.values.reshape(expected.shape)
     assert np.array_equal(got, expected)
@@ -224,51 +230,41 @@ def test_reference_run_builds_targets(tmp_path):
                           traj.field_array("phi")[-1])
 
 
+def test_nested_from_control_is_rejected(tmp_path):
+    targets = "theta_q = from_control:from_control:zero"
+    with pytest.raises(ConfigurationError, match=r"^\[cost\]\.theta_q: "):
+        load_config(_write(
+            tmp_path, MINIMAL + _COST_BOX.format(targets=targets)))
+
+
+def test_desk_targets_cost_one_sweep_per_load(monkeypatch):
+    # desk.cfg's four targets name one control, which is solved once.
+    sweeps = []
+    original = config.solve_state
+
+    def counting(*args, **kwargs):
+        sweeps.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(config, "solve_state", counting)
+    load_config(DESK_CFG)
+    assert len(sweeps) == 1
+
+
 def test_reference_run_is_read_afresh_on_every_load(tmp_path):
-    # Reference runs are solved once per load, not once per process: after
-    # the referenced file changes, the next load sees the new targets.
-    for name in ("desk.cfg", "desk_reference.cfg"):
-        shutil.copy(os.path.join(CONFIGS, name), str(tmp_path / name))
-    before = load_config(str(tmp_path / "desk.cfg")).cost.theta_omega
-    reference = tmp_path / "desk_reference.cfg"
-    text = reference.read_text(encoding="utf-8")
-    assert "control = cosine:0.4,1\n" in text
-    reference.write_text(text.replace("control = cosine:0.4,1\n",
-                                      "control = cosine:0.9,1\n"),
-                         encoding="utf-8")
-    after = load_config(str(tmp_path / "desk.cfg")).cost.theta_omega
+    # Target states are solved once per load, not once per process: after
+    # the config's initial data change, the next load sees new targets
+    # under the same control.
+    path = tmp_path / "desk.cfg"
+    shutil.copy(DESK_CFG, str(path))
+    before = load_config(str(path)).cost.theta_omega
+    text = path.read_text(encoding="utf-8")
+    assert "phi0 = cosine:0.5,1,0.2\n" in text
+    path.write_text(text.replace("phi0 = cosine:0.5,1,0.2\n",
+                                 "phi0 = cosine:0.5,1,0.4\n"),
+                    encoding="utf-8")
+    after = load_config(str(path)).cost.theta_omega
     assert np.max(np.abs(after.flat - before.flat)) > 1e-3
-
-
-def test_reference_run_cycle_is_detected(tmp_path):
-    text = MINIMAL + textwrap.dedent("""\
-
-        [cost]
-        b1 = 1.0
-        theta_q = from_reference_run:loop.cfg
-
-        [admissible]
-        u_min = -1.0
-        u_max = 1.0
-        """)
-    with pytest.raises(ConfigurationError, match="cycle"):
-        load_config(_write(tmp_path, text, "loop.cfg"))
-
-
-def test_reference_run_grid_mismatch(tmp_path):
-    _write(tmp_path, MINIMAL.replace("n = 9", "n = 7"), "ref.cfg")
-    text = MINIMAL + textwrap.dedent("""\
-
-        [cost]
-        b1 = 1.0
-        theta_q = from_reference_run:ref.cfg
-
-        [admissible]
-        u_min = -1.0
-        u_max = 1.0
-        """)
-    with pytest.raises(ConfigurationError, match="does not match"):
-        load_config(_write(tmp_path, text))
 
 
 def test_sigma_b_space_time_file(tmp_path):
@@ -386,16 +382,20 @@ _NONLINEARITY = "chi = 0.3\nnonlinearity = {}"
     ("sigma0 = constant:1.0", "sigma0 = constant:1.0\n[output]\nslices = ,",
      {}, "[output].slices"),
     ("sigma0 = constant:1.0", "sigma0 = constant:1.0\n[cost]\nb1 = 1.0\n"
-     "theta_q = from_reference_run:ref.cfg",
-     {"ref.cfg": MINIMAL.replace("nt = 4", "nt = 8")}, "[cost].theta_q"),
+     "theta_q = from_control:file:u.csv",
+     {"u.csv": SpaceTimeField.zeros(TimeGrid(0.2, 8), Grid(9, 1.0))},
+     "[cost].theta_q"),
 ], ids=["grid-three-values", "grid-not-integer", "bad-integer",
         "non-finite", "t-final-not-positive", "nt-below-one",
         "nonlinearity-prefix", "nonlinearity-unreadable",
         "nonlinearity-raises", "nonlinearity-wrong-type", "slices-empty",
         "reference-time-grid"])
 def test_invalid_value_names_its_key(tmp_path, old, new, files, key):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, content in files.items():
+        if isinstance(content, SpaceTimeField):
+            write_space_time_csv(content, str(tmp_path / name))
+        else:
+            (tmp_path / name).write_text(content)
     assert old in MINIMAL
     with pytest.raises(ConfigurationError) as excinfo:
         load_config(_write(tmp_path, MINIMAL.replace(old, new)))
@@ -411,22 +411,20 @@ def test_output_slices_parsing_and_bounds(tmp_path):
         load_config(_write(tmp_path, bad, "bad.cfg"))
 
 
-def test_effective_config_round_trips_bitwise(tmp_path):
-    text = MINIMAL.replace("theta0 = zero",
-                           "theta0 = cosine:0.05,1") + textwrap.dedent("""\
-
-        [cost]
-        b1 = 1.0
-        b5 = 0.5
-        theta_q = constant:0.1
-
-        [admissible]
-        u_min = -1.0
-        u_max = 1.0
-        """)
+@pytest.mark.parametrize("control", [
+    "zero", "constant:0.2", "cosine:0.3,2,0.1", "file:u.csv"],
+    ids=["zero", "constant", "cosine", "file"])
+def test_effective_config_round_trips_bitwise(tmp_path, control):
+    rng = np.random.default_rng(11)
+    write_space_time_csv(SpaceTimeField(
+        TimeGrid(0.2, 4), Grid(9, 1.0), rng.normal(size=(5, 9))),
+        str(tmp_path / "u.csv"))
+    text = MINIMAL.replace("theta0 = zero", "theta0 = cosine:0.05,1") \
+        + _COST_BOX.format(targets=f"theta_q = from_control:{control}")
     first = load_config(_write(tmp_path, text))
     emitted = first.effective_config()
     second = load_config(_write(tmp_path, emitted, "effective.cfg"))
+    assert second.effective_config() == emitted
     assert second.grid == first.grid
     assert second.time_grid == first.time_grid
     assert second.params == first.params

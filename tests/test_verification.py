@@ -1,12 +1,11 @@
 """Verification battery: selection, tolerances, fault injection, reports."""
 
 import dataclasses
-import os
 import sys
 
 import numpy as np
 import pytest
-from conftest import CONFIGS
+from conftest import DESK_CFG
 
 import caginalp_control
 from caginalp_control import (
@@ -15,10 +14,10 @@ from caginalp_control import (
     Grid,
     InitialData,
     SUITE_NAMES,
+    SpaceTimeField,
     VerifySuiteConfig,
     load_config,
     run_suite,
-    solve_state,
 )
 from caginalp_control import control, state
 
@@ -181,15 +180,16 @@ def test_failed_base_sweep_fails_every_suite_that_needs_it(desk_problem):
         assert row.detail.endswith("in the forward sweep"), row.detail
 
 
-def test_desk_problem_targets_come_from_reference_run(desk_problem):
-    reference = load_config(os.path.join(CONFIGS, "desk_reference.cfg"))
-    ref = reference.control
-    assert np.all(ref.values >= desk_problem.admissible.u_min)
-    assert np.all(ref.values <= desk_problem.admissible.u_max)
-    traj = solve_state(reference.init, ref, reference.solver,
-                       reference.params, reference.nonlinearities,
-                       reference.potential)
-    cost = desk_problem.cost
+def test_desk_targets_are_the_desk_state_under_their_control(desk_problem):
+    # desk.cfg's targets are its own state under the control cosine:0.4,1.
+    p = desk_problem
+    profile = 0.4 * np.cos(np.pi * p.grid.coords(0) / p.grid.length[0])
+    ref = SpaceTimeField(p.time_grid, p.grid, np.broadcast_to(
+        profile, (p.time_grid.nt + 1,) + profile.shape))
+    assert np.all(ref.values >= p.admissible.u_min)
+    assert np.all(ref.values <= p.admissible.u_max)
+    traj = p.solve(ref)
+    cost = p.cost
     for target, name in ((cost.theta_q, "theta"), (cost.phi_q, "phi")):
         assert np.array_equal(target.values.reshape(
             traj.field_array(name).shape), traj.field_array(name))
@@ -205,14 +205,12 @@ def test_suite_names_are_pinned():
 
 
 def _desk_problem_on(tmp_path, n, length):
-    """The desk problem with only its [grid] changed, in both desk.cfg and
-    desk_reference.cfg."""
-    for name in ("desk.cfg", "desk_reference.cfg"):
-        with open(os.path.join(CONFIGS, name), encoding="utf-8") as handle:
-            text = handle.read()
-        (tmp_path / name).write_text(text.replace(
-            "[grid]\nn = 33\nlength = 2.0\n",
-            f"[grid]\nn = {n}\nlength = {length}\n"))
+    """The desk problem with only its [grid] changed."""
+    with open(DESK_CFG, encoding="utf-8") as handle:
+        text = handle.read()
+    (tmp_path / "desk.cfg").write_text(text.replace(
+        "[grid]\nn = 33\nlength = 2.0\n",
+        f"[grid]\nn = {n}\nlength = {length}\n"))
     return load_config(str(tmp_path / "desk.cfg")).verify_problem()
 
 
