@@ -12,25 +12,23 @@ class ConfigurationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised when a linear solve fails to reach the requested residual or
-    its matrix has an exactly singular factor.
+    """Raised by a block solve that meets a non-finite value, stalls short
+    of its tolerance or has an exactly singular factor.
 
     Attributes:
         step: Time-step index at which the failure occurred, or None when the
             failure is not tied to a particular step.
-        residual: Relative residual achieved before giving up, or NaN when a
-            non-finite value or a singular factor was detected.
         block: Label of the failing operator (phase, heat, nutrient or
-            terminal), or None when no operator was involved.
+            terminal). Only block solves raise a SolverError, so every one
+            names its block.
         sweep: The sweep that failed, "forward", "linearized" or
             "adjoint", set by the sweep function the error leaves; the
             message ends with it. None outside every sweep.
     """
 
-    def __init__(self, message, step=None, residual=None, block=None):
+    def __init__(self, message, step=None, block=None):
         super().__init__(message)
         self.step = step
-        self.residual = residual
         self.block = block
         self.sweep = None
 

@@ -28,12 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, names_sweep
 from .grid import Trajectory, l2q_norm
-from .state import (
-    _base_operators,
-    _frozen_coefficients,
-    _require_finite,
-    y_norm,
-)
+from .state import _base_operators, _frozen_coefficients, y_norm
 
 __all__ = [
     "solve_linearized",
@@ -43,33 +38,33 @@ __all__ = [
 ]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _lin_step_arrays(ops, frozen, base_sigma_next, zeta_n, xi_n, rho_n,
                      h_n, step):
-    """One linearized step on flat arrays; returns the four new levels."""
+    """One linearized step on flat arrays; returns the four new levels. The
+    block solves judge the assembled right-hand sides, so a non-finite one
+    fails with the name of its block and step."""
     dt, params = ops.dt, ops.params
     gate = frozen["gate"][step]
-    decay = frozen["decay"][step]
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs_phase = (xi_n / dt + frozen["source_prime"][step] * xi_n
-                     + params.lambda_p * gate * rho_n
-                     - params.lambda_e * gate * zeta_n)
-        rhs_potential = (ops.a * xi_n - frozen["f_prime"][step] * xi_n
-                         + params.chi * rho_n + params.lambda_big * zeta_n)
-    _require_finite(rhs_phase, step)
-    _require_finite(rhs_potential, step)
-    _require_finite(decay, step)
+    rhs_phase = (xi_n / dt + frozen["source_prime"][step] * xi_n
+                 + params.lambda_p * gate * rho_n
+                 - params.lambda_e * gate * zeta_n)
+    rhs_potential = (ops.a * xi_n - frozen["f_prime"][step] * xi_n
+                     + params.chi * rho_n + params.lambda_big * zeta_n)
 
     xi_next = ops.ch_schur.solve(rhs_phase - ops.apply_lap(rhs_potential),
                                  step=step)
-    eta_next = (ops.a * xi_next - ops.apply_lap(xi_next)) - rhs_potential
+    lap_xi_next = ops.apply_lap(xi_next)
+    eta_next = (ops.a * xi_next - lap_xi_next) - rhs_potential
 
     rhs_heat = zeta_n / dt - (params.ell / dt) * (xi_next - xi_n) + h_n
     zeta_next = ops.heat.solve(rhs_heat, step=step)
 
-    rhs_nutrient = (rho_n / dt - params.chi * ops.apply_lap(xi_next)
+    rhs_nutrient = (rho_n / dt - params.chi * lap_xi_next
                     - base_sigma_next * (frozen["h_prime"][step] * xi_n
                                          + frozen["k_prime"][step] * zeta_n))
-    rho_next = ops.solve_nutrient(rhs_nutrient, decay, step=step)
+    rho_next = ops.solve_nutrient(rhs_nutrient, frozen["decay"][step],
+                                  step=step)
     return zeta_next, xi_next, eta_next, rho_next
 
 
@@ -89,8 +84,8 @@ def solve_linearized(base, h):
     Raises:
         ConfigurationError: If the grids differ or ``base`` carries no
             operators.
-        SolverError: Propagated from the failing step, with its index and
-            sweep "linearized".
+        SolverError: Propagated from the failing block solve, with its
+            block, step index and sweep "linearized".
     """
     grid = base.grid
     time_grid = base.time_grid

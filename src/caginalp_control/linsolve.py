@@ -26,8 +26,9 @@ O(N) cost, under the same rule. In 2D it runs conjugate gradients
 preconditioned by the LU of A, so no sparse matrix is factorized per step;
 CG alone stops on the requested relative residual ||r||_2 / ||b||_2. An
 exactly singular factor, non-finite values, or a CG stall raises
-``SolverError`` carrying the block label, the step index and the achieved
-residual.
+``SolverError`` carrying the block label and the step index. A sweep hands
+its assembled right-hand sides over unchecked, so these solves alone judge
+the non-finite values of a sweep.
 
 A right-hand side whose entries lie outside [2**-400, 2**400] is scaled by
 a power of two before the solve and the solution scaled back, so the norms
@@ -237,8 +238,7 @@ class FactorizedOperator:
         rhs = np.ascontiguousarray(rhs, dtype=float)
         rhs_inf = float(abs(rhs).max())
         if not math.isfinite(rhs_inf):
-            raise self._failure("received non-finite right-hand side", step,
-                                float("nan"))
+            raise self._failure("received non-finite right-hand side", step)
         if rhs_inf == 0.0:
             return np.zeros_like(rhs)
         if shift is not None:
@@ -287,8 +287,7 @@ class FactorizedOperator:
             if not _at_rounding(residual, x, matrix_norm, rhs_inf):
                 x = x + direct(residual)
         if not np.isfinite(x).all():
-            raise self._failure("produced non-finite values", step,
-                                float("nan"))
+            raise self._failure("produced non-finite values", step)
         return x
 
     def _conjugate_gradients(self, apply, matrix_norm, rhs, rhs_inf, step,
@@ -316,8 +315,7 @@ class FactorizedOperator:
         while True:
             relative = _norm(residual) / rhs_norm
             if not math.isfinite(relative):
-                raise self._failure("produced non-finite values", step,
-                                    float("nan"))
+                raise self._failure("produced non-finite values", step)
             if relative <= self._tol and (budget == 0 or _at_rounding(
                     residual, x, matrix_norm, rhs_inf)):
                 residual = rhs - apply(x)
@@ -354,15 +352,15 @@ class FactorizedOperator:
             identity = sp.identity(self._lap.shape[0], format="csc")
             return splu((shift * identity - self._lap).tocsc())
         except (np.linalg.LinAlgError, RuntimeError) as exc:
-            raise self._failure(f"could not be factored: {exc}", step,
-                                float("nan")) from exc
+            raise self._failure(f"could not be factored: {exc}",
+                                step) from exc
 
     def _stall(self, relative, step):
         return self._failure(
             f"stalled at relative residual {relative:.3e}"
-            f" (tolerance {self._tol:.3e})", step, relative)
+            f" (tolerance {self._tol:.3e})", step)
 
-    def _failure(self, what, step, residual):
+    def _failure(self, what, step):
         where = "" if step is None else f" at step {step}"
         return SolverError(f"{self.label} solve{where} {what}", step=step,
-                           residual=residual, block=self.label)
+                           block=self.label)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SolverError, names_sweep
+from .errors import ConfigurationError, names_sweep
 from .grid import (
     Field,
     Trajectory,
@@ -243,26 +243,19 @@ def _frozen_coefficients(ops, base):
             for name, values in table.items()}
 
 
-def _require_finite(arr, step):
-    if not np.isfinite(arr).all():
-        raise SolverError("non-finite values while assembling a step",
-                          step=step, residual=float("nan"))
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
-    """One forward step on flat arrays; returns the four new levels."""
+    """One forward step on flat arrays; returns the four new levels. The
+    block solves judge the assembled right-hand sides, so a non-finite one
+    fails with the name of its block and step."""
     dt, params, nl, pot = ops.dt, ops.params, ops.nl, ops.pot
-    with np.errstate(over="ignore", invalid="ignore"):
-        gate = np.asarray(nl.H_gate(phi_n), dtype=float)
-        source = (params.lambda_p * sigma_n - params.lambda_a
-                  - params.lambda_e * theta_n) * gate
-        rhs_phase = phi_n / dt + source
-        rhs_potential = (ops.a * phi_n - np.asarray(pot.f(phi_n), dtype=float)
-                         + params.chi * sigma_n + params.lambda_big * theta_n)
-        decay = _decay_coefficient(theta_n, gate, params, nl)
-    _require_finite(rhs_phase, step)
-    _require_finite(rhs_potential, step)
-    _require_finite(decay, step)
+    gate = np.asarray(nl.H_gate(phi_n), dtype=float)
+    source = (params.lambda_p * sigma_n - params.lambda_a
+              - params.lambda_e * theta_n) * gate
+    rhs_phase = phi_n / dt + source
+    rhs_potential = (ops.a * phi_n - np.asarray(pot.f(phi_n), dtype=float)
+                     + params.chi * sigma_n + params.lambda_big * theta_n)
+    decay = _decay_coefficient(theta_n, gate, params, nl)
 
     phi_next = ops.ch_schur.solve(rhs_phase - ops.apply_lap(rhs_potential),
                                   step=step, guess=phi_n)
@@ -276,12 +269,13 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
     w = ops.weights
     phi_next = phi_next + (w @ (phi_n + dt * source)
                            - w @ phi_next) / ops.wsum
-    mu_next = (ops.a * phi_next - ops.apply_lap(phi_next)) - rhs_potential
+    lap_phi_next = ops.apply_lap(phi_next)
+    mu_next = (ops.a * phi_next - lap_phi_next) - rhs_potential
 
     rhs_heat = (theta_n / dt - (params.ell / dt) * (phi_next - phi_n) + u_n)
     theta_next = ops.heat.solve(rhs_heat, step=step, guess=theta_n)
 
-    rhs_nutrient = (sigma_n / dt - params.chi * ops.apply_lap(phi_next)
+    rhs_nutrient = (sigma_n / dt - params.chi * lap_phi_next
                     + params.lambda_b * sigma_b_n)
     sigma_next = ops.solve_nutrient(rhs_nutrient, decay, step=step,
                                     guess=sigma_n)
@@ -332,8 +326,8 @@ def solve_state(init, u, cfg, params, nl, pot):
         and adjoint sweeps around it reuse.
 
     Raises:
-        SolverError: Propagated from the failing step, with its index and
-            sweep "forward".
+        SolverError: Propagated from the failing block solve, with its
+            block, step index and sweep "forward".
     """
     grid = init.grid
     if u.grid != grid:

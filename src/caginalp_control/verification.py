@@ -540,9 +540,10 @@ def _suite_optimizer(problem, cfg, base):
     u = report.final_control
     clamp = project_admissible(
         (-1.0 / problem.cost.b5) * report.final_z, problem.admissible)
+    # Relative to u, or to the clamp when u = 0; a zero minimizer reads 0.
     u_norm = l2q_norm(u)
-    clamp_residual = (l2q_norm(u - clamp) / u_norm if u_norm > 0.0
-                      else float("inf"))
+    scale = u_norm if u_norm > 0.0 else l2q_norm(clamp)
+    clamp_residual = l2q_norm(u - clamp) / scale if scale > 0.0 else 0.0
     clamp_row = _row(cfg, "optimizer_clamp_residual", clamp_residual,
                      "u against clamp(-z/b5)")
 

@@ -197,7 +197,11 @@ def test_solver_blowup_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, BASE.replace(
         "chi = 0.3", "chi = 0.3\nlambda_p = 1e300"))
     assert main(["simulate", cfg]) == EXIT_SOLVER
-    assert "forward solve failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "forward solve failed" in err
+    # The source overflows at step 1; the phase solve names it.
+    assert "phase solve at step 1" in err
+    assert "forward sweep" in err
 
 
 def test_optimize_writes_reports(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The package's lazy re-exports name attributes that exist, and each of
-its modules imports only the layers below it."""
+"""The package's lazy re-exports name attributes that exist, each of its
+modules imports only the layers below it, and only the block solves raise a
+SolverError."""
 
 import ast
 import importlib
@@ -55,3 +56,20 @@ def test_modules_import_only_earlier_layers():
                     and (stem, function, target) not in ALLOWED_UPWARD):
                 upward.append(f"{path.name}:{line} imports {target}")
     assert not upward, f"imports of a later layer: {upward}"
+
+
+def test_only_the_block_solves_construct_solver_errors():
+    # A SolverError built outside linsolve would name no block; a sweep
+    # leaves non-finite values to the block solve that meets them.
+    package = pathlib.Path(caginalp_control.__file__).parent
+    builders = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "SolverError":
+                    builders.add(f"{path.name}:{node.lineno}")
+    assert builders
+    assert all(b.startswith("linsolve.py:") for b in builders), builders

@@ -65,6 +65,7 @@ def test_failure_names_the_linearized_sweep():
     with pytest.raises(SolverError) as excinfo:
         solve_linearized(base, _random_control(time_grid, grid, rng))
     assert excinfo.value.step == 0
+    assert excinfo.value.block == "phase"
     assert excinfo.value.sweep == "linearized"
     assert str(excinfo.value).endswith("in the linearized sweep")
 

@@ -1,6 +1,7 @@
 """Forward time stepping: fixed points, mass laws, energy, stability."""
 
 import configparser
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from caginalp_control import (
     Grid,
     InitialData,
     ModelParams,
-    Nonlinearities,
     SolverConfig,
     SolverError,
     SpaceTimeField,
@@ -310,27 +310,26 @@ def test_initial_mu_formula():
 
 
 def test_solver_error_carries_step_index():
-    nl = default_nonlinearities()
-
-    def nan_gate(s):
+    # A NaN gate H fails the phase solve of step 0. A NaN K makes only the
+    # nutrient decay NaN, which the phase and heat solves do not read.
+    def nan(s):
         return np.full_like(np.asarray(s, dtype=float), np.nan)
 
-    broken = Nonlinearities(
-        H_gate=nan_gate, H_gate_prime=nl.H_gate_prime,
-        H_gate_second=nl.H_gate_second, K_temp=nl.K_temp,
-        K_temp_prime=nl.K_temp_prime, K_temp_second=nl.K_temp_second,
-    )
     grid = Grid(5, 1.0)
-    time_grid = TimeGrid(0.1, 2)
     init = _constant_init(grid, 0.0, 0.5, 0.5)
-    u = SpaceTimeField.zeros(time_grid, grid)
-    params = ModelParams(lambda_p=1.0)
-    with pytest.raises(SolverError) as excinfo:
-        solve_state(init, u, SolverConfig(), params, broken,
-                    default_potential())
-    assert excinfo.value.step == 0
-    assert excinfo.value.sweep == "forward"
-    assert str(excinfo.value).endswith("in the forward sweep")
+    u = SpaceTimeField.zeros(TimeGrid(0.1, 2), grid)
+    for field, block, what in (
+            ("H_gate", "phase", "received non-finite right-hand side"),
+            ("K_temp", "nutrient", "produced non-finite values")):
+        broken = dataclasses.replace(default_nonlinearities(), **{field: nan})
+        with pytest.raises(SolverError) as excinfo:
+            solve_state(init, u, SolverConfig(), ModelParams(lambda_p=1.0),
+                        broken, default_potential())
+        assert excinfo.value.step == 0
+        assert excinfo.value.block == block
+        assert excinfo.value.sweep == "forward"
+        assert str(excinfo.value) == (
+            f"{block} solve at step 0 {what} in the forward sweep")
 
 
 def test_solve_state_validates_dt_and_grid():

@@ -19,7 +19,7 @@ from caginalp_control import (
     load_config,
     run_suite,
 )
-from caginalp_control import control, state
+from caginalp_control import control, state, verification
 
 
 def test_default_battery_passes(desk_report):
@@ -177,6 +177,7 @@ def test_failed_base_sweep_fails_every_suite_that_needs_it(desk_problem):
     for row in report.results[1:]:
         assert not row.passed
         assert row.detail.startswith("SolverError"), row.detail
+        assert "phase solve" in row.detail, row.detail
         assert row.detail.endswith("in the forward sweep"), row.detail
 
 
@@ -245,3 +246,66 @@ def test_fine_grids_keep_the_sweeps_exact(tmp_path, n, length, suites,
     assert report.all_passed, report.results
     if bound is not None:
         assert max(r.measured for r in report.results) <= bound
+
+
+# With every rate zero and phi constant, theta stays at theta0 under u = 0;
+# with only b1 and zero targets, theta0 = 0 makes u = 0 the minimizer.
+TRACK_THETA_CFG = """\
+[grid]
+n = 9
+length = 1.0
+
+[time]
+t_final = 0.1
+
+[model]
+ell = 0.5
+lambda_big = 0.7
+chi = 0.3
+
+[solver]
+nt = 5
+theta0 = {theta0}
+phi0 = constant:0.2
+sigma0 = constant:0.8
+
+[cost]
+b1 = 1.0
+
+[admissible]
+u_min = -1.0
+u_max = 1.0
+"""
+
+
+def _clamp_row(tmp_path, theta0):
+    path = tmp_path / "track.cfg"
+    path.write_text(TRACK_THETA_CFG.format(theta0=theta0))
+    problem = load_config(str(path)).verify_problem()
+    report = run_suite(VerifySuiteConfig(suites=("optimizer",)), problem)
+    rows = {r.name: r for r in report.results}
+    return rows, rows["optimizer_clamp_residual"]
+
+
+def test_zero_minimizer_reads_zero_clamp_residual(tmp_path):
+    # The residual was relative to ||u|| alone and read inf here, although
+    # the descent stops at once on stationarity with measure 0.
+    rows, clamp = _clamp_row(tmp_path, "zero")
+    assert rows["optimizer_stationarity"].measured == 0.0
+    assert clamp.measured == 0.0
+    assert clamp.passed
+
+
+def test_zero_control_off_the_minimizer_reads_one(tmp_path, monkeypatch):
+    # Where u = 0 but clamp(-z/b5) is not, the clamp is the whole residual.
+    real_descent = verification.projected_gradient_descent
+
+    def descent_ending_at_zero(problem, u0):
+        report = real_descent(problem, u0)
+        return dataclasses.replace(report, final_control=u0)
+
+    monkeypatch.setattr(verification, "projected_gradient_descent",
+                        descent_ending_at_zero)
+    _, clamp = _clamp_row(tmp_path, "constant:0.5")
+    assert clamp.measured == 1.0
+    assert not clamp.passed
