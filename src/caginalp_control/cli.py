@@ -1,12 +1,10 @@
 """Command-line entry points: ``simulate``, ``optimize`` and ``verify``.
 
-The heavy numerical modules are imported inside the command handlers so that
-the ``CAGINALP_THREADS`` environment variable can cap the BLAS thread pools
-before the first array library import. Exit codes are stable:
+Exit codes are stable:
 
 - 0: success (for ``verify``: every selected check passed);
 - 2: configuration problem (bad config file, bad suite name, failed model
-  hypothesis checks, bad ``CAGINALP_THREADS``);
+  hypothesis checks, an ``[output] dir`` that cannot be created);
 - 3: the forward solver failed;
 - 4: the optimization loop aborted;
 - 5: at least one verification check failed.
@@ -18,10 +16,17 @@ endings, so repeated runs of the same config are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
+from .config import EFFECTIVE_CONFIG_NAME, load_config
+from .control import projected_gradient_descent
 from .errors import ConfigurationError, OptimizerError, SolverError
+from .grid import _FMT, _write_node_table, write_space_time_csv
+from .model import validate
+from .state import solve_state
+from .verification import run_suite
 
 __all__ = [
     "EXIT_OK",
@@ -37,30 +42,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_OPTIMIZER = 4
 EXIT_VERIFY = 5
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _apply_thread_limit(environ=os.environ):
-    """Propagate CAGINALP_THREADS to the BLAS pools; 0 or unset means auto."""
-    raw = environ.get("CAGINALP_THREADS")
-    if raw is None or not raw.strip():
-        return
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ConfigurationError(
-            f"CAGINALP_THREADS: expected a non-negative integer, got {raw!r}"
-        )
-    if value < 0:
-        raise ConfigurationError(
-            f"CAGINALP_THREADS: expected a non-negative integer, got {raw!r}"
-        )
-    if value == 0:
-        return
-    for name in _THREAD_VARS:
-        environ[name] = str(value)
-
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -90,8 +71,6 @@ def _build_parser():
 
 def _write_csv(path, header, rows, seed=None):
     """Write one delimited report; a seed is recorded as a comment line."""
-    from .grid import _FMT
-
     def cell(value):
         if isinstance(value, bool):
             return "true" if value else "false"
@@ -108,8 +87,6 @@ def _write_csv(path, header, rows, seed=None):
 
 def _check_model(cfg):
     """Run the hypothesis checks; any failure is a configuration error."""
-    from .model import validate
-
     report = validate(cfg.params, cfg.nonlinearities, cfg.potential)
     if report.all_passed:
         return
@@ -122,13 +99,15 @@ def _check_model(cfg):
 
 
 def _prepare_output(cfg):
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"[output].dir: cannot create {cfg.output_dir!r}: {exc.strerror}")
     return cfg.output_dir
 
 
 def _write_effective_config(cfg):
-    from .config import EFFECTIVE_CONFIG_NAME
-
     path = os.path.join(cfg.output_dir, EFFECTIVE_CONFIG_NAME)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(cfg.effective_config())
@@ -139,16 +118,11 @@ _STATE_FIELDS = ("theta", "phi", "mu", "sigma")
 
 def _write_state_slice(path, trajectory, level):
     """Write one time level of the state as a node table."""
-    from .grid import _write_node_table
-
     _write_node_table(path, trajectory.grid, _STATE_FIELDS, [[
         trajectory.field_array(name)[level] for name in _STATE_FIELDS]])
 
 
 def _cmd_simulate(config_path):
-    from .config import load_config
-    from .state import solve_state
-
     cfg = load_config(config_path)
     _check_model(cfg)
     out_dir = _prepare_output(cfg)
@@ -174,10 +148,6 @@ def _cmd_simulate(config_path):
 
 
 def _cmd_optimize(config_path):
-    from .config import load_config
-    from .control import projected_gradient_descent
-    from .grid import write_space_time_csv
-
     cfg = load_config(config_path)
     _check_model(cfg)
     problem = cfg.verify_problem()
@@ -206,11 +176,6 @@ def _cmd_optimize(config_path):
 
 
 def _cmd_verify(suite, config_path):
-    import dataclasses
-
-    from .config import load_config
-    from .verification import run_suite
-
     cfg = load_config(config_path)
     _check_model(cfg)
     problem = cfg.verify_problem()
@@ -247,7 +212,6 @@ def _cmd_verify(suite, config_path):
 def main(argv=None):
     """CLI entry point; returns the process exit code."""
     try:
-        _apply_thread_limit()
         parser = _build_parser()
         args = parser.parse_args(argv)
         if args.command == "simulate":

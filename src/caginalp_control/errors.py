@@ -3,6 +3,8 @@ names the sweep a solver failure came from."""
 
 import functools
 
+__all__ = ["ConfigurationError", "SolverError", "OptimizerError"]
+
 
 class ConfigurationError(ValueError):
     """Raised when run parameters, model data, or a config file are invalid.

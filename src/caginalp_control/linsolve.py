@@ -59,7 +59,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import SolverError
 
-__all__ = ["SolveCounter", "FactorizedOperator", "MatVec"]
+__all__ = ["FactorizedOperator"]
 
 # Backward error at which a solve counts as converged to rounding level, a
 # few units of roundoff.

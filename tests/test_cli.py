@@ -14,7 +14,6 @@ from conftest import DESK_CFG
 
 import caginalp_control
 from caginalp_control import (
-    ConfigurationError,
     Field,
     Grid,
     SpaceTimeField,
@@ -29,7 +28,6 @@ from caginalp_control.cli import (
     EXIT_OPTIMIZER,
     EXIT_SOLVER,
     EXIT_VERIFY,
-    _apply_thread_limit,
     _write_state_slice,
     main,
 )
@@ -289,6 +287,15 @@ def test_verify_negative_seed_exits_2(tmp_path, capsys):
     assert "[verify]: seed must be nonnegative" in capsys.readouterr().err
 
 
+def test_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys):
+    (tmp_path / "taken").write_text("a regular file\n")
+    cfg = _write(tmp_path, BASE + "\n[output]\ndir = taken\n")
+    assert main(["simulate", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[output].dir" in err
+    assert str(tmp_path / "taken") in err
+
+
 def test_verify_fault_injection_exits_5(tmp_path, capsys, flipped_adjoint):
     text = BASE + COST_BOX + "\n[output]\ndir = flip_out\n"
     cfg = _write(tmp_path, text)
@@ -332,51 +339,17 @@ def test_desk_verify_report_writes_every_verdict_as_true_or_false(
     assert set(verdicts) <= {"true", "false"}
 
 
-def test_thread_limit_parsing():
-    env = {"CAGINALP_THREADS": "3"}
-    _apply_thread_limit(env)
-    assert env["OMP_NUM_THREADS"] == "3"
-    assert env["OPENBLAS_NUM_THREADS"] == "3"
-    assert env["MKL_NUM_THREADS"] == "3"
-
-    auto = {"CAGINALP_THREADS": "0"}
-    _apply_thread_limit(auto)
-    assert "OMP_NUM_THREADS" not in auto
-
-    unset = {}
-    _apply_thread_limit(unset)
-    assert unset == {}
-
-    blank = {"CAGINALP_THREADS": "  "}
-    _apply_thread_limit(blank)
-    assert "OMP_NUM_THREADS" not in blank
-
-    with pytest.raises(ConfigurationError, match="non-negative integer"):
-        _apply_thread_limit({"CAGINALP_THREADS": "abc"})
-    with pytest.raises(ConfigurationError, match="non-negative integer"):
-        _apply_thread_limit({"CAGINALP_THREADS": "-2"})
-
-
-def test_importing_the_cli_loads_no_array_library():
-    # CAGINALP_THREADS caps the BLAS pools only if it is applied before the
-    # first numpy import, so the package and its CLI defer every array
-    # library import to the command handlers.
+def test_module_entry_point_runs_simulate(tmp_path):
+    cfg = _write(tmp_path, BASE + "\n[output]\ndir = module_out\n")
     src = os.path.dirname(os.path.dirname(caginalp_control.__file__))
-    code = ("import sys, caginalp_control, caginalp_control.cli;"
-            " print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_thread_limit_error_surfaces_as_exit_2(tmp_path, capsys,
-                                               monkeypatch):
-    monkeypatch.setenv("CAGINALP_THREADS", "bogus")
-    cfg = _write(tmp_path, BASE)
-    assert main(["simulate", cfg]) == EXIT_CONFIG
-    assert "CAGINALP_THREADS" in capsys.readouterr().err
+    env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "caginalp_control", "simulate",
+         cfg], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "simulate: 4 steps" in proc.stdout
+    diag = _read(tmp_path, "module_out", "diagnostics.csv").decode()
+    assert len(diag.strip().split("\n")) == 1 + (4 + 1)
 
 
 def test_verify_keeps_the_report_that_optimize_wrote(tmp_path, capsys):

@@ -1,9 +1,7 @@
-"""The package's lazy re-exports name attributes that exist, each of its
-modules imports only the layers below it, and only the block solves raise a
-SolverError."""
+"""Each of the package's modules imports only the layers below it, and only
+the block solves raise a SolverError."""
 
 import ast
-import importlib
 import pathlib
 
 import caginalp_control
@@ -14,18 +12,6 @@ LAYERS = ("errors", "grid", "model", "linsolve", "state", "linearized",
 # (module, function, imported module) of the one upward import:
 # reduced_gradient stays in adjoint and reads the gradient from control.
 ALLOWED_UPWARD = {("adjoint", "reduced_gradient", "control")}
-
-
-def test_every_lazy_export_resolves_in_its_module():
-    # A stale entry fails only when someone reads it, never on import.
-    missing = []
-    for name, module_name in caginalp_control._EXPORTS.items():
-        module = importlib.import_module(f"caginalp_control.{module_name}")
-        if not hasattr(module, name):
-            missing.append(f"{module_name}.{name}")
-            continue
-        assert getattr(caginalp_control, name) is getattr(module, name)
-    assert not missing, f"exported names without an attribute: {missing}"
 
 
 def _relative_imports(node, function=None):
