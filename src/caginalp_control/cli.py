@@ -4,7 +4,8 @@ Exit codes are stable:
 
 - 0: success (for ``verify``: every selected check passed);
 - 2: configuration problem (bad config file, bad suite name, failed model
-  hypothesis checks, an ``[output] dir`` that cannot be created);
+  hypothesis checks, an ``[output] dir`` that cannot be created or a report
+  in it that cannot be written);
 - 3: the forward solver failed;
 - 4: the optimization loop aborted;
 - 5: at least one verification check failed.
@@ -221,6 +222,10 @@ def main(argv=None):
         return _cmd_verify(args.suite, args.config)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: [output].dir: cannot write {exc.filename!r}:"
+              f" {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"error: forward solve failed: {exc}", file=sys.stderr)

@@ -25,8 +25,9 @@ supply) use a small source grammar:
   config's own state under the named control, which makes the targets
   reachable; the control is any source ``[solver] control`` accepts.
 
-The parsed result can re-emit itself as an ``effective_config`` file with
-all defaults filled in, numbers in round-trip precision and paths absolute;
+A key's canonical text is decided where the key is parsed: numbers in
+round-trip precision, paths absolute, and a defaulted key given its default.
+The parsed result prints these texts as an ``effective_config`` file, and
 loading that file reproduces the run exactly.
 """
 
@@ -147,27 +148,6 @@ _REQUIRED_KEYS = {
 _REQUIRED_SECTIONS = ("grid", "time", "model", "solver")
 
 
-def _field_pairs(obj, **special):
-    """``(key, text)`` of each config key among obj's fields, in field order.
-
-    Scalar fields are formatted by type. A field named in ``special`` is
-    emitted as the text given there, or left out where that is None; the
-    other fields are not config keys.
-    """
-    scalars = dict(_scalar_fields(type(obj)))
-    pairs = []
-    for f in dataclasses.fields(obj):
-        if f.name in special:
-            text = special[f.name]
-        elif f.name in scalars:
-            text = _FORMATS[scalars[f.name]](getattr(obj, f.name))
-        else:
-            continue
-        if text is not None:
-            pairs.append((f.name, text))
-    return pairs
-
-
 class RunConfig:
     """One parsed config: model data, discretization, cost and outputs.
 
@@ -175,16 +155,16 @@ class RunConfig:
     error surfaces before any solve starts. Optional problem pieces (cost,
     admissible set) are None when their sections are absent.
 
-    Each distinct control named by a ``from_control:`` target is solved
-    once per load, keyed by its canonical text; the table is dropped when
-    the load ends.
+    The builder that parses a key records its canonical text in place of
+    the text read, and effective_config prints the records. Each distinct
+    control named by a ``from_control:`` target is solved once per load,
+    keyed by its canonical text; the table is dropped when the load ends.
     """
 
     def __init__(self, path):
         path = os.path.abspath(path)
         if not os.path.isfile(path):
             raise ConfigurationError(f"config file not found: {path}")
-        self.path = path
         self.base_dir = os.path.dirname(path)
 
         parser = configparser.ConfigParser(interpolation=None,
@@ -241,19 +221,28 @@ class RunConfig:
     def _resolve(self, relpath):
         return os.path.abspath(os.path.join(self.base_dir, relpath))
 
+    def _record(self, section, key, text):
+        """Keep ``text`` as the canonical text of ``[section].key``."""
+        self._raw.setdefault(section, {})[key] = text
+
     def _dataclass(self, section, **special):
         """The section's dataclass, from the scalar keys the section sets
-        and the ``special`` fields; an absent key keeps its default."""
+        and the ``special`` fields; an absent key keeps its default. Every
+        scalar field is recorded, defaults included."""
         cls = _SECTIONS[section][0]
+        fields = _scalar_fields(cls)
         values = {}
-        for name, kind in _scalar_fields(cls):
+        for name, kind in fields:
             raw = self._get(section, name)
             if raw is not None:
                 values[name] = _PARSERS[kind](section, name, raw)
         try:
-            return cls(**values, **special)
+            built = cls(**values, **special)
         except ConfigurationError as exc:
             raise ConfigurationError(f"[{section}]: {exc}")
+        for name, kind in fields:
+            self._record(section, name, _FORMATS[kind](getattr(built, name)))
+        return built
 
     # -- section builders ---------------------------------------------------
 
@@ -265,13 +254,14 @@ class RunConfig:
             self.grid = Grid(n, length)
         except ConfigurationError as exc:
             raise ConfigurationError(f"[grid]: {exc}")
+        self._record("grid", "n", ",".join(map(str, self.grid.n)))
+        self._record("grid", "length",
+                     ",".join(map(_float_str, self.grid.length)))
 
         t_final = _parse_float("time", "t_final",
                                self._get("time", "t_final"))
         if t_final <= 0.0:
             _fail("time", "t_final", f"must be positive, got {t_final}")
-        self.t_final = t_final
-
         nt = _parse_int("solver", "nt", self._get("solver", "nt"))
         if nt < 1:
             _fail("solver", "nt", f"must be at least 1, got {nt}")
@@ -279,12 +269,14 @@ class RunConfig:
             self.time_grid = TimeGrid(t_final, nt)
         except ConfigurationError as exc:
             raise ConfigurationError(f"[time]: {exc}")
+        self._record("time", "t_final", _float_str(t_final))
+        self._record("solver", "nt", str(nt))
 
     def _build_model(self):
         sigma_raw = self._get("model", "sigma_b", "1.0")
         try:
             sigma_b = float(sigma_raw)
-            self._sigma_b_raw = _float_str(sigma_b)
+            self._record("model", "sigma_b", _float_str(sigma_b))
         except ValueError:
             resolved = self._resolve(sigma_raw)
             try:
@@ -294,7 +286,7 @@ class RunConfig:
             if sigma_b.grid != self.grid:
                 _fail("model", "sigma_b",
                       "field grid does not match [grid]")
-            self._sigma_b_raw = resolved
+            self._record("model", "sigma_b", resolved)
 
         nl_raw = self._get("model", "nonlinearity", "default")
         if nl_raw == "default":
@@ -306,7 +298,7 @@ class RunConfig:
         else:
             _fail("model", "nonlinearity",
                   f"expected 'default' or 'custom:<path>', got {nl_raw!r}")
-        self._nonlinearity_raw = nl_raw
+        self._record("model", "nonlinearity", nl_raw)
         self.potential = default_potential()
         self.params = self._dataclass("model", sigma_b=sigma_b)
 
@@ -376,6 +368,8 @@ class RunConfig:
         if not indices:
             _fail("output", "slices", "no time indices given")
         self.output_slices = tuple(indices)
+        self._record("output", "dir", self.output_dir)
+        self._record("output", "slices", ",".join(map(str, indices)))
 
     # -- field sources ------------------------------------------------------
 
@@ -404,18 +398,19 @@ class RunConfig:
         """
         raw = raw.strip()
         if raw == "zero":
-            self._raw[section][key] = "zero"
+            self._record(section, key, "zero")
             profile = np.zeros(self.grid.shape)
         elif raw.startswith("constant:"):
             value = _parse_float(section, key, raw[len("constant:"):])
-            self._raw[section][key] = f"constant:{_float_str(value)}"
+            self._record(section, key, f"constant:{_float_str(value)}")
             profile = np.full(self.grid.shape, value)
         elif raw.startswith("cosine:"):
-            profile, self._raw[section][key] = self._parse_cosine(
+            profile, canonical = self._parse_cosine(
                 section, key, raw[len("cosine:"):])
+            self._record(section, key, canonical)
         elif raw.startswith("file:"):
             resolved = self._resolve(raw[len("file:"):])
-            self._raw[section][key] = f"file:{resolved}"
+            self._record(section, key, f"file:{resolved}")
             reader = read_space_time_csv if space_time else read_field_csv
             try:
                 field = reader(resolved)
@@ -433,7 +428,7 @@ class RunConfig:
             control = self._source(section, key, raw[len("from_control:"):],
                                    space_time=True)
             canonical = self._raw[section][key]
-            self._raw[section][key] = f"from_control:{canonical}"
+            self._record(section, key, f"from_control:{canonical}")
             if canonical not in self._target_states:
                 self._target_states[canonical] = solve_state(
                     self.init, control, self.solver, self.params,
@@ -468,48 +463,18 @@ class RunConfig:
         )
 
     def effective_config(self):
-        """Round-trip config text with defaults resolved.
-
-        Numbers are emitted in round-trip precision, file paths absolute,
-        and every defaulted key made explicit, so loading the emitted text
-        reproduces this run.
+        """Round-trip config text: the canonical text the builders recorded
+        for each key, in the order of the sections and keys a config
+        accepts. Loading the emitted text reproduces this run.
         """
         lines = []
-
-        def emit(section, pairs):
-            lines.append(f"[{section}]")
-            for key, value in pairs:
-                lines.append(f"{key} = {value}")
-            lines.append("")
-
-        emit("grid", [
-            ("n", ",".join(str(c) for c in self.grid.n)),
-            ("length", ",".join(_float_str(c) for c in self.grid.length)),
-        ])
-        emit("time", [("t_final", _float_str(self.t_final))])
-
-        emit("model", _field_pairs(self.params, sigma_b=self._sigma_b_raw)
-             + [("nonlinearity", self._nonlinearity_raw)])
-
-        solver_raw = self._raw["solver"]
-        emit("solver", [("nt", str(self.time_grid.nt))]
-             + _field_pairs(self.solver)
-             + [("control", solver_raw.get("control", "zero"))]
-             + [(key, solver_raw[key]) for key in _INITIAL_KEYS])
-
-        if self.cost is not None:
-            cost_raw = self._raw["cost"]
-            emit("cost", _field_pairs(self.cost, **{
-                key: cost_raw.get(key) for key in _TARGET_KEYS}))
-        if self.admissible is not None:
-            emit("admissible", _field_pairs(self.admissible))
-        emit("optimizer", _field_pairs(self.optimizer))
-        emit("verify", _field_pairs(self.verify))
-
-        emit("output", [
-            ("dir", self.output_dir),
-            ("slices", ",".join(str(i) for i in self.output_slices)),
-        ])
+        for section, keys in _KNOWN_KEYS.items():
+            if section in self._raw:
+                recorded = self._raw[section]
+                lines.append(f"[{section}]")
+                lines.extend(f"{key} = {recorded[key]}" for key in keys
+                             if key in recorded)
+                lines.append("")
         return "\n".join(lines)
 
 

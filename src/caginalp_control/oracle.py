@@ -22,6 +22,8 @@ dense space-time matrices small and guard against accidental misuse.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -203,6 +205,8 @@ def dense_oracle_solve(init, u, params, nl, pot):
                                         "sigma": sigma})
 
 
+# The linearized and adjoint oracles on one base share one assembly.
+@functools.lru_cache(maxsize=1)
 def _space_time_system(base, params, nl, pot):
     """Assemble the space-time Jacobian of the discrete stepping map.
 

@@ -296,6 +296,17 @@ def test_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys):
     assert str(tmp_path / "taken") in err
 
 
+def test_report_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # The write fails after the solve; main reports it in one line instead
+    # of raising.
+    (tmp_path / "out" / "diagnostics.csv").mkdir(parents=True)
+    assert main(["simulate", _write(tmp_path, BASE)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: [output].dir: cannot write ")
+    assert str(tmp_path / "out" / "diagnostics.csv") in err
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_fault_injection_exits_5(tmp_path, capsys, flipped_adjoint):
     text = BASE + COST_BOX + "\n[output]\ndir = flip_out\n"
     cfg = _write(tmp_path, text)

@@ -1,5 +1,6 @@
 """Config parsing: grammar, defaults, sources, control targets, round trip."""
 
+import configparser
 import dataclasses
 import shutil
 import textwrap
@@ -284,26 +285,29 @@ def test_sigma_b_bad_file_is_a_config_error(tmp_path):
         load_config(_write(tmp_path, text))
 
 
+# A custom nonlinearity file: a steeper phase gate than the default.
+_GATES = textwrap.dedent("""\
+    import numpy as np
+
+    from caginalp_control import Nonlinearities
+
+
+    def make_nonlinearities():
+        return Nonlinearities(
+            H_gate=lambda s: 0.5 * (1.0 + np.tanh(4.0 * np.asarray(s))),
+            H_gate_prime=lambda s: 2.0 / np.cosh(4.0 * np.asarray(s)) ** 2,
+            H_gate_second=lambda s: -16.0 * np.tanh(4.0 * np.asarray(s))
+            / np.cosh(4.0 * np.asarray(s)) ** 2 / 2.0,
+            K_temp=lambda s: 0.5 * (1.0 + np.tanh(np.asarray(s))),
+            K_temp_prime=lambda s: 0.5 / np.cosh(np.asarray(s)) ** 2,
+            K_temp_second=lambda s: -np.tanh(np.asarray(s))
+            / np.cosh(np.asarray(s)) ** 2,
+        )
+    """)
+
+
 def test_custom_nonlinearity_file(tmp_path):
-    (tmp_path / "gates.py").write_text(textwrap.dedent("""\
-        import numpy as np
-
-        from caginalp_control import Nonlinearities
-
-
-        def make_nonlinearities():
-            return Nonlinearities(
-                H_gate=lambda s: 0.5 * (1.0 + np.tanh(4.0 * np.asarray(s))),
-                H_gate_prime=lambda s: 2.0 / np.cosh(
-                    4.0 * np.asarray(s)) ** 2,
-                H_gate_second=lambda s: -16.0 * np.tanh(4.0 * np.asarray(s))
-                / np.cosh(4.0 * np.asarray(s)) ** 2 / 2.0,
-                K_temp=lambda s: 0.5 * (1.0 + np.tanh(np.asarray(s))),
-                K_temp_prime=lambda s: 0.5 / np.cosh(np.asarray(s)) ** 2,
-                K_temp_second=lambda s: -np.tanh(np.asarray(s))
-                / np.cosh(np.asarray(s)) ** 2,
-            )
-        """))
+    (tmp_path / "gates.py").write_text(_GATES)
     text = MINIMAL.replace("chi = 0.3",
                            "chi = 0.3\nnonlinearity = custom:gates.py")
     cfg = load_config(_write(tmp_path, text))
@@ -411,36 +415,76 @@ def test_output_slices_parsing_and_bounds(tmp_path):
         load_config(_write(tmp_path, bad, "bad.cfg"))
 
 
-@pytest.mark.parametrize("control", [
-    "zero", "constant:0.2", "cosine:0.3,2,0.1", "file:u.csv"],
-    ids=["zero", "constant", "cosine", "file"])
-def test_effective_config_round_trips_bitwise(tmp_path, control):
+# Each case names the control of its from_control target, or None for a
+# config without [cost] and [admissible], and makes one edit to MINIMAL.
+@pytest.mark.parametrize("control, old, new", [
+    ("zero", "", ""),
+    ("constant:0.2", "", ""),
+    ("cosine:0.3,2,0.1", "", ""),
+    ("file:u.csv", "", ""),
+    ("zero", "n = 9\nlength = 1.0", "n = 5,4\nlength = 1.0,2.0"),
+    ("zero", "chi = 0.3", "chi = 0.3\nsigma_b = 0.75"),
+    ("zero", "chi = 0.3", "chi = 0.3\nsigma_b = supply.csv"),
+    ("zero", "chi = 0.3", "chi = 0.3\nnonlinearity = custom:gates.py"),
+    ("zero", "sigma0 = constant:1.0",
+     "sigma0 = constant:1.0\n\n[output]\ndir = results\nslices = 4, 0,2"),
+    (None, "", ""),
+], ids=["zero", "constant", "cosine", "file", "2d", "sigma-b-scalar",
+        "sigma-b-file", "custom-nonlinearity", "output", "no-cost"])
+def test_effective_config_round_trips_bitwise(tmp_path, control, old, new):
     rng = np.random.default_rng(11)
-    write_space_time_csv(SpaceTimeField(
-        TimeGrid(0.2, 4), Grid(9, 1.0), rng.normal(size=(5, 9))),
-        str(tmp_path / "u.csv"))
-    text = MINIMAL.replace("theta0 = zero", "theta0 = cosine:0.05,1") \
-        + _COST_BOX.format(targets=f"theta_q = from_control:{control}")
-    first = load_config(_write(tmp_path, text))
+    for name in ("u.csv", "supply.csv"):
+        write_space_time_csv(SpaceTimeField(
+            TimeGrid(0.2, 4), Grid(9, 1.0), rng.uniform(0.5, 1.5, (5, 9))),
+            str(tmp_path / name))
+    (tmp_path / "gates.py").write_text(_GATES)
+    text = MINIMAL.replace("theta0 = zero", "theta0 = cosine:0.05,1")
+    if control is not None:
+        text += _COST_BOX.format(targets=f"theta_q = from_control:{control}")
+    first = load_config(_write(tmp_path, text.replace(old, new)))
     emitted = first.effective_config()
     second = load_config(_write(tmp_path, emitted, "effective.cfg"))
     assert second.effective_config() == emitted
     assert second.grid == first.grid
     assert second.time_grid == first.time_grid
-    assert second.params == first.params
+    supplies = [np.asarray(getattr(cfg.params.sigma_b, "values",
+                                   cfg.params.sigma_b))
+                for cfg in (first, second)]
+    assert np.array_equal(*supplies)
+    assert dataclasses.replace(second.params, sigma_b=1.0) \
+        == dataclasses.replace(first.params, sigma_b=1.0)
+    assert second.nonlinearities.H_gate(0.25) \
+        == first.nonlinearities.H_gate(0.25)
     assert np.array_equal(second.init.theta0.values,
                           first.init.theta0.values)
     assert np.array_equal(second.control.values, first.control.values)
-    assert np.array_equal(second.cost.theta_q.values,
-                          first.cost.theta_q.values)
-    assert second.cost.b1 == first.cost.b1
+    if control is None:
+        assert second.cost is second.admissible is None
+    else:
+        assert np.array_equal(second.cost.theta_q.values,
+                              first.cost.theta_q.values)
+        assert dataclasses.replace(second.cost, theta_q=None) \
+            == dataclasses.replace(first.cost, theta_q=None)
     assert second.admissible == first.admissible
     assert second.optimizer == first.optimizer
     assert second.verify.seed == first.verify.seed
+    assert second.output_dir == first.output_dir
     assert second.output_slices == first.output_slices
-    # The effective text is explicit: defaults appear as concrete keys.
-    assert "linear_tol = 1e-12" in emitted
-    assert "nt = 4" in emitted
+
+    # Every section present is spelled out: each key a config accepts, in
+    # the order of _KNOWN_KEYS, defaults included; only cost targets left
+    # unset are absent.
+    parser = configparser.ConfigParser(interpolation=None,
+                                       delimiters=("=",))
+    parser.optionxform = str
+    parser.read_string(emitted)
+    assert parser.sections() == [
+        section for section in config._KNOWN_KEYS
+        if control is not None or section not in ("cost", "admissible")]
+    for section in parser.sections():
+        keys = [key for key in config._KNOWN_KEYS[section]
+                if section != "cost" or getattr(first.cost, key) is not None]
+        assert list(parser[section]) == keys, section
 
 
 # Every float and int key, with a legal value other than its default,

@@ -1,5 +1,7 @@
 """Dense reference implementations: size caps and hand-checked values."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import desk_params
@@ -156,6 +158,28 @@ def test_sweeps_reject_data_on_other_grids():
     with pytest.raises(ConfigurationError, match="control grids"):
         oracle_cost(base, SpaceTimeField.zeros(longer, base.grid),
                     CostSpec(b1=1.0, b2=0.0, b3=0.0, b4=0.0, b5=1.0))
+
+
+def test_adjoint_after_linearized_on_one_base_calls_no_model_function():
+    time_grid = TimeGrid(0.3, 3)
+    init, u, params, nl, pot = _tiny_run(time_grid)
+    calls = []
+
+    def counted(name):
+        real = getattr(nl, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    nl = dataclasses.replace(nl, **{name: counted(name) for name in (
+        "H_gate", "H_gate_prime", "H_gate_second", "K_temp", "K_temp_prime",
+        "K_temp_second")})
+    base = dense_oracle_solve(init, u, params, nl, pot)
+    oracle_linearized(base, params, nl, pot,
+                      SpaceTimeField.zeros(time_grid, base.grid))
+    assert calls
+    calls.clear()
+    oracle_adjoint(base, params, nl, pot,
+                   AdjointSources(time_grid, base.grid))
+    assert calls == []
 
 
 def test_cost_without_targets_matches_fast_path():
