@@ -10,6 +10,9 @@ Exit codes are stable:
 - 4: the optimization loop aborted;
 - 5: at least one verification check failed.
 
+Every handler starts from ``load_config``, which checks the model's standing
+hypotheses before any solve, so a failed check exits 2 before a sweep runs.
+
 All CSV files are written with round-trip float precision and Unix line
 endings, so repeated runs of the same config are byte-identical.
 """
@@ -25,7 +28,6 @@ from .config import EFFECTIVE_CONFIG_NAME, load_config
 from .control import projected_gradient_descent
 from .errors import ConfigurationError, OptimizerError, SolverError
 from .grid import _FMT, _write_node_table, write_space_time_csv
-from .model import validate
 from .state import solve_state
 from .verification import run_suite
 
@@ -86,25 +88,8 @@ def _write_csv(path, header, rows, seed=None):
         handle.write("\n".join(lines) + "\n")
 
 
-def _check_model(cfg):
-    """Run the hypothesis checks; any failure is a configuration error."""
-    report = validate(cfg.params, cfg.nonlinearities, cfg.potential)
-    if report.all_passed:
-        return
-    parts = []
-    for check in report.failures():
-        suffix = f" ({check.witness})" if check.witness else ""
-        parts.append(f"[{check.hypothesis}] {check.description}{suffix}")
-    raise ConfigurationError("model hypothesis checks failed: "
-                             + "; ".join(parts))
-
-
 def _prepare_output(cfg):
-    try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"[output].dir: cannot create {cfg.output_dir!r}: {exc.strerror}")
+    os.makedirs(cfg.output_dir, exist_ok=True)
     return cfg.output_dir
 
 
@@ -125,7 +110,6 @@ def _write_state_slice(path, trajectory, level):
 
 def _cmd_simulate(config_path):
     cfg = load_config(config_path)
-    _check_model(cfg)
     out_dir = _prepare_output(cfg)
 
     trajectory = solve_state(cfg.init, cfg.control, cfg.solver, cfg.params,
@@ -150,7 +134,6 @@ def _cmd_simulate(config_path):
 
 def _cmd_optimize(config_path):
     cfg = load_config(config_path)
-    _check_model(cfg)
     problem = cfg.verify_problem()
     out_dir = _prepare_output(cfg)
 
@@ -178,7 +161,6 @@ def _cmd_optimize(config_path):
 
 def _cmd_verify(suite, config_path):
     cfg = load_config(config_path)
-    _check_model(cfg)
     problem = cfg.verify_problem()
     verify_cfg = cfg.verify
     if suite != "all":

@@ -11,8 +11,9 @@ AdmissibleSet, OptimizerConfig and VerifySuiteConfig for ``[solver]``,
 ``[cost]``, ``[admissible]``, ``[optimizer]`` and ``[verify]``. Each field
 gives its key's name, type and default; an absent key keeps the default.
 
-Field-valued entries (initial data, controls, tracking targets, the far-field
-supply) use a small source grammar:
+``[model] sigma_b``, the far-field supply, takes a number or a bare path to
+a space-time CSV. The other field-valued entries (initial data, controls,
+tracking targets) use a small source grammar:
 
 - ``zero``: the zero field;
 - ``constant:<v>``: a spatially constant field;
@@ -24,6 +25,11 @@ supply) use a small source grammar:
 - ``from_control:<space-time source>`` (tracking targets only): this
   config's own state under the named control, which makes the targets
   reachable; the control is any source ``[solver] control`` accepts.
+
+The model is validated where it is built: once ``[model]`` gives the
+constants, the gates and the potential, the standing hypotheses are checked
+and a space-time ``sigma_b`` is sampled at every step start of the run,
+before any ``from_control:`` target is solved.
 
 A key's canonical text is decided where the key is parsed: numbers in
 round-trip precision, paths absolute, and a defaulted key given its default.
@@ -56,6 +62,7 @@ from .model import (
     Nonlinearities,
     default_nonlinearities,
     default_potential,
+    validate,
 )
 from .state import InitialData, SolverConfig, solve_state
 from .verification import VerifySuiteConfig
@@ -153,7 +160,11 @@ class RunConfig:
 
     Attributes are built eagerly at load time so that every configuration
     error surfaces before any solve starts. Optional problem pieces (cost,
-    admissible set) are None when their sections are absent.
+    admissible set) are None when their sections are absent. This is where
+    a run's model is admitted: a failed hypothesis check is a
+    ConfigurationError naming ``[model]``, raised before any target solve,
+    so every subcommand and every caller of load_config sees a validated
+    model.
 
     The builder that parses a key records its canonical text in place of
     the text read, and effective_config prints the records. Each distinct
@@ -283,9 +294,6 @@ class RunConfig:
                 sigma_b = read_space_time_csv(resolved)
             except _READ_ERRORS as exc:
                 _fail("model", "sigma_b", f"could not read {resolved}: {exc}")
-            if sigma_b.grid != self.grid:
-                _fail("model", "sigma_b",
-                      "field grid does not match [grid]")
             self._record("model", "sigma_b", resolved)
 
         nl_raw = self._get("model", "nonlinearity", "default")
@@ -301,6 +309,20 @@ class RunConfig:
         self._record("model", "nonlinearity", nl_raw)
         self.potential = default_potential()
         self.params = self._dataclass("model", sigma_b=sigma_b)
+        if isinstance(sigma_b, SpaceTimeField):
+            try:
+                for t in self.time_grid.times[:-1]:
+                    self.params.sigma_b_at(t, self.time_grid.dt, self.grid)
+            except ConfigurationError as exc:
+                _fail("model", "sigma_b", exc)
+        failures = validate(self.params, self.nonlinearities,
+                            self.potential).failures()
+        if failures:
+            parts = [f"[{c.hypothesis}] {c.description}"
+                     + (f" ({c.witness})" if c.witness else "")
+                     for c in failures]
+            raise ConfigurationError("[model]: hypothesis checks failed: "
+                                     + "; ".join(parts))
 
     def _load_custom_nonlinearities(self, relpath):
         resolved = self._resolve(relpath)

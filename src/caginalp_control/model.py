@@ -6,12 +6,13 @@ with a structured validation pass over the standing hypotheses: positivity of
 the physical constants, boundedness of the gates, lower-boundedness of the
 potential, and finite-difference consistency of every declared derivative.
 
-Constructors are deliberately permissive about the signs that the hypotheses
-constrain (ell, Lambda, chi): several verification regimes legitimately zero
-couplings out, so those conditions are reported by :func:`validate` rather
-than enforced at construction. Structural sign requirements the scheme itself
-relies on (tau and the rate constants lambda_* being nonnegative) are
-enforced immediately.
+Each hypothesis has one owner. :class:`ModelParams` owns finiteness and the
+signs the scheme itself relies on: every constant and a scalar ``sigma_b``
+finite, tau and the rates lambda_* at least 0. It is deliberately
+permissive about the signs of ell, Lambda and chi, since several
+verification regimes legitimately zero those couplings out. :func:`validate`
+owns what ModelParams leaves open: the positivity of ell, Lambda and chi,
+the gate bounds, the potential's lower bound and every derivative.
 """
 
 from __future__ import annotations
@@ -67,25 +68,17 @@ class ModelParams:
     sigma_b: Union[float, SpaceTimeField] = 1.0
 
     def __post_init__(self):
-        for name in ("ell", "lambda_big", "chi", "tau"):
+        for name in ("ell", "lambda_big", "chi", "sigma_b"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            # A space-time supply is finite by construction.
+            if not (isinstance(value, SpaceTimeField) or np.isfinite(value)):
                 raise ConfigurationError(f"{name} must be finite, got {value}")
-        if self.tau < 0.0:
-            raise ConfigurationError(f"tau must be nonnegative, got {self.tau}")
-        for name in (
-            "lambda_p",
-            "lambda_a",
-            "lambda_e",
-            "lambda_c",
-            "lambda_b",
-            "lambda_d",
-        ):
+        for name in ("tau", "lambda_p", "lambda_a", "lambda_e", "lambda_c",
+                     "lambda_b", "lambda_d"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0.0:
                 raise ConfigurationError(
-                    f"{name} must be a nonnegative real, got {value}"
-                )
+                    f"{name} must be a finite real >= 0, got {value}")
 
     def sigma_b_at(self, t, dt, grid):
         """Far-field supply for the step of length dt starting at time t.
@@ -281,10 +274,11 @@ def _fd_consistency(fn, derivative, sample):
 def validate(params, nl, pot):
     """Check the standing hypotheses and report each verdict.
 
-    Every check runs regardless of earlier failures; a check that raises is
-    reported as failed with the exception as witness. Growth conditions that
-    are global statements are checked on the sample only, which the report
-    wording makes explicit.
+    What :class:`ModelParams` enforces at construction is not checked
+    again. Every check runs regardless of earlier failures; a check that
+    raises is reported as failed with the exception as witness. Growth
+    conditions that are global statements are checked on the sample only,
+    which the report wording makes explicit.
 
     Args:
         params: Model constants.
@@ -311,27 +305,8 @@ def validate(params, nl, pot):
             return value > 0.0, f"{name}={value}"
         return body
 
-    def nonnegative(name):
-        def body():
-            value = getattr(params, name)
-            return value >= 0.0, f"{name}={value}"
-        return body
-
     for name in ("ell", "lambda_big", "chi"):
         run("H1", f"{name} positive", positive(name))
-    run("H1", "tau nonnegative", nonnegative("tau"))
-    for name in ("lambda_p", "lambda_a", "lambda_e", "lambda_c", "lambda_b",
-                 "lambda_d"):
-        run("H1", f"{name} nonnegative", nonnegative(name))
-
-    def sigma_b_finite():
-        if isinstance(params.sigma_b, SpaceTimeField):
-            ok = bool(np.all(np.isfinite(params.sigma_b.values)))
-            return ok, "sigma_b field"
-        ok = bool(np.isfinite(params.sigma_b))
-        return ok, f"sigma_b={params.sigma_b}"
-
-    run("H2", "sigma_b finite", sigma_b_finite)
 
     def bounded(fn, lo, hi, label):
         def body():

@@ -191,6 +191,43 @@ def test_failed_hypothesis_exits_2(tmp_path, capsys):
     assert "chi" in err
 
 
+_GROWING_GATE = """\
+import dataclasses
+
+import numpy as np
+
+from caginalp_control import default_nonlinearities
+
+
+def grow(s):
+    with np.errstate(over="ignore"):
+        return np.exp(40.0 * np.asarray(s, dtype=float))
+
+
+def make_nonlinearities():
+    return dataclasses.replace(
+        default_nonlinearities(), H_gate=grow,
+        H_gate_prime=lambda s: 40.0 * grow(s),
+        H_gate_second=lambda s: 1600.0 * grow(s))
+"""
+
+
+def test_failed_hypothesis_exits_2_before_any_target_solve(tmp_path,
+                                                           capsys):
+    # The gated source would overflow in the target's own solve (exit 3);
+    # the model is rejected where the config builds it, before that solve.
+    (tmp_path / "gates.py").write_text(_GROWING_GATE)
+    text = (BASE.replace("chi = 0.3", "chi = 0.3\nlambda_p = 1.0\n"
+                         "nonlinearity = custom:gates.py")
+            + COST_BOX.replace("b5 = 1.0", "b5 = 1.0\n"
+                               "theta_q = from_control:cosine:0.4,1"))
+    assert main(["simulate", _write(tmp_path, text)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: [model]: hypothesis checks failed:")
+    assert "H_gate" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_solver_blowup_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, BASE.replace(
         "chi = 0.3", "chi = 0.3\nlambda_p = 1e300"))

@@ -297,7 +297,7 @@ _GATES = textwrap.dedent("""\
             H_gate=lambda s: 0.5 * (1.0 + np.tanh(4.0 * np.asarray(s))),
             H_gate_prime=lambda s: 2.0 / np.cosh(4.0 * np.asarray(s)) ** 2,
             H_gate_second=lambda s: -16.0 * np.tanh(4.0 * np.asarray(s))
-            / np.cosh(4.0 * np.asarray(s)) ** 2 / 2.0,
+            / np.cosh(4.0 * np.asarray(s)) ** 2,
             K_temp=lambda s: 0.5 * (1.0 + np.tanh(np.asarray(s))),
             K_temp_prime=lambda s: 0.5 / np.cosh(np.asarray(s)) ** 2,
             K_temp_second=lambda s: -np.tanh(np.asarray(s))
@@ -389,11 +389,19 @@ _NONLINEARITY = "chi = 0.3\nnonlinearity = {}"
      "theta_q = from_control:file:u.csv",
      {"u.csv": SpaceTimeField.zeros(TimeGrid(0.2, 8), Grid(9, 1.0))},
      "[cost].theta_q"),
+    ("chi = 0.3", "chi = -1.0", {}, "[model]"),
+    ("chi = 0.3", "chi = 0.3\nsigma_b = inf", {}, "[model]"),
+    # The supply ends at t = 0.1, before the run's last step starts.
+    ("chi = 0.3", "chi = 0.3\nlambda_b = 0.5\nsigma_b = supply.csv",
+     {"supply.csv": SpaceTimeField.constant(TimeGrid(0.1, 2), Grid(9, 1.0),
+                                            1.0)},
+     "[model].sigma_b"),
 ], ids=["grid-three-values", "grid-not-integer", "bad-integer",
         "non-finite", "t-final-not-positive", "nt-below-one",
         "nonlinearity-prefix", "nonlinearity-unreadable",
         "nonlinearity-raises", "nonlinearity-wrong-type", "slices-empty",
-        "reference-time-grid"])
+        "reference-time-grid", "hypothesis-failed", "sigma-b-not-finite",
+        "sigma-b-short-time-grid"])
 def test_invalid_value_names_its_key(tmp_path, old, new, files, key):
     for name, content in files.items():
         if isinstance(content, SpaceTimeField):

@@ -1,5 +1,6 @@
-"""Each of the package's modules imports only the layers below it, and only
-the block solves raise a SolverError."""
+"""Each of the package's modules imports only the layers below it, only
+the block solves raise a SolverError, and only the config validates the
+model."""
 
 import ast
 import pathlib
@@ -44,18 +45,31 @@ def test_modules_import_only_earlier_layers():
     assert not upward, f"imports of a later layer: {upward}"
 
 
-def test_only_the_block_solves_construct_solver_errors():
-    # A SolverError built outside linsolve would name no block; a sweep
-    # leaves non-finite values to the block solve that meets them.
+def _calls(name):
+    """``file:line`` of each call of ``name`` in the package."""
     package = pathlib.Path(caginalp_control.__file__).parent
-    builders = set()
+    calls = set()
     for path in package.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = getattr(func, "id", getattr(func, "attr", None))
-                if name == "SolverError":
-                    builders.add(f"{path.name}:{node.lineno}")
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    calls.add(f"{path.name}:{node.lineno}")
+    return calls
+
+
+def test_only_the_block_solves_construct_solver_errors():
+    # A SolverError built outside linsolve would name no block; a sweep
+    # leaves non-finite values to the block solve that meets them.
+    builders = _calls("SolverError")
     assert builders
     assert all(b.startswith("linsolve.py:") for b in builders), builders
+
+
+def test_only_the_config_validates_the_model():
+    # load_config admits a run's model before any target solve; a second
+    # check elsewhere would run after that solve, or not at all.
+    callers = _calls("validate")
+    assert callers
+    assert all(c.startswith("config.py:") for c in callers), callers

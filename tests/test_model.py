@@ -66,6 +66,8 @@ def test_model_params_structural_sign_checks():
         ModelParams(lambda_p=-1.0)
     with pytest.raises(ConfigurationError, match="ell"):
         ModelParams(ell=float("inf"))
+    with pytest.raises(ConfigurationError, match="sigma_b"):
+        ModelParams(sigma_b=float("nan"))
 
 
 def test_validate_defaults_all_pass():
