@@ -342,7 +342,11 @@ class RunConfig:
         if not callable(factory):
             _fail("model", "nonlinearity",
                   f"{resolved} must define make_nonlinearities()")
-        made = factory()
+        try:
+            made = factory()
+        except Exception as exc:
+            _fail("model", "nonlinearity",
+                  f"make_nonlinearities() in {resolved} raised: {exc!r}")
         if not isinstance(made, Nonlinearities):
             _fail("model", "nonlinearity",
                   "make_nonlinearities() must return a Nonlinearities")

@@ -287,8 +287,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be nonnegative")
-        if self.stationarity_tol < 0.0:
-            raise ConfigurationError("stationarity_tol must be nonnegative")
+        tol = self.stationarity_tol
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise ConfigurationError(
+                f"stationarity_tol must be a finite real >= 0, got {tol}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Model constants and nonlinear ingredients of the tumor-growth system.
 
 Holds the coupling constants, the proliferation gate and temperature response
-functions with their derivatives, and the double-well potential, together
-with a structured validation pass over the standing hypotheses: positivity of
-the physical constants, boundedness of the gates, lower-boundedness of the
-potential, and finite-difference consistency of every declared derivative.
+functions with their first derivatives (the only ones the sweeps call), and
+the double-well potential, together with a structured validation pass over
+the standing hypotheses: positivity of the physical constants, boundedness of
+the gates, lower-boundedness of the potential, and finite-difference
+consistency of every declared derivative.
 
 Each hypothesis has one owner. :class:`ModelParams` owns finiteness and the
 signs the scheme itself relies on: every constant and a scalar ``sigma_b``
@@ -109,7 +110,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Nonlinearities:
-    """Gate functions with first and second derivatives and sup bounds.
+    """Gate functions with their first derivatives and sup bounds.
 
     ``H_gate`` modulates the phase source by the local phase (near 0 in
     healthy tissue, near 1 in tumor); ``K_temp`` modulates nutrient decay by
@@ -119,10 +120,8 @@ class Nonlinearities:
 
     H_gate: Callable
     H_gate_prime: Callable
-    H_gate_second: Callable
     K_temp: Callable
     K_temp_prime: Callable
-    K_temp_second: Callable
     h_star: float = 1.0
     k_star: float = 1.0
 
@@ -131,15 +130,13 @@ class Nonlinearities:
 class Potential:
     """Double-well potential split as value, derivative chain, and bound.
 
-    ``f`` is the derivative of ``F_hat``; ``f_prime`` and ``f_second`` are
-    the next two derivatives (the last is needed only by validation).
+    ``f`` is the derivative of ``F_hat`` and ``f_prime`` that of ``f``.
     ``lower_bound_c0`` declares a constant with F_hat >= -lower_bound_c0.
     """
 
     F_hat: Callable
     f: Callable
     f_prime: Callable
-    f_second: Callable
     lower_bound_c0: float = 0.25
 
 
@@ -157,25 +154,17 @@ def default_nonlinearities():
     def h_prime(s):
         return 1.0 / np.cosh(2.0 * s) ** 2
 
-    def h_second(s):
-        return -4.0 * np.tanh(2.0 * s) / np.cosh(2.0 * s) ** 2
-
     def k_temp(s):
         return 0.5 * (1.0 + np.tanh(s))
 
     def k_prime(s):
         return 0.5 / np.cosh(s) ** 2
 
-    def k_second(s):
-        return -np.tanh(s) / np.cosh(s) ** 2
-
     return Nonlinearities(
         H_gate=h_gate,
         H_gate_prime=h_prime,
-        H_gate_second=h_second,
         K_temp=k_temp,
         K_temp_prime=k_prime,
-        K_temp_second=k_second,
         h_star=1.0,
         k_star=1.0,
     )
@@ -193,14 +182,10 @@ def default_potential():
     def f_prime(s):
         return 3.0 * np.square(s) - 1.0
 
-    def f_second(s):
-        return 6.0 * np.asarray(s, dtype=float)
-
     return Potential(
         F_hat=f_hat,
         f=f,
         f_prime=f_prime,
-        f_second=f_second,
         lower_bound_c0=0.25,
     )
 
@@ -211,8 +196,7 @@ def zero_potential():
     def zero(s):
         return np.zeros_like(np.asarray(s, dtype=float))
 
-    return Potential(F_hat=zero, f=zero, f_prime=zero, f_second=zero,
-                     lower_bound_c0=0.0)
+    return Potential(F_hat=zero, f=zero, f_prime=zero, lower_bound_c0=0.0)
 
 
 @dataclass(frozen=True)
@@ -294,7 +278,9 @@ def validate(params, nl, pot):
 
     def run(hypothesis, description, body):
         try:
-            passed, witness = body()
+            # An overflowing gate fails its check; numpy need not warn too.
+            with np.errstate(all="ignore"):
+                passed, witness = body()
         except Exception as exc:  # report, never abort mid-check
             passed, witness = False, f"check raised: {exc!r}"
         checks.append(ValidationCheck(hypothesis, description, passed, witness))
@@ -331,12 +317,8 @@ def validate(params, nl, pot):
 
     run("H3", "H_gate_prime matches finite differences of H_gate",
         fd_check(nl.H_gate, nl.H_gate_prime, "H_gate'"))
-    run("H3", "H_gate_second matches finite differences of H_gate_prime",
-        fd_check(nl.H_gate_prime, nl.H_gate_second, "H_gate''"))
     run("H3", "K_temp_prime matches finite differences of K_temp",
         fd_check(nl.K_temp, nl.K_temp_prime, "K_temp'"))
-    run("H3", "K_temp_second matches finite differences of K_temp_prime",
-        fd_check(nl.K_temp_prime, nl.K_temp_second, "K_temp''"))
 
     def lower_bounded():
         vals = np.asarray(pot.F_hat(sample), dtype=float)
@@ -352,7 +334,5 @@ def validate(params, nl, pot):
         fd_check(pot.F_hat, pot.f, "f"))
     run("H4", "f_prime matches finite differences of f",
         fd_check(pot.f, pot.f_prime, "f'"))
-    run("H4", "f_second matches finite differences of f_prime",
-        fd_check(pot.f_prime, pot.f_second, "f''"))
 
     return ValidationReport(checks=tuple(checks))

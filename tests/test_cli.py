@@ -207,8 +207,7 @@ def grow(s):
 def make_nonlinearities():
     return dataclasses.replace(
         default_nonlinearities(), H_gate=grow,
-        H_gate_prime=lambda s: 40.0 * grow(s),
-        H_gate_second=lambda s: 1600.0 * grow(s))
+        H_gate_prime=lambda s: 40.0 * grow(s))
 """
 
 

@@ -296,12 +296,8 @@ _GATES = textwrap.dedent("""\
         return Nonlinearities(
             H_gate=lambda s: 0.5 * (1.0 + np.tanh(4.0 * np.asarray(s))),
             H_gate_prime=lambda s: 2.0 / np.cosh(4.0 * np.asarray(s)) ** 2,
-            H_gate_second=lambda s: -16.0 * np.tanh(4.0 * np.asarray(s))
-            / np.cosh(4.0 * np.asarray(s)) ** 2,
             K_temp=lambda s: 0.5 * (1.0 + np.tanh(np.asarray(s))),
             K_temp_prime=lambda s: 0.5 / np.cosh(np.asarray(s)) ** 2,
-            K_temp_second=lambda s: -np.tanh(np.asarray(s))
-            / np.cosh(np.asarray(s)) ** 2,
         )
     """)
 
@@ -365,6 +361,20 @@ def test_verify_problem_requires_cost_and_admissible(tmp_path):
 _NONLINEARITY = "chi = 0.3\nnonlinearity = {}"
 
 
+# A gate file written for the model's old contract, which also took H''.
+_OLD_CONTRACT_GATES = textwrap.dedent("""\
+    from caginalp_control import Nonlinearities, default_nonlinearities
+
+
+    def make_nonlinearities():
+        nl = default_nonlinearities()
+        return Nonlinearities(
+            H_gate=nl.H_gate, H_gate_prime=nl.H_gate_prime,
+            H_gate_second=lambda s: 0.0 * s,
+            K_temp=nl.K_temp, K_temp_prime=nl.K_temp_prime)
+    """)
+
+
 # Each case edits MINIMAL once and may add files beside the config.
 @pytest.mark.parametrize("old, new, files, key", [
     ("n = 9", "n = 9, 9, 9", {}, "[grid].n"),
@@ -383,6 +393,12 @@ _NONLINEARITY = "chi = 0.3\nnonlinearity = {}"
     ("chi = 0.3", _NONLINEARITY.format("custom:gates.py"),
      {"gates.py": "def make_nonlinearities():\n    return None\n"},
      "[model].nonlinearity"),
+    ("chi = 0.3", _NONLINEARITY.format("custom:gates.py"),
+     {"gates.py": "def make_nonlinearities():\n"
+                  "    raise RuntimeError('boom')\n"},
+     "[model].nonlinearity"),
+    ("chi = 0.3", _NONLINEARITY.format("custom:gates.py"),
+     {"gates.py": _OLD_CONTRACT_GATES}, "[model].nonlinearity"),
     ("sigma0 = constant:1.0", "sigma0 = constant:1.0\n[output]\nslices = ,",
      {}, "[output].slices"),
     ("sigma0 = constant:1.0", "sigma0 = constant:1.0\n[cost]\nb1 = 1.0\n"
@@ -399,7 +415,8 @@ _NONLINEARITY = "chi = 0.3\nnonlinearity = {}"
 ], ids=["grid-three-values", "grid-not-integer", "bad-integer",
         "non-finite", "t-final-not-positive", "nt-below-one",
         "nonlinearity-prefix", "nonlinearity-unreadable",
-        "nonlinearity-raises", "nonlinearity-wrong-type", "slices-empty",
+        "nonlinearity-raises", "nonlinearity-wrong-type", "factory-raises",
+        "factory-old-fields", "slices-empty",
         "reference-time-grid", "hypothesis-failed", "sigma-b-not-finite",
         "sigma-b-short-time-grid"])
 def test_invalid_value_names_its_key(tmp_path, old, new, files, key):

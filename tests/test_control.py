@@ -161,8 +161,9 @@ def test_cost_spec_validation():
 def test_optimizer_config_validation():
     with pytest.raises(ConfigurationError, match="max_iters"):
         OptimizerConfig(max_iters=-1)
-    with pytest.raises(ConfigurationError, match="stationarity_tol"):
-        OptimizerConfig(stationarity_tol=-1e-8)
+    for tol in (-1e-8, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="stationarity_tol"):
+            OptimizerConfig(stationarity_tol=tol)
 
 
 def test_descent_pure_regularization_reaches_zero():
@@ -309,9 +310,8 @@ def test_descent_wraps_solver_failures():
         return np.full_like(np.asarray(s, dtype=float), np.nan)
 
     broken = Nonlinearities(
-        H_gate=nan_gate, H_gate_prime=nl.H_gate_prime,
-        H_gate_second=nl.H_gate_second, K_temp=nl.K_temp,
-        K_temp_prime=nl.K_temp_prime, K_temp_second=nl.K_temp_second,
+        H_gate=nan_gate, H_gate_prime=nl.H_gate_prime, K_temp=nl.K_temp,
+        K_temp_prime=nl.K_temp_prime,
     )
     grid = Grid(9, 1.0)
     time_grid = TimeGrid(0.2, 4)

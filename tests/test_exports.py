@@ -1,11 +1,13 @@
 """Each of the package's modules imports only the layers below it, only
-the block solves raise a SolverError, and only the config validates the
-model."""
+the block solves raise a SolverError, only the config validates the model,
+and the model declares no function the scheme does not call."""
 
 import ast
+import dataclasses
 import pathlib
 
 import caginalp_control
+from caginalp_control import default_nonlinearities, default_potential
 
 # Dependency order of the package's modules, lowest first.
 LAYERS = ("errors", "grid", "model", "linsolve", "state", "linearized",
@@ -73,3 +75,21 @@ def test_only_the_config_validates_the_model():
     callers = _calls("validate")
     assert callers
     assert all(c.startswith("config.py:") for c in callers), callers
+
+
+def test_every_model_function_is_called_outside_the_model():
+    # A gate or potential function that only validate reads is one every
+    # custom gate file must supply for nothing.
+    package = pathlib.Path(caginalp_control.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "model.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            read.update(node.attr for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute))
+    declared = {field.name
+                for made in (default_nonlinearities(), default_potential())
+                for field in dataclasses.fields(made)
+                if callable(getattr(made, field.name))}
+    assert declared
+    assert declared <= read, sorted(declared - read)

@@ -1,6 +1,8 @@
 """Model constants, gate functions, potential and hypothesis validation."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,7 +56,7 @@ def test_quartic_roots_and_values():
 def test_zero_potential_is_identically_zero():
     pot = zero_potential()
     s = np.linspace(-3.0, 3.0, 7)
-    for fn in (pot.F_hat, pot.f, pot.f_prime, pot.f_second):
+    for fn in (pot.F_hat, pot.f, pot.f_prime):
         assert np.all(fn(s) == 0.0)
     assert pot.lower_bound_c0 == 0.0
 
@@ -96,10 +98,8 @@ def test_validate_unbounded_gate_fails_with_large_witness():
     unbounded = Nonlinearities(
         H_gate=lambda s: np.asarray(s, dtype=float),
         H_gate_prime=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        H_gate_second=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
         K_temp=nl.K_temp,
         K_temp_prime=nl.K_temp_prime,
-        K_temp_second=nl.K_temp_second,
     )
     report = validate(ModelParams(), unbounded, default_potential())
     failures = [c for c in report.failures() if c.hypothesis == "H3"]
@@ -115,10 +115,8 @@ def test_validate_wrong_derivative_fails_fd_check():
     wrong = Nonlinearities(
         H_gate=nl.H_gate,
         H_gate_prime=lambda s: 2.0 / np.cosh(2.0 * np.asarray(s)) ** 2,
-        H_gate_second=nl.H_gate_second,
         K_temp=nl.K_temp,
         K_temp_prime=nl.K_temp_prime,
-        K_temp_second=nl.K_temp_second,
     )
     report = validate(ModelParams(), wrong, default_potential())
     failed = [c.description for c in report.failures()]
@@ -133,13 +131,28 @@ def test_validate_raising_check_is_reported_not_raised():
         raise RuntimeError("gate exploded")
 
     broken = Nonlinearities(
-        H_gate=boom, H_gate_prime=boom, H_gate_second=boom,
+        H_gate=boom, H_gate_prime=boom,
         K_temp=nl.K_temp, K_temp_prime=nl.K_temp_prime,
-        K_temp_second=nl.K_temp_second,
     )
     report = validate(ModelParams(), broken, default_potential())
     assert not report.all_passed
     assert any("check raised" in c.witness for c in report.failures())
+
+
+def test_validate_overflowing_gate_fails_without_numpy_warnings():
+    def grow(s):
+        return np.exp(40.0 * np.asarray(s, dtype=float))
+
+    gates = dataclasses.replace(default_nonlinearities(), H_gate=grow,
+                                H_gate_prime=lambda s: 40.0 * grow(s))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = validate(ModelParams(), gates, default_potential())
+    assert caught == []
+    failed = [c.description for c in report.failures()]
+    assert any("H_gate <= h_star" in d for d in failed)
+    assert any("H_gate_prime matches finite differences" in d
+               for d in failed)
 
 
 def test_validate_runs_every_check_despite_failures():

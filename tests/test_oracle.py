@@ -170,8 +170,7 @@ def test_adjoint_after_linearized_on_one_base_calls_no_model_function():
         return lambda *args: calls.append(name) or real(*args)
 
     nl = dataclasses.replace(nl, **{name: counted(name) for name in (
-        "H_gate", "H_gate_prime", "H_gate_second", "K_temp", "K_temp_prime",
-        "K_temp_second")})
+        "H_gate", "H_gate_prime", "K_temp", "K_temp_prime")})
     base = dense_oracle_solve(init, u, params, nl, pot)
     oracle_linearized(base, params, nl, pot,
                       SpaceTimeField.zeros(time_grid, base.grid))
