@@ -28,7 +28,7 @@ from .config import EFFECTIVE_CONFIG_NAME, load_config
 from .control import projected_gradient_descent
 from .errors import ConfigurationError, OptimizerError, SolverError
 from .grid import _FMT, _write_node_table, write_space_time_csv
-from .state import solve_state
+from .state import DIAGNOSTICS_HEADER, diagnostics, solve_state
 from .verification import run_suite
 
 __all__ = [
@@ -115,11 +115,8 @@ def _cmd_simulate(config_path):
     trajectory = solve_state(cfg.init, cfg.control, cfg.solver, cfg.params,
                              cfg.nonlinearities, cfg.potential)
 
-    header = ("step", "time", "mass_theta_ell_phi", "mass_phi", "energy",
-              "linf_theta", "linf_phi")
-    rows = [(d.step, d.time, d.mass_theta_ell_phi, d.mass_phi, d.energy,
-             d.linf_theta, d.linf_phi) for d in trajectory.diagnostics]
-    _write_csv(os.path.join(out_dir, "diagnostics.csv"), header, rows)
+    _write_csv(os.path.join(out_dir, "diagnostics.csv"), DIAGNOSTICS_HEADER,
+               diagnostics(trajectory, cfg.params, cfg.potential))
 
     for level in cfg.output_slices:
         _write_state_slice(os.path.join(out_dir, f"state_{level:06d}.csv"),

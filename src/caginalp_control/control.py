@@ -285,6 +285,12 @@ class OptimizerConfig:
     stationarity_tol: float = 1e-8
 
     def __post_init__(self):
+        # A float or NaN max_iters would compare as a count, and NaN never
+        # stops the descent.
+        if (not isinstance(self.max_iters, int)
+                or isinstance(self.max_iters, bool)):
+            raise ConfigurationError(
+                f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be nonnegative")
         tol = self.stationarity_tol

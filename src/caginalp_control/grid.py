@@ -301,18 +301,16 @@ class Trajectory:
     The forward sweep fills (theta, phi, mu, sigma), the linearized sweep
     (zeta, xi, eta, rho) and the adjoint sweep (z, p, q, r). The arrays are
     taken over, not copied, and made read-only, so a producer hands over
-    arrays it no longer writes to. ``diagnostics`` holds the per-level rows
-    of a forward sweep and is empty otherwise; a producer may hand over a
-    function that computes them instead, which then runs on the first read
-    and is replaced by its rows. ``operators`` holds the StepOperators of a
-    forward sweep, which the sweeps around it reuse, and is None otherwise.
+    arrays it no longer writes to. ``operators`` holds the StepOperators of
+    a forward sweep, which the sweeps around it reuse, and is None
+    otherwise.
     """
 
-    __slots__ = ("time_grid", "grid", "_arrays", "_diagnostics",
-                 "linear_solve_count", "operators")
+    __slots__ = ("time_grid", "grid", "_arrays", "linear_solve_count",
+                 "operators")
 
-    def __init__(self, time_grid, grid, arrays, diagnostics=(),
-                 linear_solve_count=0, operators=None):
+    def __init__(self, time_grid, grid, arrays, linear_solve_count=0,
+                 operators=None):
         expected = (time_grid.nt + 1, grid.num_nodes)
         for name, arr in arrays.items():
             if arr.shape != expected:
@@ -324,17 +322,8 @@ class Trajectory:
         self.time_grid = time_grid
         self.grid = grid
         self._arrays = dict(arrays)
-        self._diagnostics = (diagnostics if callable(diagnostics)
-                             else tuple(diagnostics))
         self.linear_solve_count = int(linear_solve_count)
         self.operators = operators
-
-    @property
-    def diagnostics(self):
-        """Tuple of per-level rows, computed and kept on the first read."""
-        if callable(self._diagnostics):
-            self._diagnostics = tuple(self._diagnostics())
-        return self._diagnostics
 
     def field_array(self, name):
         """Read-only (nt + 1, N) array of one field's nodal values."""

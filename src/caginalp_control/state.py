@@ -43,6 +43,8 @@ A sweep returns a :class:`~caginalp_control.grid.Trajectory` with fields
 theta, phi, mu and sigma: index k of the state trajectory holds time level
 t_k, from the initial data at index 0 to the final state at index nt. The
 trajectory keeps the operators that produced it as ``operators``.
+:func:`diagnostics` computes the per-level masses, energy and sup norms of
+a forward trajectory when asked, so a sweep computes none of them.
 """
 
 from __future__ import annotations
@@ -63,11 +65,12 @@ from .linsolve import FactorizedOperator, MatVec, SolveCounter
 __all__ = [
     "SolverConfig",
     "InitialData",
-    "DiagnosticsRecord",
     "StepOperators",
     "initial_mu",
     "solve_state",
     "ch_energy",
+    "DIAGNOSTICS_HEADER",
+    "diagnostics",
     "y_norm",
     "trajectory_distance_y",
 ]
@@ -114,23 +117,6 @@ class InitialData:
     @property
     def grid(self):
         return self.theta0.grid
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Per-level balance and norm diagnostics.
-
-    A forward sweep computes its rows on the first read of
-    ``Trajectory.diagnostics``, not while it marches.
-    """
-
-    step: int
-    time: float
-    mass_theta_ell_phi: float
-    mass_phi: float
-    energy: float
-    linf_theta: float
-    linf_phi: float
 
 
 class StepOperators:
@@ -310,7 +296,7 @@ def ch_energy(phi, grid, pot):
 
 @names_sweep("forward")
 def solve_state(init, u, cfg, params, nl, pot):
-    """March the full horizon; per-level diagnostics follow on first read.
+    """March the full horizon.
 
     Args:
         init: Initial data.
@@ -320,10 +306,9 @@ def solve_state(init, u, cfg, params, nl, pot):
         params, nl, pot: Model data.
 
     Returns:
-        Trajectory of (theta, phi, mu, sigma) at levels 0..nt, with one
-        diagnostics row per level, computed on the first read of
-        ``diagnostics``, and the sweep's StepOperators, which linearized
-        and adjoint sweeps around it reuse.
+        Trajectory of (theta, phi, mu, sigma) at levels 0..nt, with the
+        sweep's StepOperators, which linearized and adjoint sweeps around
+        it reuse. :func:`diagnostics` computes its per-level rows.
 
     Raises:
         SolverError: Propagated from the failing block solve, with its
@@ -356,27 +341,33 @@ def solve_state(init, u, cfg, params, nl, pot):
                            controls[step], sb, step=step)
         theta[step + 1], phi[step + 1], mu[step + 1], sigma[step + 1] = out
 
-    def diagnostics():
-        weights = ops.weights
-        energies = ch_energy(phi, grid, pot)
-        return [DiagnosticsRecord(
-            step=level,
-            time=float(times[level]),
-            mass_theta_ell_phi=float(
-                np.dot(weights, theta[level] + params.ell * phi[level])),
-            mass_phi=float(np.dot(weights, phi[level])),
-            energy=float(energies[level]),
-            linf_theta=float(np.max(np.abs(theta[level]))),
-            linf_phi=float(np.max(np.abs(phi[level]))),
-        ) for level in range(nt + 1)]
-
     return Trajectory(
         time_grid, grid,
         {"theta": theta, "phi": phi, "mu": mu, "sigma": sigma},
-        diagnostics=diagnostics,
         linear_solve_count=ops.counter.count,
         operators=ops,
     )
+
+
+DIAGNOSTICS_HEADER = ("step", "time", "mass_theta_ell_phi", "mass_phi",
+                      "energy", "linf_theta", "linf_phi")
+
+
+def diagnostics(traj, params, pot):
+    """Per-level rows of a forward trajectory, in DIAGNOSTICS_HEADER order:
+    step, time, the masses of theta + ell*phi and of phi, the Cahn-Hilliard
+    energy and the sup norms of theta and phi."""
+    weights = quadrature_weights(traj.grid)
+    theta = traj.field_array("theta")
+    phi = traj.field_array("phi")
+    energies = ch_energy(phi, traj.grid, pot)
+    return [(level, float(t),
+             float(np.dot(weights, theta[level] + params.ell * phi[level])),
+             float(np.dot(weights, phi[level])),
+             float(energies[level]),
+             float(np.max(np.abs(theta[level]))),
+             float(np.max(np.abs(phi[level]))))
+            for level, t in enumerate(traj.time_grid.times)]
 
 
 def y_norm(theta, phi, mu, sigma, grid, time_grid):

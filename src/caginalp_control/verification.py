@@ -74,7 +74,7 @@ from .grid import (
 from .linearized import solve_linearized, taylor_test
 from .model import ModelParams, zero_potential
 from .oracle import dense_oracle_solve, oracle_adjoint, oracle_linearized
-from .state import InitialData, solve_state, trajectory_distance_y
+from .state import InitialData, ch_energy, solve_state, trajectory_distance_y
 
 __all__ = [
     "SUITE_NAMES",
@@ -83,18 +83,6 @@ __all__ = [
     "VerifyReport",
     "run_suite",
 ]
-
-SUITE_NAMES = (
-    "conservation",
-    "equilibrium",
-    "oracle",
-    "taylor",
-    "adjoint",
-    "gradient",
-    "optimizer",
-    "energy",
-    "lipschitz",
-)
 
 _TOLERANCES = {
     "conservation_theta_ell_phi": 1e-10,
@@ -138,6 +126,9 @@ class VerifySuiteConfig:
     suites: tuple = None
 
     def __post_init__(self):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ConfigurationError(
+                f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigurationError(
                 f"seed must be nonnegative, got {self.seed}")
@@ -334,7 +325,7 @@ def _suite_equilibrium(problem, cfg, base):
     grid = problem.grid
     params = dataclasses.replace(
         problem.params, lambda_p=0.0, lambda_a=0.0, lambda_e=0.0,
-        lambda_c=0.0, lambda_b=0.0, lambda_d=0.0)
+        lambda_c=0.0, lambda_b=0.0, lambda_d=0.0, sigma_b=0.0)
     init = InitialData(
         theta0=Field.constant(grid, 0.3),
         phi0=Field.constant(grid, -0.4),
@@ -567,7 +558,7 @@ def _suite_energy(problem, cfg, base):
     params = dataclasses.replace(
         problem.params, lambda_big=0.0, chi=0.0, tau=0.0, lambda_p=0.0,
         lambda_a=0.0, lambda_e=0.0, lambda_c=0.0, lambda_b=0.0,
-        lambda_d=0.0)
+        lambda_d=0.0, sigma_b=0.0)
     time_grid = TimeGrid(ENERGY_TEST_STEPS * ENERGY_TEST_DT,
                          ENERGY_TEST_STEPS)
     profile = 0.1 + 0.6 * _cosine_profile(grid)
@@ -578,7 +569,7 @@ def _suite_energy(problem, cfg, base):
     )
     decoupled = dataclasses.replace(problem, params=params, init=init)
     traj = decoupled.solve(SpaceTimeField.zeros(time_grid, grid))
-    energies = [rec.energy for rec in traj.diagnostics]
+    energies = ch_energy(traj.field_array("phi"), grid, problem.potential)
     scale = 1.0 + abs(energies[0])
     worst = max(((b - a) / scale for a, b in zip(energies, energies[1:])),
                 default=0.0)
@@ -615,6 +606,9 @@ _SUITE_RUNNERS = {
     "energy": _suite_energy,
     "lipschitz": _suite_lipschitz,
 }
+
+# The battery's suites in run order.
+SUITE_NAMES = tuple(_SUITE_RUNNERS)
 
 
 def run_suite(cfg, problem):

@@ -323,6 +323,22 @@ def test_verify_negative_seed_exits_2(tmp_path, capsys):
     assert "[verify]: seed must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["equilibrium", "energy"])
+def test_verify_with_sigma_b_file_covering_the_run_exits_0(tmp_path, capsys,
+                                                           suite):
+    # Both suites march past the run's horizon with the supply switched
+    # off, so a sigma_b file that covers only the run is never sampled.
+    write_space_time_csv(SpaceTimeField.constant(
+        TimeGrid(0.5, 50), Grid(33, 2.0), 1.0), str(tmp_path / "supply.csv"))
+    with open(DESK_CFG, encoding="utf-8") as handle:
+        text = handle.read()
+    text = text.replace("sigma_b = 1.0", "sigma_b = supply.csv")
+    text = text.replace("dir = out_desk", "dir = sigma_out")
+    cfg = _write(tmp_path, text)
+    assert main(["verify", suite, cfg]) == EXIT_OK
+    assert "all 1 check(s) passed" in capsys.readouterr().out
+
+
 def test_output_dir_that_cannot_be_created_exits_2(tmp_path, capsys):
     (tmp_path / "taken").write_text("a regular file\n")
     cfg = _write(tmp_path, BASE + "\n[output]\ndir = taken\n")

@@ -159,8 +159,9 @@ def test_cost_spec_validation():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ConfigurationError, match="max_iters"):
-        OptimizerConfig(max_iters=-1)
+    for count in (-1, float("nan"), 2.5, float("inf"), 2.0, True):
+        with pytest.raises(ConfigurationError, match="max_iters"):
+            OptimizerConfig(max_iters=count)
     for tol in (-1e-8, float("nan"), float("inf")):
         with pytest.raises(ConfigurationError, match="stationarity_tol"):
             OptimizerConfig(stationarity_tol=tol)

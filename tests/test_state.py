@@ -8,6 +8,7 @@ import pytest
 from conftest import DESK_CFG, desk_params
 
 from caginalp_control import (
+    DIAGNOSTICS_HEADER,
     ConfigurationError,
     Field,
     Grid,
@@ -20,6 +21,7 @@ from caginalp_control import (
     ch_energy,
     default_nonlinearities,
     default_potential,
+    diagnostics,
     initial_mu,
     l2q_norm,
     load_config,
@@ -224,21 +226,26 @@ def test_diagnostics_track_mass_and_energy():
     time_grid = TimeGrid(0.1, 5)
     init = _constant_init(grid, 0.0, 1.0, 0.5)
     u = SpaceTimeField.zeros(time_grid, grid)
-    traj = solve_state(init, u, SolverConfig(), ModelParams(),
+    params = ModelParams()
+    traj = solve_state(init, u, SolverConfig(), params,
                        default_nonlinearities(), default_potential())
-    assert len(traj.diagnostics) == time_grid.nt + 1
-    first = traj.diagnostics[0]
-    assert first.step == 0
+    rows = [dict(zip(DIAGNOSTICS_HEADER, row))
+            for row in diagnostics(traj, params, default_potential())]
+    assert len(rows) == time_grid.nt + 1
+    first = rows[0]
+    assert first["step"] == 0
     w = quadrature_weights(grid)
     phi0 = init.phi0.flat
-    assert first.mass_phi == pytest.approx(np.dot(w, phi0))
-    assert first.energy == pytest.approx(
+    assert first["mass_phi"] == pytest.approx(np.dot(w, phi0))
+    assert first["energy"] == pytest.approx(
         ch_energy(phi0[None], grid, default_potential())[0])
-    assert traj.diagnostics[-1].step == time_grid.nt
-    assert traj.diagnostics[-1].time == pytest.approx(0.1)
+    assert rows[-1]["step"] == time_grid.nt
+    assert rows[-1]["time"] == pytest.approx(0.1)
 
 
 def test_diagnostics_are_computed_on_first_read(desk_problem, monkeypatch):
+    # A sweep computes no diagnostics; one call computes every level's
+    # energy in one ch_energy call.
     problem = desk_problem
     calls = []
     real_energy = state.ch_energy
@@ -252,10 +259,8 @@ def test_diagnostics_are_computed_on_first_read(desk_problem, monkeypatch):
                        problem.params, problem.nonlinearities,
                        problem.potential)
     assert len(calls) == 0
-    rows = traj.diagnostics
+    rows = diagnostics(traj, problem.params, problem.potential)
     nt = problem.time_grid.nt
-    assert len(calls) == 1
-    assert traj.diagnostics is rows
     assert len(calls) == 1
 
     weights = quadrature_weights(problem.grid)
@@ -267,14 +272,16 @@ def test_diagnostics_are_computed_on_first_read(desk_problem, monkeypatch):
     for k, row in enumerate(rows):
         theta = traj.field_array("theta")[k]
         phi = traj.field_array("phi")[k]
-        assert row.step == k
-        assert row.time == float(times[k])
-        assert row.mass_theta_ell_phi == float(
+        assert len(row) == len(DIAGNOSTICS_HEADER)
+        row = dict(zip(DIAGNOSTICS_HEADER, row))
+        assert row["step"] == k
+        assert row["time"] == float(times[k])
+        assert row["mass_theta_ell_phi"] == float(
             np.dot(weights, theta + ell * phi))
-        assert row.mass_phi == float(np.dot(weights, phi))
-        assert row.energy == energies[k]
-        assert row.linf_theta == float(np.max(np.abs(theta)))
-        assert row.linf_phi == float(np.max(np.abs(phi)))
+        assert row["mass_phi"] == float(np.dot(weights, phi))
+        assert row["energy"] == energies[k]
+        assert row["linf_theta"] == float(np.max(np.abs(theta)))
+        assert row["linf_phi"] == float(np.max(np.abs(phi)))
 
 
 def test_linear_solve_count_three_per_step():

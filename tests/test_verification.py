@@ -96,6 +96,13 @@ def test_unknown_suite_name_lists_valid_names():
         VerifySuiteConfig(suites=("conservation", "nonsense"))
 
 
+def test_seed_must_be_a_nonnegative_integer():
+    for seed in (-1, 2.5, float("nan"), float("inf"), 7.0, True):
+        with pytest.raises(ConfigurationError, match="seed"):
+            VerifySuiteConfig(seed=seed)
+    assert VerifySuiteConfig(seed=0).seed == 0
+
+
 def test_suite_selection_runs_in_canonical_order(desk_problem):
     cfg = VerifySuiteConfig(suites=("energy", "conservation"))
     assert cfg.selected() == ("conservation", "energy")
