@@ -7,12 +7,16 @@ the mirror-closed Laplacian satisfy W L = L^T W exactly, the transposed
 equations read again as nodal equations in L itself, and every adjoint solve
 reuses a forward factorization: the backward heat solve uses I - dt*L, the
 backward phase solve uses the same fourth-order Schur complement, and the
-backward nutrient solve uses the forward nutrient operator shifted by the
-decay coefficient one level below the step. An adjoint sweep takes those
-factorizations, and the model, from its base trajectory. It factorizes the
-terminal operator I - tau*L once per base, and in 1D each step's shifted
-nutrient band. It evaluates the coefficients it freezes at the base once,
-on all levels, so its steps call no model function.
+backward nutrient solve uses the forward nutrient operator at the reference
+decay. The forward step takes the rest of the decay, D - decay_ref,
+explicitly on its old level, so the transpose meets it in the step that
+reads that level: the backward step producing index m adds
+-dt (D_k - decay_ref) r_k, with k = m + 1, to its nutrient right-hand side,
+and reads the base's sigma_k in the H' and K' couplings. An adjoint
+sweep takes those factorizations, and the model, from its base trajectory.
+It factorizes the terminal operator I - tau*L once per base. It evaluates
+the coefficients it freezes at the base once, on all levels, so its steps
+call no model function.
 
 Indexing convention: the multiplier attached to the step that produces
 level k is stored at trajectory index k - 1, so index m of the adjoint
@@ -99,49 +103,49 @@ def _terminal_from_vectors(ops, g_z, g_w, g_r):
     return z_t, p_t, q_t, np.asarray(g_r, dtype=float)
 
 
-def _adjoint_step_arrays(ops, frozen, sigma_b, sources, level, z_next,
+def _adjoint_step_arrays(ops, frozen, base_sigma, sources, level, z_next,
                          p_next, q_next, r_next):
     """One backward step on flat arrays, producing trajectory index level.
 
-    The step transposes the forward step level -> level + 1, so it reads the
-    decay of the base's coefficients ``frozen`` at base level `level` and the
-    others at base level k = level + 1. The terminal step (level = nt - 1)
-    is seeded by the terminal data instead of later multipliers.
+    The step transposes the forward step level -> level + 1 and the
+    dependence of step k -> k + 1 on level k = level + 1, so it reads the
+    base's coefficients ``frozen`` and ``base_sigma`` at base level k. The
+    terminal step (level = nt - 1) is seeded by the terminal data instead
+    of later multipliers.
     """
     dt, params = ops.dt, ops.params
-    nt = len(sigma_b) - 1
+    nt = len(base_sigma) - 1
     k = level + 1
-    decay = frozen["decay"][level]
     s_eta_k = sources.s_eta[k]
 
     if k == nt:
         z_new = ops.heat.solve((z_next + dt * sources.s_theta[k]) / dt,
                                step=level)
-        r_new = ops.solve_nutrient(
-            (r_next + dt * sources.s_sigma[k]) / dt, decay, step=level)
+        r_new = ops.nutrient.solve((r_next + dt * sources.s_sigma[k]) / dt,
+                                   step=level)
         w_t = p_next + params.tau * q_next + params.ell * z_next
         rhs_p = (w_t + dt * sources.s_phi[k] - params.ell * z_new
                  - dt * params.chi * ops.apply_lap(r_new)
                  + dt * (ops.a * s_eta_k - ops.apply_lap(s_eta_k)))
     else:
         gate = frozen["gate"][k]
-        sigma_next_level = sigma_b[k + 1]
+        sigma_k = base_sigma[k]
 
         rhs_z = z_next + dt * (
             sources.s_theta[k] - params.lambda_e * gate * p_next
             + params.lambda_big * q_next
-            - frozen["k_prime"][k] * sigma_next_level * r_next)
+            - frozen["k_prime"][k] * sigma_k * r_next)
         z_new = ops.heat.solve(rhs_z / dt, step=level)
 
         rhs_r = r_next + dt * (
             sources.s_sigma[k] + params.lambda_p * gate * p_next
-            + params.chi * q_next)
-        r_new = ops.solve_nutrient(rhs_r / dt, decay, step=level)
+            + params.chi * q_next - frozen["explicit_decay"][k] * r_next)
+        r_new = ops.nutrient.solve(rhs_r / dt, step=level)
 
         rhs_p = (p_next
                  + dt * (frozen["source_prime"][k] * p_next + ops.a * q_next
                          - frozen["f_prime"][k] * q_next
-                         - frozen["h_prime"][k] * sigma_next_level * r_next
+                         - frozen["h_prime"][k] * sigma_k * r_next
                          + sources.s_phi[k])
                  + params.ell * (z_next - z_new)
                  - dt * params.chi * ops.apply_lap(r_new)
@@ -184,9 +188,9 @@ def solve_adjoint_with_sources(base, sources):
         ops, sources.g_z, sources.g_w, sources.g_r)
 
     frozen = _frozen_coefficients(ops, base)
-    sigma_b = base.field_array("sigma")
+    base_sigma = base.field_array("sigma")
     for level in range(nt - 1, -1, -1):
-        out = _adjoint_step_arrays(ops, frozen, sigma_b, sources, level,
+        out = _adjoint_step_arrays(ops, frozen, base_sigma, sources, level,
                                    z[level + 1], p[level + 1], q[level + 1],
                                    r[level + 1])
         z[level], p[level], q[level], r[level] = out

@@ -136,10 +136,7 @@ def _cmd_optimize(config_path):
 
     report = projected_gradient_descent(problem, problem.control)
 
-    header = ("iter", "J", "stationarity", "step", "backtracks")
-    rows = [(it.iteration, it.cost, it.stationarity, it.step, it.backtracks)
-            for it in report.iterates]
-    _write_csv(os.path.join(out_dir, "optim_report.csv"), header, rows)
+    _write_csv(os.path.join(out_dir, "optim_report.csv"), *report.table())
     header = ("iter", "forward_sweeps", "adjoint_sweeps", "linear_solves")
     rows = [(it.iteration, it.forward_sweeps, it.adjoint_sweeps,
              it.linear_solves) for it in report.iterates]

@@ -276,10 +276,7 @@ class RunConfig:
         nt = _parse_int("solver", "nt", self._get("solver", "nt"))
         if nt < 1:
             _fail("solver", "nt", f"must be at least 1, got {nt}")
-        try:
-            self.time_grid = TimeGrid(t_final, nt)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"[time]: {exc}")
+        self.time_grid = TimeGrid(t_final, nt)
         self._record("time", "t_final", _float_str(t_final))
         self._record("solver", "nt", str(nt))
 

@@ -375,6 +375,14 @@ class OptimizationReport:
         """Adjoint z of the final iterate, as a SpaceTimeField."""
         return self.final_adjoint.space_time("z")
 
+    def table(self):
+        """The iteration table as (header, rows): iterate, cost,
+        stationarity, step and backtracks, one row per iterate."""
+        header = ("iter", "J", "stationarity", "step", "backtracks")
+        rows = [(it.iteration, it.cost, it.stationarity, it.step,
+                 it.backtracks) for it in self.iterates]
+        return header, rows
+
 
 def projected_gradient_descent(problem, u0):
     """Minimize the tracking cost of a problem over its admissible box.

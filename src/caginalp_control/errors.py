@@ -14,8 +14,8 @@ class ConfigurationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Raised by a block solve that meets a non-finite value, stalls short
-    of its tolerance or has an exactly singular factor.
+    """Raised by a block solve that meets a non-finite value or has an
+    exactly singular factor.
 
     Attributes:
         step: Time-step index at which the failure occurred, or None when the

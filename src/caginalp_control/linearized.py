@@ -4,6 +4,10 @@ Each forward step freezes its nonlinear coefficients at the old level, so the
 step is a smooth map of (old state, control slice) and its derivative is
 computed exactly: the linearized step solves the same three linear systems
 with the same matrices as the forward step, only the right-hand sides change.
+The nutrient step takes the decay beyond its reference explicitly, at the
+old level, so its derivative adds -(D - decay_ref) rho_n
+- sigma_n (lambda_c H'(phi_n) xi_n + lambda_d K'(theta_n) zeta_n) to the
+right-hand side, with the base's sigma_n.
 A linearized sweep takes those factorizations, and the model, from its base
 trajectory, so it costs no more than one forward sweep and stays consistent
 with the discrete map to rounding accuracy, which the Taylor test below
@@ -39,8 +43,8 @@ __all__ = [
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _lin_step_arrays(ops, frozen, base_sigma_next, zeta_n, xi_n, rho_n,
-                     h_n, step):
+def _lin_step_arrays(ops, frozen, base_sigma, zeta_n, xi_n, rho_n, h_n,
+                     step):
     """One linearized step on flat arrays; returns the four new levels. The
     block solves judge the assembled right-hand sides, so a non-finite one
     fails with the name of its block and step."""
@@ -60,11 +64,11 @@ def _lin_step_arrays(ops, frozen, base_sigma_next, zeta_n, xi_n, rho_n,
     rhs_heat = zeta_n / dt - (params.ell / dt) * (xi_next - xi_n) + h_n
     zeta_next = ops.heat.solve(rhs_heat, step=step)
 
-    rhs_nutrient = (rho_n / dt - params.chi * lap_xi_next
-                    - base_sigma_next * (frozen["h_prime"][step] * xi_n
-                                         + frozen["k_prime"][step] * zeta_n))
-    rho_next = ops.solve_nutrient(rhs_nutrient, frozen["decay"][step],
-                                  step=step)
+    rhs_nutrient = (rho_n / dt - frozen["explicit_decay"][step] * rho_n
+                    - params.chi * lap_xi_next
+                    - base_sigma * (frozen["h_prime"][step] * xi_n
+                                    + frozen["k_prime"][step] * zeta_n))
+    rho_next = ops.nutrient.solve(rhs_nutrient, step=step)
     return zeta_next, xi_next, eta_next, rho_next
 
 
@@ -99,10 +103,10 @@ def solve_linearized(base, h):
     zeta, xi, eta, rho = np.zeros((4, nt + 1, grid.num_nodes))
 
     frozen = _frozen_coefficients(ops, base)
-    sigma_b = base.field_array("sigma")
+    base_sigma = base.field_array("sigma")
     directions = h.flat_slices
     for step in range(nt):
-        out = _lin_step_arrays(ops, frozen, sigma_b[step + 1], zeta[step],
+        out = _lin_step_arrays(ops, frozen, base_sigma[step], zeta[step],
                                xi[step], rho[step], directions[step],
                                step=step)
         zeta[step + 1], xi[step + 1], eta[step + 1], rho[step + 1] = out

@@ -12,7 +12,9 @@ used here; the only shared ingredients are the data carriers (grids, fields,
 ``InitialData``, the ``Trajectory`` every function reads or returns, the
 ``AdjointSources`` the transpose solve takes, parameter records), the
 nonlinearity/potential callables themselves and the scheme's stabilization
-constant ``state.STABILIZATION_S``. That independence is the point:
+constant ``state.STABILIZATION_S``; the reference decay of the nutrient
+step is computed here from the model, as the scheme's ``a`` is. That
+independence is the point:
 agreement between this path and the fast path is what the verification
 suite certifies on the pinned tiny configurations.
 
@@ -114,6 +116,18 @@ def dense_weights(n, spacing):
     return w
 
 
+def _decay_split(theta_p, gate, params, nl):
+    """The reference decay, the midpoint of the declared range
+    [lambda_b, lambda_b + lambda_c h_star + lambda_d k_star], which the
+    nutrient step keeps implicit, and the rest of the decay at the old
+    level, which it takes explicitly, given the gate values H(phi_p)."""
+    reference = params.lambda_b + 0.5 * (params.lambda_c * nl.h_star
+                                         + params.lambda_d * nl.k_star)
+    decay = (params.lambda_c * gate + params.lambda_b
+             + params.lambda_d * np.asarray(nl.K_temp(theta_p), dtype=float))
+    return reference, decay - reference
+
+
 def _step_blocks(lap, prev, sigma_b_slice, dt, params, nl, pot):
     """Dense one-step system: equations [heat, phase, potential, nutrient]
     in the unknowns [theta, phi, mu, sigma] at the new level."""
@@ -122,8 +136,7 @@ def _step_blocks(lap, prev, sigma_b_slice, dt, params, nl, pot):
     theta_p, phi_p, sigma_p = prev
     a = params.tau / dt + STABILIZATION_S
     gate = np.asarray(nl.H_gate(phi_p), dtype=float)
-    decay = (params.lambda_c * gate + params.lambda_b
-             + params.lambda_d * np.asarray(nl.K_temp(theta_p), dtype=float))
+    reference, explicit = _decay_split(theta_p, gate, params, nl)
     source = (params.lambda_p * sigma_p - params.lambda_a
               - params.lambda_e * theta_p) * gate
 
@@ -145,9 +158,10 @@ def _step_blocks(lap, prev, sigma_b_slice, dt, params, nl, pot):
     rhs[mu] = (a * phi_p - np.asarray(pot.f(phi_p), dtype=float)
                + params.chi * sigma_p + params.lambda_big * theta_p)
 
-    matrix[sg, sg] = eye / dt - lap + np.diag(decay)
+    matrix[sg, sg] = (1.0 / dt + reference) * eye - lap
     matrix[sg, ph] = params.chi * lap
-    rhs[sg] = sigma_p / dt + params.lambda_b * sigma_b_slice
+    rhs[sg] = (sigma_p / dt - explicit * sigma_p
+               + params.lambda_b * sigma_b_slice)
 
     return matrix, rhs, th
 
@@ -239,7 +253,6 @@ def _space_time_system(base, params, nl, pot):
     for k in range(1, nt + 1):
         prev = (theta[k - 1], phi[k - 1], sigma[k - 1])
         theta_p, phi_p, sigma_p = prev
-        sigma_k = sigma[k]
         gate = np.asarray(nl.H_gate(phi_p), dtype=float)
         gate_d = np.asarray(nl.H_gate_prime(phi_p), dtype=float)
         temp_d = np.asarray(nl.K_temp_prime(theta_p), dtype=float)
@@ -265,9 +278,10 @@ def _space_time_system(base, params, nl, pot):
             sub[mu, ph] = -a * eye + np.diag(
                 np.asarray(pot.f_prime(phi_p), dtype=float))
             sub[mu, sg] = -params.chi * eye
-            sub[sg, th] = np.diag(params.lambda_d * temp_d * sigma_k)
-            sub[sg, ph] = np.diag(params.lambda_c * gate_d * sigma_k)
-            sub[sg, sg] = -eye / dt
+            sub[sg, th] = np.diag(params.lambda_d * temp_d * sigma_p)
+            sub[sg, ph] = np.diag(params.lambda_c * gate_d * sigma_p)
+            sub[sg, sg] = -eye / dt + np.diag(
+                _decay_split(theta_p, gate, params, nl)[1])
             big[row:row + block, col - block:col] = sub
 
     return big, ctrl

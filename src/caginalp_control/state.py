@@ -10,23 +10,31 @@ at the old level:
 2. the heat equation for theta, with the latent-heat coupling
    ell * (phi_new - phi_old) / dt already known from step 1 and the control
    sampled at the left endpoint of the step;
-3. the nutrient equation for sigma, implicit in its nonnegative linear decay
-   (lambda_C * H(phi_old) + lambda_B + lambda_D * K(theta_old)) and driven by
-   the fresh chemotaxis term chi * Lap(phi_new).
+3. the nutrient equation for sigma, driven by the fresh chemotaxis term
+   chi * Lap(phi_new). Its nonnegative linear decay
+   D = lambda_C * H(phi_old) + lambda_B + lambda_D * K(theta_old) is split
+   into a constant reference decay decay_ref, kept implicit, and the rest
+   D - decay_ref, taken explicitly on sigma_old, an implicit-explicit
+   splitting (Ascher, Ruuth and Wetton, SIAM J. Numer. Anal. 32, 1995):
+   ((1/dt + decay_ref) I - Lap) sigma_new
+       = sigma_old / dt - (D - decay_ref) sigma_old - chi Lap(phi_new)
+         + lambda_B sigma_b.
+   Since 0 <= D <= 2 decay_ref, the explicit factor
+   |1/dt - (D - decay_ref)| stays at most 1/dt + decay_ref, the margin by
+   which every row of the implicit operator is diagonally dominant; so
+   without chemotaxis and supply a decay of any stiffness cannot make a
+   step raise max|sigma|.
 
 Freezing the nonlinearities at the old level makes the whole step an
 explicitly differentiable affine map of (old state, control slice); the
 linearized and adjoint modules differentiate and transpose exactly this map.
 
-The phase, heat and nutrient operators are each factorized once per forward
-sweep (see :class:`StepOperators`) and reused by every linearized and
-adjoint sweep around that trajectory. Each is a shifted Laplacian
-rI - Lap or, for the phase block, a product of two, factored by a LAPACK
-tridiagonal LU in 1D and by a sparse LU in 2D (see
-:mod:`~caginalp_control.linsolve`). The nutrient decay changes every step
-and enters each nutrient solve as a diagonal shift of the operator at a
-reference decay: in 1D the step factors its own shifted band, in 2D it
-runs conjugate gradients preconditioned by the reference factor.
+The phase, heat and nutrient operators are constant over a sweep. Each is
+factorized once per forward sweep (see :class:`StepOperators`) and reused
+by every linearized and adjoint sweep around that trajectory. Each is a
+shifted Laplacian rI - Lap or, for the phase block, a product of two,
+factored by a LAPACK tridiagonal LU in 1D and by a sparse LU in 2D (see
+:mod:`~caginalp_control.linsolve`).
 
 The Cahn-Hilliard pair is solved through its Schur complement in phi
 (eliminating mu by the potential equation), and mu is then recovered as
@@ -83,14 +91,12 @@ STABILIZATION_S = 2.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Inner-solve tolerance shared by the forward, linearized and adjoint
-    sweeps.
+    """The ``[solver] linear_tol`` key, validated and otherwise unread.
 
     Attributes:
-        linear_tol: Relative residual at which a 2D nutrient solve by
-            conjugate gradients is accepted, once its normwise backward
-            error is at rounding level too, in (0, 1e-6]. Direct solves
-            need no tolerance.
+        linear_tol: In (0, 1e-6]. Every inner solve is direct, so no solve
+            reads it; the key stays accepted so that configs that set it
+            still load.
     """
 
     linear_tol: float = 1e-12
@@ -130,21 +136,16 @@ class StepOperators:
     factorized once per forward sweep and reused by every linearized and
     adjoint sweep around its trajectory: the heat operator (I/dt - Lap),
     the Cahn-Hilliard Schur complement (I/dt - a*Lap + Lap^2), held as the
-    factor pair (r1 I - Lap)(r2 I - Lap), and the nutrient operator at a
-    reference decay ((1/dt + decay_ref) I - Lap). The nutrient decay
-    changes every step; each step solves with its own decay through
-    :meth:`solve_nutrient`, by a band factor of its own in 1D and by
-    conjugate gradients preconditioned by the reference factor in 2D. The
-    reference decay is the midpoint of the declared range
-    [lambda_B, lambda_B + lambda_C*h_star + lambda_D*k_star], taken from the
-    model alone, so that every sweep of a problem factorizes the same
-    matrix. Every solve ticks ``counter``.
+    factor pair (r1 I - Lap)(r2 I - Lap), and the nutrient operator at the
+    reference decay ((1/dt + decay_ref) I - Lap). The rest of the decay is
+    explicit in every step. The reference decay is the midpoint of the
+    declared range [lambda_B, lambda_B + lambda_C*h_star + lambda_D*k_star],
+    taken from the model alone, so that every sweep of a problem factorizes
+    the same matrix. Every solve ticks ``counter``.
     """
 
-    def __init__(self, grid, dt, cfg, params, nl, pot):
-        self.grid = grid
+    def __init__(self, grid, dt, params, nl, pot):
         self.dt = float(dt)
-        self.cfg = cfg
         self.params = params
         self.nl = nl
         self.pot = pot
@@ -162,12 +163,6 @@ class StepOperators:
         self.ch_schur = self._factorize("phase", inv_dt, self.a)
         self.nutrient = self._factorize("nutrient", inv_dt + self.decay_ref)
 
-    def solve_nutrient(self, rhs, decay, step=None, guess=None):
-        """Solve (I/dt - Lap + diag(decay)) x = rhs as a diagonal shift of
-        the nutrient operator at the reference decay."""
-        return self.nutrient.solve(rhs, step=step, guess=guess,
-                                   shift=decay - self.decay_ref)
-
     def solve_terminal(self, rhs):
         """Solve (I - tau*Lap) x = rhs as (I/tau - Lap) x = rhs/tau,
         factorizing on the first call."""
@@ -177,9 +172,7 @@ class StepOperators:
         return self._terminal.solve(rhs / tau)
 
     def _factorize(self, label, c0, c1=None):
-        return FactorizedOperator(self.lap, c0, c1,
-                                  linear_tol=self.cfg.linear_tol,
-                                  counter=self.counter, weights=self.weights,
+        return FactorizedOperator(self.lap, c0, c1, counter=self.counter,
                                   label=label)
 
 
@@ -197,18 +190,22 @@ def _base_operators(base):
     return base.operators
 
 
-def _decay_coefficient(theta_flat, gate, params, nl):
-    """Nutrient decay lambda_c H(phi) + lambda_b + lambda_d K(theta), given
-    the gate values H(phi)."""
+def _explicit_decay(ops, theta_flat, gate):
+    """The explicit part D - decay_ref of the nutrient decay
+    D = lambda_c H(phi) + lambda_b + lambda_d K(theta), given the gate
+    values H(phi)."""
+    params = ops.params
     return (params.lambda_c * gate + params.lambda_b
-            + params.lambda_d * np.asarray(nl.K_temp(theta_flat), dtype=float))
+            + params.lambda_d * np.asarray(ops.nl.K_temp(theta_flat),
+                                           dtype=float)) - ops.decay_ref
 
 
 def _frozen_coefficients(ops, base):
     """The coefficients the linearized and adjoint steps freeze at base
     levels 0..nt-1, as (nt, N) arrays: ``gate`` H(phi), ``source_prime``,
-    ``f_prime``, ``decay``, ``h_prime`` lambda_c H'(phi) and ``k_prime``
-    lambda_d K'(theta); each model function runs once, on a flat 1-D view."""
+    ``f_prime``, ``explicit_decay`` D - decay_ref, ``h_prime``
+    lambda_c H'(phi) and ``k_prime`` lambda_d K'(theta); each model function
+    runs once, on a flat 1-D view."""
     params, nl = ops.params, ops.nl
     theta, phi, sigma = (base.field_array(name)[:-1].reshape(-1)
                          for name in ("theta", "phi", "sigma"))
@@ -220,7 +217,7 @@ def _frozen_coefficients(ops, base):
             "source_prime": (params.lambda_p * sigma - params.lambda_a
                              - params.lambda_e * theta) * gate_prime,
             "f_prime": np.asarray(ops.pot.f_prime(phi), dtype=float),
-            "decay": _decay_coefficient(theta, gate, params, nl),
+            "explicit_decay": _explicit_decay(ops, theta, gate),
             "h_prime": params.lambda_c * gate_prime,
             "k_prime": params.lambda_d * np.asarray(nl.K_temp_prime(theta),
                                                     dtype=float),
@@ -241,7 +238,7 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
     rhs_phase = phi_n / dt + source
     rhs_potential = (ops.a * phi_n - np.asarray(pot.f(phi_n), dtype=float)
                      + params.chi * sigma_n + params.lambda_big * theta_n)
-    decay = _decay_coefficient(theta_n, gate, params, nl)
+    explicit_decay = _explicit_decay(ops, theta_n, gate)
 
     phi_next = ops.ch_schur.solve(rhs_phase - ops.apply_lap(rhs_potential),
                                   step=step, guess=phi_n)
@@ -261,10 +258,9 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
     rhs_heat = (theta_n / dt - (params.ell / dt) * (phi_next - phi_n) + u_n)
     theta_next = ops.heat.solve(rhs_heat, step=step, guess=theta_n)
 
-    rhs_nutrient = (sigma_n / dt - params.chi * lap_phi_next
-                    + params.lambda_b * sigma_b_n)
-    sigma_next = ops.solve_nutrient(rhs_nutrient, decay, step=step,
-                                    guess=sigma_n)
+    rhs_nutrient = (sigma_n / dt - explicit_decay * sigma_n
+                    - params.chi * lap_phi_next + params.lambda_b * sigma_b_n)
+    sigma_next = ops.nutrient.solve(rhs_nutrient, step=step, guess=sigma_n)
     return theta_next, phi_next, mu_next, sigma_next
 
 
@@ -302,7 +298,7 @@ def solve_state(init, u, cfg, params, nl, pot):
         init: Initial data.
         u: Control SpaceTimeField; its time grid drives the solve and its
             final slice is unused.
-        cfg: SolverConfig.
+        cfg: SolverConfig; no solve reads it.
         params, nl, pot: Model data.
 
     Returns:
@@ -322,7 +318,7 @@ def solve_state(init, u, cfg, params, nl, pot):
     dt = time_grid.dt
     total = grid.num_nodes
 
-    ops = StepOperators(grid, dt, cfg, params, nl, pot)
+    ops = StepOperators(grid, dt, params, nl, pot)
 
     theta = np.zeros((nt + 1, total))
     phi = np.zeros((nt + 1, total))

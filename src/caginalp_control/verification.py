@@ -546,11 +546,8 @@ def _suite_optimizer(problem, cfg, base):
                   f"min sample {min(check.vi_samples):.3e}"
                   f" over {len(check.vi_samples)}")
 
-    header = ("iter", "J", "stationarity", "step", "backtracks")
-    rows = [(rec.iteration, rec.cost, rec.stationarity, rec.step,
-             rec.backtracks) for rec in report.iterates]
     return ([monotone, stationarity, clamp_row, vi_row],
-            {"optimizer_report": (header, rows)})
+            {"optimizer_report": report.table()})
 
 
 def _suite_energy(problem, cfg, base):

@@ -92,8 +92,7 @@ def desk_report(desk_problem):
 @pytest.fixture
 def factorizations(monkeypatch):
     """Shapes of the matrices factorized while the test runs, by either
-    backend: one entry per FactorizedOperator built. The band factors a
-    shifted 1D solve makes inside ``solve`` are not counted."""
+    backend: one entry per FactorizedOperator built."""
     calls = []
     real_init = linsolve.FactorizedOperator.__init__
 

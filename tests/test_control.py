@@ -427,15 +427,15 @@ def test_descent_runs_one_forward_sweep_per_trial(monkeypatch):
 # Cost and stationarity of iterates 0-8 of PGD from zero on the desk
 # problem. Each of iterates 0-7 accepts its first trial.
 _DESK_DESCENT = (
-    (0.004964887383784637, 0.03562773535709938),
-    (0.004094422864932944, 0.013239092278376953),
-    (0.0039549349933646625, 9.395291392410299e-05),
-    (0.003954927293807571, 2.1263185792819006e-05),
-    (0.003954926984723311, 7.933176453391178e-06),
-    (0.003954926949988294, 1.6156453452388405e-06),
-    (0.003954926948452567, 2.6648994643528114e-07),
-    (0.0039549269483945704, 1.0717838548807178e-07),
-    (0.003954926948382975, 1.370250114212455e-09),
+    (0.004964894046514252, 0.03562778294683862),
+    (0.004094427329048682, 0.013239103474638412),
+    (0.0039549392561897614, 9.395449431650254e-05),
+    (0.003954931556521322, 2.1264762543186237e-05),
+    (0.003954931247405524, 7.933764134296134e-06),
+    (0.0039549312126646585, 1.61549463968933e-06),
+    (0.003954931211128455, 2.665683410797469e-07),
+    (0.003954931211071303, 1.072047514218202e-07),
+    (0.00395493121106023, 1.3706027639852597e-09),
 )
 
 
@@ -456,10 +456,10 @@ def test_desk_descent_matches_its_recorded_iterates(desk_descent):
     assert costs == pytest.approx([c for c, _ in _DESK_DESCENT], rel=1e-10)
     assert stationarity == pytest.approx([s for _, s in _DESK_DESCENT],
                                          rel=1e-6)
-    assert report.final_cost == pytest.approx(0.003954926948382975,
+    assert report.final_cost == pytest.approx(0.00395493121106023,
                                               rel=1e-10)
     assert l2q_norm(report.final_control) == pytest.approx(
-        0.05669761922112426, rel=1e-10)
+        0.05669767867240083, rel=1e-10)
 
 
 def test_report_gradient_is_the_gradient_at_the_final_control(

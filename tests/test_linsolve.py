@@ -1,5 +1,5 @@
-"""Inner solves: the shifted nutrient solve, the phase factor pair, the band
-or sparse factor each operator gets, factorization counts, failures, and the
+"""Inner solves: the nutrient step, the phase factor pair, the band or
+sparse factor each operator gets, factorization counts, failures, and the
 sparse products of every sweep."""
 
 import numpy as np
@@ -9,7 +9,7 @@ from scipy.sparse._base import _spbase
 from scipy.sparse.linalg import spsolve
 from conftest import desk_params
 
-import caginalp_control.linsolve as linsolve
+import caginalp_control.state as state
 from caginalp_control import (
     AdjointSources,
     ConfigurationError,
@@ -23,28 +23,12 @@ from caginalp_control import (
     default_nonlinearities,
     default_potential,
     laplacian_matrix,
-    quadrature_weights,
     solve_adjoint_with_sources,
     solve_linearized,
     solve_state,
 )
 from caginalp_control.linsolve import FactorizedOperator
 from caginalp_control.state import StepOperators
-
-
-def _nutrient_case(grid, dt, params, seed):
-    """Operators, a decay drawn across the declared range and a rhs."""
-    nl = default_nonlinearities()
-    ops = StepOperators(grid, dt, SolverConfig(), params, nl,
-                        default_potential())
-    rng = np.random.default_rng(seed)
-    top = (params.lambda_b + params.lambda_c * nl.h_star
-           + params.lambda_d * nl.k_star)
-    decay = rng.uniform(params.lambda_b, top, size=grid.num_nodes)
-    rhs = rng.normal(size=grid.num_nodes)
-    matrix = (sp.identity(grid.num_nodes) / dt - laplacian_matrix(grid)
-              + sp.diags_array(decay))
-    return ops, decay, rhs, spsolve(matrix.tocsc(), rhs)
 
 
 def _relative_error(x, reference):
@@ -57,40 +41,61 @@ def _relative_error(x, reference):
     Grid((33, 33), (2.0, 2.0)),
 ], ids=["1d-33", "1d-1025", "2d-33x33"])
 def test_shifted_nutrient_solve_matches_spsolve(grid):
-    ops, decay, rhs, reference = _nutrient_case(grid, 0.01, desk_params(),
-                                                seed=11)
-    cold = ops.solve_nutrient(rhs, decay)
-    assert _relative_error(cold, reference) <= 1e-10
-    warm = ops.solve_nutrient(rhs, decay, guess=reference + 1e-3)
-    assert _relative_error(warm, reference) <= 1e-10
+    # The nutrient step solves with the shifted Laplacian
+    # (1/dt + decay_ref) I - Lap, decay_ref the midpoint of the declared
+    # decay range, and takes the rest of the decay explicitly.
+    params, nl = desk_params(), default_nonlinearities()
+    dt = 0.01
+    ops = StepOperators(grid, dt, params, nl, default_potential())
+    rng = np.random.default_rng(11)
+    theta, phi, sigma, u, sigma_b = rng.uniform(-1.0, 1.0,
+                                                size=(5, grid.num_nodes))
+    _, phi_next, _, sigma_next = state._step_arrays(
+        ops, theta, phi, sigma, u, sigma_b, step=0)
+    lap = laplacian_matrix(grid)
+    decay_ref = params.lambda_b + 0.5 * (params.lambda_c * nl.h_star
+                                         + params.lambda_d * nl.k_star)
+    decay = (params.lambda_c * nl.H_gate(phi) + params.lambda_b
+             + params.lambda_d * nl.K_temp(theta))
+    rhs = (sigma / dt - (decay - decay_ref) * sigma
+           - params.chi * (lap @ phi_next) + params.lambda_b * sigma_b)
+    matrix = (1.0 / dt + decay_ref) * sp.identity(grid.num_nodes) - lap
+    reference = spsolve(matrix.tocsc(), rhs)
+    # The step starts warm from sigma; a cold solve takes one LU solve.
+    assert _relative_error(sigma_next, reference) <= 1e-10
+    assert _relative_error(ops.nutrient.solve(rhs), reference) <= 1e-10
 
 
-def test_shifted_nutrient_solve_converges_when_decay_is_stiff():
-    # dt * (lambda_C + lambda_D) = 30: the decay dominates I/dt, so the
-    # reference shift no longer makes the preconditioner nearly exact.
-    params = desk_params(lambda_c=40.0, lambda_d=20.0)
-    grid = Grid(129, 2.0)
-    ops, decay, rhs, reference = _nutrient_case(grid, 0.5, params, seed=13)
-    assert ops.dt * (params.lambda_c + params.lambda_d) >= 20.0
-    x = ops.solve_nutrient(rhs, decay)
-    assert _relative_error(x, reference) <= 1e-10
-
-
-def test_shifted_sparse_solve_converges_when_decay_is_stiff():
-    # The same stiff decay on a 2D grid, where the shifted solve runs
-    # conjugate gradients preconditioned by the reference factor.
-    params = desk_params(lambda_c=40.0, lambda_d=20.0)
-    grid = Grid((17, 17), (2.0, 2.0))
-    ops, decay, rhs, reference = _nutrient_case(grid, 0.5, params, seed=13)
-    assert ops.nutrient._band is None
-    x = ops.solve_nutrient(rhs, decay)
-    assert _relative_error(x, reference) <= 1e-10
+@pytest.mark.parametrize("grid", [
+    Grid(129, 2.0),
+    Grid((17, 17), (2.0, 2.0)),
+], ids=["1d-129", "2d-17x17"])
+def test_stiff_decay_does_not_raise_the_nutrient_maximum(grid):
+    # dt * (lambda_C + lambda_D) = 30: the decay dominates I/dt. Without
+    # chemotaxis and supply, |1/dt - (D - decay_ref)| <= 1/dt + decay_ref
+    # keeps every step from raising max|sigma|; a decay taken explicitly
+    # in full would multiply it by about 29 per step.
+    params = desk_params(lambda_c=40.0, lambda_d=20.0, chi=0.0,
+                         sigma_b=0.0)
+    nt = 10
+    time_grid = TimeGrid(0.5 * nt, nt)
+    assert time_grid.dt * (params.lambda_c + params.lambda_d) == 30.0
+    theta0, phi0, sigma0 = np.random.default_rng(13).uniform(
+        [[-0.1], [-0.5], [0.5]], [[0.1], [0.5], [1.0]],
+        size=(3, grid.num_nodes)).reshape(3, *grid.shape)
+    init = InitialData(theta0=Field(grid, theta0), phi0=Field(grid, phi0),
+                       sigma0=Field(grid, sigma0))
+    traj = solve_state(init, SpaceTimeField.constant(time_grid, grid, 0.3),
+                       SolverConfig(), params, default_nonlinearities(),
+                       default_potential())
+    peaks = np.max(np.abs(traj.field_array("sigma")), axis=1)
+    assert np.all(peaks[1:] <= peaks[:-1])
 
 
 def test_decay_reference_is_midpoint_of_declared_range():
     params = desk_params()
-    ops = StepOperators(Grid(9, 1.0), 0.1, SolverConfig(), params,
-                        default_nonlinearities(), default_potential())
+    ops = StepOperators(Grid(9, 1.0), 0.1, params, default_nonlinearities(),
+                        default_potential())
     assert ops.decay_ref == pytest.approx(0.3 + 0.5 * (0.4 + 0.2))
 
 
@@ -178,7 +183,7 @@ def _split_corners():
 
 def _operator_of(matrix, **kwargs):
     """The first-degree operator 0 I - (-matrix), which is the matrix."""
-    return FactorizedOperator(-matrix, 0.0, linear_tol=1e-12, **kwargs)
+    return FactorizedOperator(-matrix, 0.0, **kwargs)
 
 
 @pytest.mark.parametrize("matrix", [_split_tridiagonal(), _split_corners()],
@@ -192,44 +197,6 @@ def test_singular_factor_raises_solver_error(matrix):
     assert "singular" in str(error)
 
 
-def test_singular_shifted_band_factor_names_block_and_step():
-    matrix = _split_tridiagonal() + sp.identity(4, format="csr")
-    operator = _operator_of(matrix, label="nutrient")
-    with pytest.raises(SolverError) as excinfo:
-        operator.solve(np.ones(4), step=7, shift=np.array([-1.0, -1.0, 0.0,
-                                                           0.0]))
-    error = excinfo.value
-    assert error.block == "nutrient"
-    assert error.step == 7
-    assert str(error).startswith("nutrient solve at step 7")
-    assert "singular" in str(error)
-
-
-@pytest.mark.parametrize("cg_iters, shift_of", [
-    # One back-substitution, the budget of a cold start under a cap of no
-    # iterations, cannot absorb a shift far from the preconditioner's.
-    (0, lambda rng, n: rng.uniform(0.0, 1e3, size=n)),
-    # A + diag(-150) is indefinite, and constants lie in its negative
-    # eigenspace, so the first search direction has negative curvature.
-    (50, lambda rng, n: np.full(n, -150.0)),
-], ids=["budget", "curvature"])
-def test_conjugate_gradient_stall_names_block_and_step(monkeypatch, cg_iters,
-                                                       shift_of):
-    monkeypatch.setattr(linsolve, "_CG_ITERS", cg_iters)
-    grid = Grid((9, 9), (2.0, 2.0))
-    operator = FactorizedOperator(
-        laplacian_matrix(grid), 1.0 / 0.01, linear_tol=1e-12,
-        weights=quadrature_weights(grid).ravel(), label="nutrient")
-    assert operator._band is None
-    shift = shift_of(np.random.default_rng(5), grid.num_nodes)
-    with pytest.raises(SolverError) as excinfo:
-        operator.solve(np.ones(grid.num_nodes), step=3, shift=shift)
-    error = excinfo.value
-    assert error.block == "nutrient"
-    assert error.step == 3
-    assert str(error).startswith("nutrient solve at step 3 stalled")
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("magnitude", [1e155, 1e-170])
 @pytest.mark.parametrize("grid", [Grid(33, 2.0), Grid((9, 9), (2.0, 2.0))],
@@ -241,8 +208,7 @@ def test_acceptance_holds_for_right_hand_sides_of_any_magnitude(grid,
     # nor a nonzero b look like zero.
     matrix = (sp.identity(grid.num_nodes) / 0.01
               - laplacian_matrix(grid)).tocsc()
-    operator = FactorizedOperator(laplacian_matrix(grid), 1.0 / 0.01,
-                                  linear_tol=1e-12)
+    operator = FactorizedOperator(laplacian_matrix(grid), 1.0 / 0.01)
     rhs = np.full(grid.num_nodes, magnitude)
     reference = spsolve(matrix, np.ones(grid.num_nodes)) * magnitude
     for guess in (None, reference * (1.0 + 1e-2)):
@@ -299,7 +265,7 @@ def test_non_finite_right_hand_side_names_sweep_block_and_step(
     Grid((33, 33), (2.0, 2.0)),
 ], ids=["1d-33", "1d-65", "2d-17x17", "2d-33x33"])
 def test_phase_factor_pair_solves_the_assembled_schur_operator(grid, tau):
-    ops = StepOperators(grid, 0.01, SolverConfig(), desk_params(tau=tau),
+    ops = StepOperators(grid, 0.01, desk_params(tau=tau),
                         default_nonlinearities(), default_potential())
     assert ops.ch_schur._paired == (tau == 0.0)
     lap = ops.lap
@@ -322,8 +288,8 @@ def test_phase_factor_pair_solves_the_assembled_schur_operator(grid, tau):
     Grid((33, 33), (2.0, 2.0)),
 ], ids=["1d-33", "1d-1025", "2d-5x4", "2d-33x33"])
 def test_matvec_is_bit_equal_to_sparse_matmul(grid):
-    ops = StepOperators(grid, 0.01, SolverConfig(), desk_params(),
-                        default_nonlinearities(), default_potential())
+    ops = StepOperators(grid, 0.01, desk_params(), default_nonlinearities(),
+                        default_potential())
     ops.solve_terminal(np.ones(grid.num_nodes))
     rng = np.random.default_rng(5)
     total = grid.num_nodes

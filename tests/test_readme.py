@@ -1,5 +1,6 @@
-"""README.md's Python examples run as written, from the checkout root, and
-its configuration table names every config key."""
+"""README.md's Python examples run as written, from the checkout root; its
+configuration table names every config key, and its package layout names
+every module once."""
 
 import os
 import re
@@ -36,3 +37,13 @@ def test_readme_config_table_names_every_key():
     for section, keys in _KNOWN_KEYS.items():
         missing = [key for key in keys if f"`{key}`" not in rows[section]]
         assert not missing, f"[{section}] row lacks {missing}"
+
+
+def test_readme_package_layout_names_every_module_once():
+    block = re.search(r"^## Package layout\n\n```\n(.*?)^```$", README,
+                      flags=re.MULTILINE | re.DOTALL).group(1)
+    package = os.path.join(ROOT, "src", "caginalp_control")
+    modules = sorted(name for name in os.listdir(package)
+                     if name.endswith(".py"))
+    named = re.findall(r"^ +(\w+\.py) ", block, flags=re.MULTILINE)
+    assert sorted(named) == modules

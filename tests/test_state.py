@@ -318,7 +318,8 @@ def test_initial_mu_formula():
 
 def test_solver_error_carries_step_index():
     # A NaN gate H fails the phase solve of step 0. A NaN K makes only the
-    # nutrient decay NaN, which the phase and heat solves do not read.
+    # explicit nutrient decay NaN, which the phase and heat solves do not
+    # read, so the nutrient solve receives a NaN right-hand side.
     def nan(s):
         return np.full_like(np.asarray(s, dtype=float), np.nan)
 
@@ -327,7 +328,7 @@ def test_solver_error_carries_step_index():
     u = SpaceTimeField.zeros(TimeGrid(0.1, 2), grid)
     for field, block, what in (
             ("H_gate", "phase", "received non-finite right-hand side"),
-            ("K_temp", "nutrient", "produced non-finite values")):
+            ("K_temp", "nutrient", "received non-finite right-hand side")):
         broken = dataclasses.replace(default_nonlinearities(), **{field: nan})
         with pytest.raises(SolverError) as excinfo:
             solve_state(init, u, SolverConfig(), ModelParams(lambda_p=1.0),
