@@ -1,30 +1,22 @@
 """Discrete adjoint of the forward time-stepping map.
 
-The adjoint system is the exact transpose of the linearized sweep with
-respect to the trapezoid inner product, derived by differentiating the
-Lagrangian of the discrete equations. Because the quadrature matrix W and
-the mirror-closed Laplacian satisfy W L = L^T W exactly, the transposed
-equations read again as nodal equations in L itself, and every adjoint solve
-reuses a forward factorization: the backward heat solve uses I - dt*L, the
-backward phase solve uses the same fourth-order Schur complement, and the
-backward nutrient solve uses the forward nutrient operator at the reference
-decay. The forward step takes the rest of the decay, D - decay_ref,
-explicitly on its old level, so the transpose meets it in the step that
-reads that level: the backward step producing index m adds
--dt (D_k - decay_ref) r_k, with k = m + 1, to its nutrient right-hand side,
-and reads the base's sigma_k in the H' and K' couplings. An adjoint
-sweep takes those factorizations, and the model, from its base trajectory.
-It factorizes the terminal operator I - tau*L once per base. It evaluates
-the coefficients it freezes at the base once, on all levels, so its steps
-call no model function.
+The backward sweep runs the linearized step's program (see
+:mod:`~caginalp_control.linearized`) transposed, so it is the exact
+transpose of the linearized sweep under the trapezoid inner product, and
+every adjoint solve reuses a forward factorization. It takes those
+factorizations and the model from its base trajectory, builds the
+program's coefficient tables once, and factorizes the terminal operator
+I - tau*L once per base.
 
-Indexing convention: the multiplier attached to the step that produces
-level k is stored at trajectory index k - 1, so index m of the adjoint
-trajectory (a :class:`~caginalp_control.grid.Trajectory` with fields z, p, q
-and r) holds the multipliers of the step m -> m + 1, and index nt holds the
-terminal data (z_T, p_T, q_T, r_T) derived from the terminal cost.
-With this layout the reduced gradient is simply g_n = z_n + b5 * u_n, slice
-by slice, where z_n is the z-component of trajectory index n.
+Index m < nt of the adjoint trajectory (a
+:class:`~caginalp_control.grid.Trajectory` with fields z, p, q and r) holds
+the cotangents of step m's heat, phase, potential and nutrient right-hand
+sides, divided by dt. The cotangents of the registers that hold level
+k = 1..nt are seeded with dt times its sources s_theta, s_phi, s_eta and
+s_sigma, and at level nt also with the terminal vectors g_z, g_w and g_r.
+Index nt holds the terminal data (z_T, p_T, q_T, r_T) derived from those
+vectors. With this layout the reduced gradient is g_n = z_n + b5 * u_n,
+slice by slice.
 
 The sweep is driven by per-level sources and terminal data and knows no
 cost: :func:`~caginalp_control.control.cost_sources` forms a cost's sources,
@@ -37,7 +29,8 @@ import numpy as np
 
 from .errors import ConfigurationError, names_sweep
 from .grid import Trajectory
-from .state import _base_operators, _frozen_coefficients
+from .linearized import _run, _step_program, _transposed
+from .state import _base_operators
 
 __all__ = [
     "AdjointSources",
@@ -103,59 +96,6 @@ def _terminal_from_vectors(ops, g_z, g_w, g_r):
     return z_t, p_t, q_t, np.asarray(g_r, dtype=float)
 
 
-def _adjoint_step_arrays(ops, frozen, base_sigma, sources, level, z_next,
-                         p_next, q_next, r_next):
-    """One backward step on flat arrays, producing trajectory index level.
-
-    The step transposes the forward step level -> level + 1 and the
-    dependence of step k -> k + 1 on level k = level + 1, so it reads the
-    base's coefficients ``frozen`` and ``base_sigma`` at base level k. The
-    terminal step (level = nt - 1) is seeded by the terminal data instead
-    of later multipliers.
-    """
-    dt, params = ops.dt, ops.params
-    nt = len(base_sigma) - 1
-    k = level + 1
-    s_eta_k = sources.s_eta[k]
-
-    if k == nt:
-        z_new = ops.heat.solve((z_next + dt * sources.s_theta[k]) / dt,
-                               step=level)
-        r_new = ops.nutrient.solve((r_next + dt * sources.s_sigma[k]) / dt,
-                                   step=level)
-        w_t = p_next + params.tau * q_next + params.ell * z_next
-        rhs_p = (w_t + dt * sources.s_phi[k] - params.ell * z_new
-                 - dt * params.chi * ops.apply_lap(r_new)
-                 + dt * (ops.a * s_eta_k - ops.apply_lap(s_eta_k)))
-    else:
-        gate = frozen["gate"][k]
-        sigma_k = base_sigma[k]
-
-        rhs_z = z_next + dt * (
-            sources.s_theta[k] - params.lambda_e * gate * p_next
-            + params.lambda_big * q_next
-            - frozen["k_prime"][k] * sigma_k * r_next)
-        z_new = ops.heat.solve(rhs_z / dt, step=level)
-
-        rhs_r = r_next + dt * (
-            sources.s_sigma[k] + params.lambda_p * gate * p_next
-            + params.chi * q_next - frozen["explicit_decay"][k] * r_next)
-        r_new = ops.nutrient.solve(rhs_r / dt, step=level)
-
-        rhs_p = (p_next
-                 + dt * (frozen["source_prime"][k] * p_next + ops.a * q_next
-                         - frozen["f_prime"][k] * q_next
-                         - frozen["h_prime"][k] * sigma_k * r_next
-                         + sources.s_phi[k])
-                 + params.ell * (z_next - z_new)
-                 - dt * params.chi * ops.apply_lap(r_new)
-                 + dt * (ops.a * s_eta_k - ops.apply_lap(s_eta_k)))
-
-    p_new = ops.ch_schur.solve(rhs_p / dt, step=level)
-    q_new = -ops.apply_lap(p_new) - s_eta_k
-    return z_new, p_new, q_new, r_new
-
-
 @names_sweep("adjoint")
 def solve_adjoint_with_sources(base, sources):
     """Backward sweep driven by explicit sources and terminal vectors.
@@ -187,13 +127,26 @@ def solve_adjoint_with_sources(base, sources):
     z[nt], p[nt], q[nt], r[nt] = _terminal_from_vectors(
         ops, sources.g_z, sources.g_w, sources.g_r)
 
-    frozen = _frozen_coefficients(ops, base)
-    base_sigma = base.field_array("sigma")
-    for level in range(nt - 1, -1, -1):
-        out = _adjoint_step_arrays(ops, frozen, base_sigma, sources, level,
-                                   z[level + 1], p[level + 1], q[level + 1],
-                                   r[level + 1])
-        z[level], p[level], q[level], r[level] = out
+    dt = ops.dt
+    program = _transposed(_step_program(ops, base))
+    s_theta, s_phi, s_eta, s_sigma = (
+        dt * s for s in (sources.s_theta, sources.s_phi, sources.s_eta,
+                         sources.s_sigma))
+    later = {"zeta": sources.g_z, "xi": sources.g_w, "rho": sources.g_r}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(nt - 1, -1, -1):
+            k = level + 1
+            later = _run(program, {
+                "zeta'": later["zeta"] + s_theta[k],
+                "xi'": later["xi"] + s_phi[k],
+                "eta'": s_eta[k],
+                "rho'": later["rho"] + s_sigma[k],
+            }, level)
+            z[level], p[level], q[level], r[level] = (
+                later["heat"], later["phase"], later["potential"],
+                later["nutrient"])
+    for multipliers in (z, p, q, r):
+        multipliers[:nt] /= dt
 
     return Trajectory(
         time_grid, grid, {"z": z, "p": p, "q": q, "r": r},

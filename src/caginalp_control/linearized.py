@@ -1,18 +1,18 @@
-"""Exact linearization of the forward time-stepping map.
+"""Exact linearization of the forward time-stepping map, written once as a
+program of linear instructions.
 
 Each forward step freezes its nonlinear coefficients at the old level, so the
 step is a smooth map of (old state, control slice) and its derivative is
 computed exactly: the linearized step solves the same three linear systems
 with the same matrices as the forward step, only the right-hand sides change.
-The nutrient step takes the decay beyond its reference explicitly, at the
-old level, so its derivative adds -(D - decay_ref) rho_n
-- sigma_n (lambda_c H'(phi_n) xi_n + lambda_d K'(theta_n) zeta_n) to the
-right-hand side, with the base's sigma_n.
-A linearized sweep takes those factorizations, and the model, from its base
-trajectory, so it costs no more than one forward sweep and stays consistent
-with the discrete map to rounding accuracy, which the Taylor test below
-verifies. It evaluates the coefficients it freezes at the base once, on all
-levels, so its steps call no model function.
+
+:func:`_step_program` writes the step as a straight-line list of
+instructions (target, c, op, source), each adding c * op(source) to a
+register. :func:`solve_linearized` runs it forward; the adjoint sweep runs
+:func:`_transposed` of it, which is reverse mode on a straight-line program
+(Griewank and Walther, Evaluating Derivatives, SIAM 2008). A sweep takes
+the factorizations and the model from its base trajectory and builds each
+coefficient table once, so its steps call no model function.
 
 The linearized variables are (zeta, xi, eta, rho) for the perturbations of
 (theta, phi, mu, sigma). Initial data is unperturbed, so all four start at
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, names_sweep
 from .grid import Trajectory, l2q_norm
-from .state import _base_operators, _frozen_coefficients, y_norm
+from .state import _base_operators, _explicit_decay, y_norm
 
 __all__ = [
     "solve_linearized",
@@ -42,34 +42,98 @@ __all__ = [
 ]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _lin_step_arrays(ops, frozen, base_sigma, zeta_n, xi_n, rho_n, h_n,
-                     step):
-    """One linearized step on flat arrays; returns the four new levels. The
-    block solves judge the assembled right-hand sides, so a non-finite one
-    fails with the name of its block and step."""
-    dt, params = ops.dt, ops.params
-    gate = frozen["gate"][step]
-    rhs_phase = (xi_n / dt + frozen["source_prime"][step] * xi_n
-                 + params.lambda_p * gate * rho_n
-                 - params.lambda_e * gate * zeta_n)
-    rhs_potential = (ops.a * xi_n - frozen["f_prime"][step] * xi_n
-                     + params.chi * rho_n + params.lambda_big * zeta_n)
+def _step_program(ops, base):
+    """The linearized step around ``base`` as a list of instructions
+    (target, c, op, source), each adding c * op(source) to register target.
 
-    xi_next = ops.ch_schur.solve(rhs_phase - ops.apply_lap(rhs_potential),
-                                 step=step)
-    lap_xi_next = ops.apply_lap(xi_next)
-    eta_next = (ops.a * xi_next - lap_xi_next) - rhs_potential
+    The registers are the inputs zeta, xi, rho and h; the heat, phase,
+    potential and nutrient right-hand sides; the phase solve's input
+    B = phase - L potential; L xi'; and the outputs zeta', xi', eta', rho'.
+    c is None for 1, else a sequence indexed by the step: a scalar
+    repeated, or the rows of a table of the base's coefficients at the
+    step's old level. op is None for the identity, else op(v, step): L or a
+    block solve, which names the step in its failures. A row only comes
+    with the identity, so c commutes with op. No register is written after
+    it is read. Each model function runs once, on the flat levels 0..nt-1.
+    """
+    dt, params, nl = ops.dt, ops.params, ops.nl
+    nt = base.time_grid.nt
+    theta, phi, sigma = (base.field_array(name)[:-1].reshape(-1)
+                         for name in ("theta", "phi", "sigma"))
 
-    rhs_heat = zeta_n / dt - (params.ell / dt) * (xi_next - xi_n) + h_n
-    zeta_next = ops.heat.solve(rhs_heat, step=step)
+    def rows(values):
+        return list(values.reshape(nt, -1))
 
-    rhs_nutrient = (rho_n / dt - frozen["explicit_decay"][step] * rho_n
-                    - params.chi * lap_xi_next
-                    - base_sigma * (frozen["h_prime"][step] * xi_n
-                                    + frozen["k_prime"][step] * zeta_n))
-    rho_next = ops.nutrient.solve(rhs_nutrient, step=step)
-    return zeta_next, xi_next, eta_next, rho_next
+    def scalar(value):
+        return [value] * nt
+
+    def lap(v, step):
+        return ops.apply_lap(v)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        gate = np.asarray(nl.H_gate(phi), dtype=float)
+        gate_prime = np.asarray(nl.H_gate_prime(phi), dtype=float)
+        source_prime = (params.lambda_p * sigma - params.lambda_a
+                        - params.lambda_e * theta) * gate_prime
+        f_prime = np.asarray(ops.pot.f_prime(phi), dtype=float)
+        explicit_decay = _explicit_decay(ops, theta, gate)
+        h_prime = params.lambda_c * gate_prime
+        k_prime = params.lambda_d * np.asarray(nl.K_temp_prime(theta),
+                                               dtype=float)
+        return [
+            ("phase", rows(1.0 / dt + source_prime), None, "xi"),
+            ("phase", rows(params.lambda_p * gate), None, "rho"),
+            ("phase", rows(-params.lambda_e * gate), None, "zeta"),
+            ("potential", rows(ops.a - f_prime), None, "xi"),
+            ("potential", scalar(params.chi), None, "rho"),
+            ("potential", scalar(params.lambda_big), None, "zeta"),
+            ("B", None, None, "phase"),
+            ("B", scalar(-1.0), lap, "potential"),
+            ("xi'", None, ops.ch_schur.solve, "B"),
+            ("L xi'", None, lap, "xi'"),
+            # eta' = (a xi' - L xi') - potential, in the order the forward
+            # step forms mu.
+            ("eta'", scalar(ops.a), None, "xi'"),
+            ("eta'", scalar(-1.0), None, "L xi'"),
+            ("eta'", scalar(-1.0), None, "potential"),
+            ("heat", scalar(1.0 / dt), None, "zeta"),
+            ("heat", scalar(params.ell / dt), None, "xi"),
+            ("heat", scalar(-params.ell / dt), None, "xi'"),
+            ("heat", None, None, "h"),
+            ("zeta'", None, ops.heat.solve, "heat"),
+            ("nutrient", rows(1.0 / dt - explicit_decay), None, "rho"),
+            ("nutrient", scalar(-params.chi), None, "L xi'"),
+            ("nutrient", rows(-sigma * h_prime), None, "xi"),
+            ("nutrient", rows(-sigma * k_prime), None, "zeta"),
+            ("rho'", None, ops.nutrient.solve, "nutrient"),
+        ]
+
+
+def _transposed(program):
+    """The transpose of ``program`` under the trapezoid pairing <x, y>_W:
+    the instructions in reverse, each target += c * op(source) turned into
+    source += c * op(target) on the cotangents. It is exact because
+    W L = L^T W, so L, every block solve and every diagonal c are
+    self-adjoint in that pairing."""
+    return [(source, c, op, target)
+            for target, c, op, source in reversed(program)]
+
+
+def _run(program, registers, step):
+    """Run ``program`` at ``step``. ``registers`` holds its inputs and gains
+    every register it writes; the first write assigns. The block solves
+    judge the right-hand sides, so a non-finite one fails with the name of
+    its block and step, and a sweep runs with numpy's overflow and invalid
+    warnings off."""
+    for target, c, op, source in program:
+        value = registers[source]
+        if op is not None:
+            value = op(value, step)
+        if c is not None:
+            value = c[step] * value
+        previous = registers.get(target)
+        registers[target] = value if previous is None else previous + value
+    return registers
 
 
 @names_sweep("linearized")
@@ -102,14 +166,15 @@ def solve_linearized(base, h):
 
     zeta, xi, eta, rho = np.zeros((4, nt + 1, grid.num_nodes))
 
-    frozen = _frozen_coefficients(ops, base)
-    base_sigma = base.field_array("sigma")
+    program = _step_program(ops, base)
     directions = h.flat_slices
-    for step in range(nt):
-        out = _lin_step_arrays(ops, frozen, base_sigma[step], zeta[step],
-                               xi[step], rho[step], directions[step],
-                               step=step)
-        zeta[step + 1], xi[step + 1], eta[step + 1], rho[step + 1] = out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(nt):
+            out = _run(program, {"zeta": zeta[step], "xi": xi[step],
+                                 "rho": rho[step], "h": directions[step]},
+                       step)
+            zeta[step + 1], xi[step + 1], eta[step + 1], rho[step + 1] = (
+                out["zeta'"], out["xi'"], out["eta'"], out["rho'"])
 
     return Trajectory(
         time_grid, grid, {"zeta": zeta, "xi": xi, "eta": eta, "rho": rho},

@@ -26,8 +26,10 @@ at the old level:
    step raise max|sigma|.
 
 Freezing the nonlinearities at the old level makes the whole step an
-explicitly differentiable affine map of (old state, control slice); the
-linearized and adjoint modules differentiate and transpose exactly this map.
+explicitly differentiable affine map of (old state, control slice). Its
+derivative is written once, as the linearized module's program of linear
+instructions; the linearized sweep runs that program forward and the
+adjoint sweep runs it in reverse, each instruction transposed.
 
 The phase, heat and nutrient operators are constant over a sweep. Each is
 factorized once per forward sweep (see :class:`StepOperators`) and reused
@@ -46,6 +48,10 @@ constant is exactly zero, so a constant phi keeps mu constant; a merged
 The chemical potential at t=0 is defined algebraically from the potential
 equation with a zero phase rate, mu0 = -Lap(phi0) + f(phi0) - chi*sigma0
 - Lambda*theta0, since the continuous problem prescribes no initial mu.
+
+Weighted sums are numpy's pairwise np.add.reduce(w * x), not a BLAS dot
+product, which splits long vectors over threads; so a sweep and its
+diagnostics do not depend on the thread count.
 
 A sweep returns a :class:`~caginalp_control.grid.Trajectory` with fields
 theta, phi, mu and sigma: index k of the state trajectory holds time level
@@ -200,32 +206,6 @@ def _explicit_decay(ops, theta_flat, gate):
                                            dtype=float)) - ops.decay_ref
 
 
-def _frozen_coefficients(ops, base):
-    """The coefficients the linearized and adjoint steps freeze at base
-    levels 0..nt-1, as (nt, N) arrays: ``gate`` H(phi), ``source_prime``,
-    ``f_prime``, ``explicit_decay`` D - decay_ref, ``h_prime``
-    lambda_c H'(phi) and ``k_prime`` lambda_d K'(theta); each model function
-    runs once, on a flat 1-D view."""
-    params, nl = ops.params, ops.nl
-    theta, phi, sigma = (base.field_array(name)[:-1].reshape(-1)
-                         for name in ("theta", "phi", "sigma"))
-    with np.errstate(over="ignore", invalid="ignore"):
-        gate = np.asarray(nl.H_gate(phi), dtype=float)
-        gate_prime = np.asarray(nl.H_gate_prime(phi), dtype=float)
-        table = {
-            "gate": gate,
-            "source_prime": (params.lambda_p * sigma - params.lambda_a
-                             - params.lambda_e * theta) * gate_prime,
-            "f_prime": np.asarray(ops.pot.f_prime(phi), dtype=float),
-            "explicit_decay": _explicit_decay(ops, theta, gate),
-            "h_prime": params.lambda_c * gate_prime,
-            "k_prime": params.lambda_d * np.asarray(nl.K_temp_prime(theta),
-                                                    dtype=float),
-        }
-    return {name: values.reshape(base.time_grid.nt, -1)
-            for name, values in table.items()}
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
     """One forward step on flat arrays; returns the four new levels. The
@@ -250,8 +230,8 @@ def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
     # against 2.6e-14 and 4.5e-14 with it. Not in place: a guess the solve
     # accepts as it is comes back as phi_n itself.
     w = ops.weights
-    phi_next = phi_next + (w @ (phi_n + dt * source)
-                           - w @ phi_next) / ops.wsum
+    phi_next = phi_next + (np.add.reduce(w * (phi_n + dt * source))
+                           - np.add.reduce(w * phi_next)) / ops.wsum
     lap_phi_next = ops.apply_lap(phi_next)
     mu_next = (ops.a * phi_next - lap_phi_next) - rhs_potential
 
@@ -284,8 +264,8 @@ def ch_energy(phi, grid, pot):
     w = quadrature_weights(grid)
     energies = np.empty(len(phi))
     for level, values in enumerate(phi):
-        interface = 0.5 * np.dot(w, -apply_lap(values) * values)
-        bulk = np.dot(w, np.asarray(pot.F_hat(values), dtype=float))
+        interface = 0.5 * np.add.reduce(w * (-apply_lap(values) * values))
+        bulk = np.add.reduce(w * np.asarray(pot.F_hat(values), dtype=float))
         energies[level] = interface + bulk
     return energies
 
@@ -358,8 +338,9 @@ def diagnostics(traj, params, pot):
     phi = traj.field_array("phi")
     energies = ch_energy(phi, traj.grid, pot)
     return [(level, float(t),
-             float(np.dot(weights, theta[level] + params.ell * phi[level])),
-             float(np.dot(weights, phi[level])),
+             float(np.add.reduce(
+                 weights * (theta[level] + params.ell * phi[level]))),
+             float(np.add.reduce(weights * phi[level])),
              float(energies[level]),
              float(np.max(np.abs(theta[level]))),
              float(np.max(np.abs(phi[level]))))

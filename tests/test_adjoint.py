@@ -13,6 +13,7 @@ from caginalp_control import (
     CostSpec,
     Field,
     Grid,
+    InitialData,
     ModelParams,
     SolverConfig,
     SolverError,
@@ -29,6 +30,7 @@ from caginalp_control import (
     solve_linearized,
     solve_state,
 )
+from caginalp_control.linearized import _run, _step_program, _transposed
 from caginalp_control.oracle import oracle_adjoint
 
 
@@ -244,6 +246,40 @@ def test_dot_product_identity_random_sources():
         rhs = _source_pair(sources, lin, dt, w)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
     assert worst <= 1e-10
+
+
+def test_transposed_step_program_is_the_adjoint_of_one_step():
+    # One step of the program on a 5 x 4 grid with unequal spacings, tau
+    # and every rate nonzero: forward from random inputs, transposed from
+    # random output cotangents. The two pairings agree under the
+    # trapezoid weights, which is what makes the adjoint sweep exact.
+    rng = np.random.default_rng(59)
+    grid = Grid((5, 4), (1.0, 0.7))
+    time_grid = TimeGrid(0.2, 2)
+    params = desk_params(tau=0.5)
+    assert all(getattr(params, name) != 0.0 for name in (
+        "ell", "lambda_big", "chi", "lambda_p", "lambda_a", "lambda_e",
+        "lambda_c", "lambda_b", "lambda_d"))
+    init = InitialData(
+        theta0=Field(grid, 0.1 * rng.normal(size=grid.shape)),
+        phi0=Field(grid, 0.3 + 0.2 * rng.normal(size=grid.shape)),
+        sigma0=Field(grid, 0.6 + 0.1 * rng.normal(size=grid.shape)))
+    base = solve_state(init, _random_control(time_grid, grid, rng, 0.2),
+                       SolverConfig(), params, default_nonlinearities(),
+                       default_potential())
+    program = _step_program(base.operators, base)
+    w = quadrature_weights(grid).ravel()
+
+    def draw(names):
+        return {name: rng.normal(size=grid.num_nodes) for name in names}
+
+    inputs = draw(("zeta", "xi", "rho", "h"))
+    cotangents = draw(("zeta'", "xi'", "eta'", "rho'"))
+    outputs = _run(program, dict(inputs), 1)
+    bars = _run(_transposed(program), dict(cotangents), 1)
+    lhs = sum(w @ (outputs[name] * cotangents[name]) for name in cotangents)
+    rhs = sum(w @ (inputs[name] * bars[name]) for name in inputs)
+    assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
 
 
 def test_duality_identity_for_tracking_cost():

@@ -415,6 +415,30 @@ def test_module_entry_point_runs_simulate(tmp_path):
     assert len(diag.strip().split("\n")) == 1 + (4 + 1)
 
 
+def test_2d_simulate_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    # On 129^2 nodes OpenBLAS splits a dot product over its threads, so a
+    # weighted sum by BLAS would round differently at 1 and at 2 threads.
+    with open(DESK_CFG, encoding="utf-8") as handle:
+        desk = handle.read().split("[cost]")[0]
+    text = (desk.replace("n = 33\nlength = 2.0",
+                         "n = 129,129\nlength = 2.0,2.0")
+            .replace("nt = 50", "nt = 10"))
+    src = os.path.dirname(os.path.dirname(caginalp_control.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        cfg = _write(tmp_path, text + f"\n[output]\ndir = out_{threads}\n",
+                     name=f"threads_{threads}.cfg")
+        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "caginalp_control", "simulate", cfg],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outputs.append([_read(tmp_path, f"out_{threads}", name)
+                        for name in ("diagnostics.csv", "state_000010.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_keeps_the_report_that_optimize_wrote(tmp_path, capsys):
     # Both commands write into one [output] dir. The battery's optimizer
     # table has its own name, so optimize's iteration table survives.
