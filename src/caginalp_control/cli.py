@@ -28,7 +28,8 @@ from .config import EFFECTIVE_CONFIG_NAME, load_config
 from .control import projected_gradient_descent
 from .errors import ConfigurationError, OptimizerError, SolverError
 from .grid import _FMT, _write_node_table, write_space_time_csv
-from .state import DIAGNOSTICS_HEADER, diagnostics, solve_state
+from .state import (DIAGNOSTICS_HEADER, _STATE_FIELDS, _diagnostics_row,
+                    solve_state)
 from .verification import run_suite
 
 __all__ = [
@@ -99,28 +100,38 @@ def _write_effective_config(cfg):
         handle.write(cfg.effective_config())
 
 
-_STATE_FIELDS = ("theta", "phi", "mu", "sigma")
-
-
-def _write_state_slice(path, trajectory, level):
-    """Write one time level of the state as a node table."""
-    _write_node_table(path, trajectory.grid, _STATE_FIELDS, [[
-        trajectory.field_array(name)[level] for name in _STATE_FIELDS]])
+def _write_state_slice(path, grid, columns):
+    """Write one time level of the state, its flat (theta, phi, mu, sigma),
+    as a node table."""
+    _write_node_table(path, grid, _STATE_FIELDS, [columns])
 
 
 def _cmd_simulate(config_path):
     cfg = load_config(config_path)
     out_dir = _prepare_output(cfg)
 
-    trajectory = solve_state(cfg.init, cfg.control, cfg.solver, cfg.params,
-                             cfg.nonlinearities, cfg.potential)
+    # The sweep hands over each level in turn; keep its diagnostics row and
+    # a copy of the levels written out, and write every report afterwards,
+    # so a failed sweep writes none.
+    row = _diagnostics_row(cfg.grid, cfg.time_grid, cfg.params,
+                           cfg.potential)
+    rows = []
+    slices = dict.fromkeys(cfg.output_slices)
+
+    def record(level, theta, phi, mu, sigma):
+        rows.append(row(level, theta, phi))
+        if level in slices:
+            slices[level] = [theta.copy(), phi.copy(), mu.copy(),
+                             sigma.copy()]
+
+    solve_state(cfg.init, cfg.control, cfg.solver, cfg.params,
+                cfg.nonlinearities, cfg.potential, on_level=record)
 
     _write_csv(os.path.join(out_dir, "diagnostics.csv"), DIAGNOSTICS_HEADER,
-               diagnostics(trajectory, cfg.params, cfg.potential))
-
-    for level in cfg.output_slices:
+               rows)
+    for level, columns in slices.items():
         _write_state_slice(os.path.join(out_dir, f"state_{level:06d}.csv"),
-                           trajectory, level)
+                           cfg.grid, columns)
 
     _write_effective_config(cfg)
     print(f"simulate: {cfg.time_grid.nt} steps,"

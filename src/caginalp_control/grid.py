@@ -299,11 +299,12 @@ class Trajectory:
     """Output of one sweep: a read-only (nt + 1, N) array per named field.
 
     The forward sweep fills (theta, phi, mu, sigma), the linearized sweep
-    (zeta, xi, eta, rho) and the adjoint sweep (z, p, q, r). The arrays are
-    taken over, not copied, and made read-only, so a producer hands over
-    arrays it no longer writes to. ``operators`` holds the StepOperators of
-    a forward sweep, which the sweeps around it reuse, and is None
-    otherwise.
+    (zeta, xi, eta, rho) and the adjoint sweep (z, p, q, r). A forward
+    sweep that handed its levels to a recorder instead returns one with no
+    fields. The arrays are taken over, not copied, and made read-only, so a
+    producer hands over arrays it no longer writes to. ``operators`` holds
+    the StepOperators of a forward sweep that stored its levels, which the
+    sweeps around it reuse, and is None otherwise.
     """
 
     __slots__ = ("time_grid", "grid", "_arrays", "linear_solve_count",

@@ -53,12 +53,17 @@ Weighted sums are numpy's pairwise np.add.reduce(w * x), not a BLAS dot
 product, which splits long vectors over threads; so a sweep and its
 diagnostics do not depend on the thread count.
 
-A sweep returns a :class:`~caginalp_control.grid.Trajectory` with fields
-theta, phi, mu and sigma: index k of the state trajectory holds time level
-t_k, from the initial data at index 0 to the final state at index nt. The
-trajectory keeps the operators that produced it as ``operators``.
-:func:`diagnostics` computes the per-level masses, energy and sup norms of
-a forward trajectory when asked, so a sweep computes none of them.
+A sweep keeps only the current level and hands each level k, from the
+initial data at k = 0 to the final state at k = nt, to one recorder. The
+default recorder stores them all: the sweep returns a
+:class:`~caginalp_control.grid.Trajectory` with fields theta, phi, mu and
+sigma, whose index k holds time level t_k, and which keeps the operators
+that produced it as ``operators``. A caller that reads only some levels,
+such as ``simulate``, passes its own recorder; the sweep then returns a
+Trajectory with no fields and no operators, carrying only its solve count.
+The diagnostics row of a level (masses, energy and sup norms) comes from
+one row function, which a recorder calls per level and :func:`diagnostics`
+maps over a stored trajectory; a sweep computes no diagnostics itself.
 """
 
 from __future__ import annotations
@@ -93,6 +98,9 @@ __all__ = [
 # Stabilization constant S of the explicit-potential splitting, so that
 # a = tau/dt + S; the dense oracle reads the same value.
 STABILIZATION_S = 2.0
+
+# Fields of a forward trajectory, in the order a recorder receives them.
+_STATE_FIELDS = ("theta", "phi", "mu", "sigma")
 
 
 @dataclass(frozen=True)
@@ -206,7 +214,6 @@ def _explicit_decay(ops, theta_flat, gate):
                                            dtype=float)) - ops.decay_ref
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _step_arrays(ops, theta_n, phi_n, sigma_n, u_n, sigma_b_n, step):
     """One forward step on flat arrays; returns the four new levels. The
     block solves judge the assembled right-hand sides, so a non-finite one
@@ -254,24 +261,28 @@ def initial_mu(init, params, pot):
     return Field(init.grid, mu0.reshape(init.grid.shape))
 
 
-def ch_energy(phi, grid, pot):
+def _level_energy(apply_lap, w, pot, phi):
     """Discrete Cahn-Hilliard free energy 0.5*<-Lap(phi), phi> + int F_hat
-    of every level of ``phi``, a (levels, N) array of flat levels.
+    of one flat level, given the Laplacian's product and the weights."""
+    interface = 0.5 * np.add.reduce(w * (-apply_lap(phi) * phi))
+    bulk = np.add.reduce(w * np.asarray(pot.F_hat(phi), dtype=float))
+    return interface + bulk
+
+
+def ch_energy(phi, grid, pot):
+    """Discrete Cahn-Hilliard free energy of every level of ``phi``, a
+    (levels, N) array of flat levels.
 
     Works one level at a time, so it allocates nothing the size of ``phi``.
     """
     apply_lap = MatVec(laplacian_matrix(grid))
     w = quadrature_weights(grid)
-    energies = np.empty(len(phi))
-    for level, values in enumerate(phi):
-        interface = 0.5 * np.add.reduce(w * (-apply_lap(values) * values))
-        bulk = np.add.reduce(w * np.asarray(pot.F_hat(values), dtype=float))
-        energies[level] = interface + bulk
-    return energies
+    return np.array([_level_energy(apply_lap, w, pot, values)
+                     for values in phi], dtype=float)
 
 
 @names_sweep("forward")
-def solve_state(init, u, cfg, params, nl, pot):
+def solve_state(init, u, cfg, params, nl, pot, on_level=None):
     """March the full horizon.
 
     Args:
@@ -280,11 +291,18 @@ def solve_state(init, u, cfg, params, nl, pot):
             final slice is unused.
         cfg: SolverConfig; no solve reads it.
         params, nl, pot: Model data.
+        on_level: Optional recorder, called as
+            ``on_level(k, theta, phi, mu, sigma)`` with the flat arrays of
+            each level k = 0..nt in turn, under the sweep's floating-point
+            error state. It must copy what it keeps: an accepted warm start
+            comes back as the previous level's own array.
 
     Returns:
-        Trajectory of (theta, phi, mu, sigma) at levels 0..nt, with the
-        sweep's StepOperators, which linearized and adjoint sweeps around
-        it reuse. :func:`diagnostics` computes its per-level rows.
+        Without ``on_level``, the Trajectory of (theta, phi, mu, sigma) at
+        levels 0..nt, with the sweep's StepOperators, which linearized and
+        adjoint sweeps around it reuse; :func:`diagnostics` computes its
+        per-level rows. With ``on_level``, a Trajectory with no fields and
+        no operators, carrying the sweep's linear solve count.
 
     Raises:
         SolverError: Propagated from the failing block solve, with its
@@ -296,55 +314,73 @@ def solve_state(init, u, cfg, params, nl, pot):
     time_grid = u.time_grid
     nt = time_grid.nt
     dt = time_grid.dt
-    total = grid.num_nodes
 
     ops = StepOperators(grid, dt, params, nl, pot)
 
-    theta = np.zeros((nt + 1, total))
-    phi = np.zeros((nt + 1, total))
-    mu = np.zeros((nt + 1, total))
-    sigma = np.zeros((nt + 1, total))
-    theta[0] = init.theta0.flat
-    phi[0] = init.phi0.flat
-    sigma[0] = init.sigma0.flat
-    mu[0] = initial_mu(init, params, pot).flat
+    arrays = None
+    if on_level is None:
+        arrays = {name: np.empty((nt + 1, grid.num_nodes))
+                  for name in _STATE_FIELDS}
 
+        def on_level(k, *level):
+            for name, values in zip(_STATE_FIELDS, level):
+                arrays[name][k] = values
+
+    theta, phi, sigma = init.theta0.flat, init.phi0.flat, init.sigma0.flat
+    mu = initial_mu(init, params, pot).flat
     controls = u.flat_slices
     times = time_grid.times
-    for step in range(nt):
-        sb = params.sigma_b_at(times[step], dt, grid)
-        out = _step_arrays(ops, theta[step], phi[step], sigma[step],
-                           controls[step], sb, step=step)
-        theta[step + 1], phi[step + 1], mu[step + 1], sigma[step + 1] = out
+    # One error state for the whole sweep: a diverging level overflows in
+    # numpy before its block solve judges the right-hand side and raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        on_level(0, theta, phi, mu, sigma)
+        for step in range(nt):
+            sb = params.sigma_b_at(times[step], dt, grid)
+            theta, phi, mu, sigma = _step_arrays(
+                ops, theta, phi, sigma, controls[step], sb, step=step)
+            on_level(step + 1, theta, phi, mu, sigma)
 
-    return Trajectory(
-        time_grid, grid,
-        {"theta": theta, "phi": phi, "mu": mu, "sigma": sigma},
-        linear_solve_count=ops.counter.count,
-        operators=ops,
-    )
+    if arrays is None:
+        return Trajectory(time_grid, grid, {},
+                          linear_solve_count=ops.counter.count)
+    return Trajectory(time_grid, grid, arrays,
+                      linear_solve_count=ops.counter.count, operators=ops)
 
 
 DIAGNOSTICS_HEADER = ("step", "time", "mass_theta_ell_phi", "mass_phi",
                       "energy", "linf_theta", "linf_phi")
 
 
+def _diagnostics_row(grid, time_grid, params, pot):
+    """The function ``row(k, theta, phi)`` that gives the diagnostics row of
+    level k from its flat theta and phi, in DIAGNOSTICS_HEADER order: step,
+    time, the masses of theta + ell*phi and of phi, the Cahn-Hilliard
+    energy and the sup norms of theta and phi. The Laplacian's product and
+    the weights are built once, here, for every level."""
+    apply_lap = MatVec(laplacian_matrix(grid))
+    w = quadrature_weights(grid)
+    times = time_grid.times
+    ell = params.ell
+
+    def row(level, theta, phi):
+        return (level, float(times[level]),
+                float(np.add.reduce(w * (theta + ell * phi))),
+                float(np.add.reduce(w * phi)),
+                float(_level_energy(apply_lap, w, pot, phi)),
+                float(np.max(np.abs(theta))),
+                float(np.max(np.abs(phi))))
+
+    return row
+
+
 def diagnostics(traj, params, pot):
-    """Per-level rows of a forward trajectory, in DIAGNOSTICS_HEADER order:
-    step, time, the masses of theta + ell*phi and of phi, the Cahn-Hilliard
-    energy and the sup norms of theta and phi."""
-    weights = quadrature_weights(traj.grid)
+    """Per-level rows of a stored forward trajectory, in DIAGNOSTICS_HEADER
+    order (see :func:`_diagnostics_row`)."""
+    row = _diagnostics_row(traj.grid, traj.time_grid, params, pot)
     theta = traj.field_array("theta")
     phi = traj.field_array("phi")
-    energies = ch_energy(phi, traj.grid, pot)
-    return [(level, float(t),
-             float(np.add.reduce(
-                 weights * (theta[level] + params.ell * phi[level]))),
-             float(np.add.reduce(weights * phi[level])),
-             float(energies[level]),
-             float(np.max(np.abs(theta[level]))),
-             float(np.max(np.abs(phi[level]))))
-            for level, t in enumerate(traj.time_grid.times)]
+    return [row(level, theta[level], phi[level])
+            for level in range(traj.time_grid.nt + 1)]
 
 
 def y_norm(theta, phi, mu, sigma, grid, time_grid):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from conftest import DESK_CFG
 
 import caginalp_control
 from caginalp_control import (
+    DIAGNOSTICS_HEADER,
     Field,
     Grid,
     SpaceTimeField,
     TimeGrid,
-    Trajectory,
+    diagnostics,
+    load_config,
+    solve_state,
     write_field_csv,
     write_space_time_csv,
 )
@@ -99,36 +103,9 @@ def test_simulate_writes_reports(tmp_path, capsys):
         os.path.join(str(tmp_path), "sim_out", "effective_config"))
 
 
-@pytest.mark.parametrize("writer", ["state_slice", "field", "space_time"])
-@pytest.mark.parametrize("n, length", [((9,), (1.0,)),
-                                       ((5, 4), (1.0, 0.75))])
-def test_state_slice_lines_match_per_cell_formatting(tmp_path, n, length,
-                                                     writer):
-    # Each node-table row is formatted by one template; the reference formats
-    # every cell on its own, with node (i, j) at flat index i * ny + j.
-    grid = Grid(n, length)
-    time_grid = TimeGrid(0.2, 2)
-    rng = np.random.default_rng(11)
-    path = str(tmp_path / "table.csv")
-    times = None
-    if writer == "state_slice":
-        names = ("theta", "phi", "mu", "sigma")
-        traj = Trajectory(time_grid, grid, {
-            name: rng.normal(size=(3, grid.num_nodes)) for name in names})
-        levels = [[traj.field_array(name)[1] for name in names]]
-        _write_state_slice(path, traj, 1)
-    elif writer == "field":
-        names = ("value",)
-        field = Field(grid, rng.normal(size=grid.shape))
-        levels = [[field.values.reshape(-1)]]
-        write_field_csv(field, path)
-    else:
-        names = ("value",)
-        stf = SpaceTimeField(time_grid, grid,
-                             rng.normal(size=(3,) + grid.shape))
-        levels = [[level.reshape(-1)] for level in stf.values]
-        times = time_grid.times
-        write_space_time_csv(stf, path)
+def _node_table_bytes(grid, names, levels, times=None):
+    """A node table formatted cell by cell, with node (i, j) at flat index
+    i * ny + j; ``levels`` holds one flat array per name and level."""
     coords = [grid.coords(axis) for axis in range(grid.dim)]
     header = ("index_x,x," if grid.dim == 1 else "index_x,index_y,x,y,")
     expected = [("" if times is None else "t_index,t,") + header
@@ -141,8 +118,99 @@ def test_state_slice_lines_match_per_cell_formatting(tmp_path, n, length,
             cells += ["{:.17g}".format(c[i]) for c, i in zip(coords, index)]
             cells += ["{:.17g}".format(col[flat]) for col in columns]
             expected.append(",".join(cells))
+    return ("\n".join(expected) + "\n").encode()
+
+
+@pytest.mark.parametrize("writer", ["state_slice", "field", "space_time"])
+@pytest.mark.parametrize("n, length", [((9,), (1.0,)),
+                                       ((5, 4), (1.0, 0.75))])
+def test_state_slice_lines_match_per_cell_formatting(tmp_path, n, length,
+                                                     writer):
+    # Each node-table row is formatted by one template; the reference formats
+    # every cell on its own.
+    grid = Grid(n, length)
+    time_grid = TimeGrid(0.2, 2)
+    rng = np.random.default_rng(11)
+    path = str(tmp_path / "table.csv")
+    times = None
+    if writer == "state_slice":
+        names = ("theta", "phi", "mu", "sigma")
+        levels = [list(rng.normal(size=(4, grid.num_nodes)))]
+        _write_state_slice(path, grid, levels[0])
+    elif writer == "field":
+        names = ("value",)
+        field = Field(grid, rng.normal(size=grid.shape))
+        levels = [[field.values.reshape(-1)]]
+        write_field_csv(field, path)
+    else:
+        names = ("value",)
+        stf = SpaceTimeField(time_grid, grid,
+                             rng.normal(size=(3,) + grid.shape))
+        levels = [[level.reshape(-1)] for level in stf.values]
+        times = time_grid.times
+        write_space_time_csv(stf, path)
     with open(path, "rb") as handle:
-        assert handle.read() == ("\n".join(expected) + "\n").encode()
+        assert handle.read() == _node_table_bytes(grid, names, levels, times)
+
+
+def _desk_simulate_text(grid, nt, slices, out):
+    """desk.cfg up to its [cost] section, on another grid and step count,
+    with an [output] section."""
+    with open(DESK_CFG, encoding="utf-8") as handle:
+        desk = handle.read().split("[cost]")[0]
+    return (desk.replace("n = 33\nlength = 2.0", grid)
+            .replace("nt = 50", f"nt = {nt}")
+            + f"\n[output]\ndir = {out}\nslices = {slices}\n")
+
+
+@pytest.mark.parametrize("grid, nt, slices", [
+    ("n = 33\nlength = 2.0", 50, "0,1,25,50"),
+    ("n = 17,17\nlength = 2.0,2.0", 10, "0,3,10"),
+], ids=["desk", "2d-17x17-nt10"])
+def test_simulate_streams_the_stored_trajectory_bytes(tmp_path, grid, nt,
+                                                      slices):
+    # simulate keeps one diagnostics row per level and copies only the
+    # levels it writes; its files equal those built from a stored sweep.
+    cfg_path = _write(tmp_path, _desk_simulate_text(grid, nt, slices, "out"))
+    assert main(["simulate", cfg_path]) == EXIT_OK
+
+    cfg = load_config(cfg_path)
+    model = (cfg.solver, cfg.params, cfg.nonlinearities, cfg.potential)
+    traj = solve_state(cfg.init, cfg.control, *model)
+    diagnostics_bytes = "\n".join(
+        [",".join(DIAGNOSTICS_HEADER)]
+        + [",".join(str(cell) if isinstance(cell, int)
+                    else "{:.17g}".format(cell) for cell in row)
+           for row in diagnostics(traj, cfg.params, cfg.potential)]) + "\n"
+    assert (_read(tmp_path, "out", "diagnostics.csv")
+            == diagnostics_bytes.encode())
+    names = ("theta", "phi", "mu", "sigma")
+    for level in cfg.output_slices:
+        columns = [traj.field_array(name)[level] for name in names]
+        assert (_read(tmp_path, "out", f"state_{level:06d}.csv")
+                == _node_table_bytes(cfg.grid, names, [columns]))
+
+    recorded = solve_state(cfg.init, cfg.control, *model,
+                           on_level=lambda *level: None)
+    assert recorded.operators is None
+    assert recorded.linear_solve_count == traj.linear_solve_count == 3 * nt
+
+
+def test_simulate_memory_does_not_grow_with_the_stored_levels(tmp_path):
+    # The sweep stores no level it does not write: the peak stays below two
+    # (nt + 1, N) arrays, one of which is the control itself.
+    nodes, nt = 513, 1000
+    text = _desk_simulate_text(f"n = {nodes}\nlength = 2.0", nt,
+                               "0,500,1000", "mem_out")
+    cfg_path = _write(tmp_path, text)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", cfg_path]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (nt + 1) * nodes * 8
 
 
 def test_simulate_constant_data_has_constant_diagnostics(tmp_path):
@@ -236,6 +304,11 @@ def test_solver_blowup_exits_3(tmp_path, capsys):
     # The source overflows at step 1; the phase solve names it.
     assert "phase solve at step 1" in err
     assert "forward sweep" in err
+    # Reports are written after the sweep returns, so a failed one leaves
+    # none.
+    written = os.listdir(os.path.join(str(tmp_path), "out"))
+    assert "diagnostics.csv" not in written
+    assert not [name for name in written if name.startswith("state_")]
 
 
 def test_optimize_writes_reports(tmp_path, capsys):
@@ -418,16 +491,12 @@ def test_module_entry_point_runs_simulate(tmp_path):
 def test_2d_simulate_bytes_do_not_depend_on_the_thread_count(tmp_path):
     # On 129^2 nodes OpenBLAS splits a dot product over its threads, so a
     # weighted sum by BLAS would round differently at 1 and at 2 threads.
-    with open(DESK_CFG, encoding="utf-8") as handle:
-        desk = handle.read().split("[cost]")[0]
-    text = (desk.replace("n = 33\nlength = 2.0",
-                         "n = 129,129\nlength = 2.0,2.0")
-            .replace("nt = 50", "nt = 10"))
     src = os.path.dirname(os.path.dirname(caginalp_control.__file__))
     outputs = []
     for threads in ("1", "2"):
-        cfg = _write(tmp_path, text + f"\n[output]\ndir = out_{threads}\n",
-                     name=f"threads_{threads}.cfg")
+        text = _desk_simulate_text("n = 129,129\nlength = 2.0,2.0", 10, "10",
+                                   f"out_{threads}")
+        cfg = _write(tmp_path, text, name=f"threads_{threads}.cfg")
         env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
                "OPENBLAS_NUM_THREADS": threads}
         proc = subprocess.run(

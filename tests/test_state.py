@@ -244,30 +244,30 @@ def test_diagnostics_track_mass_and_energy():
 
 
 def test_diagnostics_are_computed_on_first_read(desk_problem, monkeypatch):
-    # A sweep computes no diagnostics; one call computes every level's
-    # energy in one ch_energy call.
+    # A sweep computes no diagnostics; one call computes each level's
+    # energy once, by the per-level energy ch_energy also maps.
     problem = desk_problem
     calls = []
-    real_energy = state.ch_energy
+    real_energy = state._level_energy
 
-    def counting_energy(phi, grid, pot):
+    def counting_energy(apply_lap, w, pot, phi):
         calls.append(None)
-        return real_energy(phi, grid, pot)
+        return real_energy(apply_lap, w, pot, phi)
 
-    monkeypatch.setattr(state, "ch_energy", counting_energy)
+    monkeypatch.setattr(state, "_level_energy", counting_energy)
     traj = solve_state(problem.init, problem.control, problem.solver,
                        problem.params, problem.nonlinearities,
                        problem.potential)
     assert len(calls) == 0
     rows = diagnostics(traj, problem.params, problem.potential)
     nt = problem.time_grid.nt
-    assert len(calls) == 1
+    assert len(calls) == nt + 1
 
     weights = quadrature_weights(problem.grid)
     ell = problem.params.ell
     times = problem.time_grid.times
-    energies = real_energy(traj.field_array("phi"), problem.grid,
-                           problem.potential)
+    energies = ch_energy(traj.field_array("phi"), problem.grid,
+                         problem.potential)
     assert len(rows) == nt + 1
     for k, row in enumerate(rows):
         theta = traj.field_array("theta")[k]
